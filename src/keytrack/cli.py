@@ -343,7 +343,8 @@ def main() -> None:
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
+        log.debug("unexpected error", exc_info=True)
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
 

@@ -8,6 +8,7 @@ errors raise ``ValueError`` carrying the offending line number.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence, TextIO
@@ -203,17 +204,24 @@ def _pose_to_json(pose: Optional[Pose]) -> Optional[dict]:
     return out
 
 
-def _pose_from_json(data: Optional[dict], frame_index: int, line: int) -> Optional[Pose]:
+def _pose_from_json(data: Optional[dict], frame_index: int, where: str) -> Optional[Pose]:
+    """Parse one pose; ``where`` (path and line) prefixes every error."""
     if data is None:
         return None
     coords: dict[str, Optional[XY]] = {}
     for cat, xy in data.items():
         if xy is None:
             coords[cat] = None
-        elif isinstance(xy, (list, tuple)) and len(xy) == 2:
-            coords[cat] = (float(xy[0]), float(xy[1]))
-        else:
-            raise ValueError(f"line {line}: malformed coordinates for {cat!r}")
+            continue
+        try:
+            if not isinstance(xy, (list, tuple)) or len(xy) != 2:
+                raise TypeError
+            x, y = float(xy[0]), float(xy[1])
+        except (TypeError, ValueError):
+            raise ValueError(f"{where}: malformed coordinates for {cat!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"{where}: non-finite coordinates for {cat!r}: [{x}, {y}]")
+        coords[cat] = (x, y)
     return Pose(coords=coords, frame_index=frame_index)
 
 
@@ -298,7 +306,7 @@ def load_detections(
                 raise ValueError(f"{path} line {line_no}: duplicate frame {frame_index}")
             poses = []
             for pose_json in poses_json:
-                pose = _pose_from_json(pose_json, frame_index, line_no)
+                pose = _pose_from_json(pose_json, frame_index, f"{path} line {line_no}")
                 if pose is not None:
                     poses.append(pose)
             frames[frame_index] = poses
@@ -351,21 +359,18 @@ def load_tracks(path: str) -> tuple[StreamHeader, list[TrackOutput]]:
             except KeyError as exc:
                 raise ValueError(f"{path} line {line_no}: missing field {exc}") from exc
             records = []
+            where = f"{path} line {line_no}"
             for item in tracklets:
                 try:
-                    observed = _pose_from_json(item["observed"], frame_index, line_no)
+                    observed = _pose_from_json(item["observed"], frame_index, where)
                     if observed is None:
-                        raise ValueError(
-                            f"{path} line {line_no}: tracklet record without observation"
-                        )
+                        raise ValueError(f"{where}: tracklet record without observation")
                     records.append(
                         TrackletFrameRecord(
                             tracklet_id=int(item["id"]),
                             observed=observed,
-                            prior=_pose_from_json(item.get("prior"), frame_index, line_no),
-                            posterior=_pose_from_json(
-                                item["posterior"], frame_index, line_no
-                            ),
+                            prior=_pose_from_json(item.get("prior"), frame_index, where),
+                            posterior=_pose_from_json(item["posterior"], frame_index, where),
                             imputed=frozenset(item.get("imputed", ())),
                             alpha=item.get("alpha"),
                             gamma=item.get("gamma"),

@@ -37,15 +37,25 @@ def _gaussian_max_loop(grid, cx, cy, sigma, extent):
                 grid[row, col] = value
 
 
-def gaussian_max_numpy(grid, cx, cy, sigma, extent):
-    height, width = grid.shape
+def splat_window(shape, cx, cy, sigma, extent):
+    """Inclusive ``(y0, y1, x0, x1)`` cells a splat can touch, clipped to
+    the grid; ``None`` when the window misses the grid."""
+    height, width = shape
     reach = extent * sigma
     x0 = max(0, int(math.ceil(cx - reach)))
     x1 = min(width - 1, int(math.floor(cx + reach)))
     y0 = max(0, int(math.ceil(cy - reach)))
     y1 = min(height - 1, int(math.floor(cy + reach)))
     if x0 > x1 or y0 > y1:
+        return None
+    return y0, y1, x0, x1
+
+
+def gaussian_max_numpy(grid, cx, cy, sigma, extent):
+    window = splat_window(grid.shape, cx, cy, sigma, extent)
+    if window is None:
         return
+    y0, y1, x0, x1 = window
     ys = np.arange(y0, y1 + 1, dtype=np.float64) - cy
     xs = np.arange(x0, x1 + 1, dtype=np.float64) - cx
     sq = ys[:, None] ** 2 + xs[None, :] ** 2
@@ -81,14 +91,10 @@ def _assoc_accumulate_loop(wsum, num_x, num_y, cx, cy, sigma, extent, cutoff, dx
 
 
 def assoc_accumulate_numpy(wsum, num_x, num_y, cx, cy, sigma, extent, cutoff, dx, dy):
-    height, width = wsum.shape
-    reach = extent * sigma
-    x0 = max(0, int(math.ceil(cx - reach)))
-    x1 = min(width - 1, int(math.floor(cx + reach)))
-    y0 = max(0, int(math.ceil(cy - reach)))
-    y1 = min(height - 1, int(math.floor(cy + reach)))
-    if x0 > x1 or y0 > y1:
+    window = splat_window(wsum.shape, cx, cy, sigma, extent)
+    if window is None:
         return
+    y0, y1, x0, x1 = window
     ys = np.arange(y0, y1 + 1, dtype=np.float64) - cy
     xs = np.arange(x0, x1 + 1, dtype=np.float64) - cx
     sq = ys[:, None] ** 2 + xs[None, :] ** 2
@@ -109,63 +115,44 @@ def _box_mean_loop(grid, radius):
     rows = np.empty((height, width), dtype=np.float64)
     out = np.empty_like(grid)
     count = (2 * radius + 1) * (2 * radius + 1)
-    # separable running-window sums; clamping indices replicates edges
+    # separable sums over each cell's own window, in a fixed order;
+    # clamping indices replicates edges
     for row in range(height):
-        acc = 0.0
-        for dc in range(-radius, radius + 1):
-            cc = dc
-            if cc < 0:
-                cc = 0
-            elif cc >= width:
-                cc = width - 1
-            acc += grid[row, cc]
-        rows[row, 0] = acc
-        for col in range(1, width):
-            add = col + radius
-            if add >= width:
-                add = width - 1
-            sub = col - radius - 1
-            if sub < 0:
-                sub = 0
-            acc += grid[row, add] - grid[row, sub]
+        for col in range(width):
+            acc = 0.0
+            for dc in range(-radius, radius + 1):
+                cc = min(max(col + dc, 0), width - 1)
+                acc += float(grid[row, cc])
             rows[row, col] = acc
-    for col in range(width):
-        acc = 0.0
-        for dr in range(-radius, radius + 1):
-            rr = dr
-            if rr < 0:
-                rr = 0
-            elif rr >= height:
-                rr = height - 1
-            acc += rows[rr, col]
-        out[0, col] = acc / count
-        for row in range(1, height):
-            add = row + radius
-            if add >= height:
-                add = height - 1
-            sub = row - radius - 1
-            if sub < 0:
-                sub = 0
-            acc += rows[add, col] - rows[sub, col]
+    for row in range(height):
+        for col in range(width):
+            acc = 0.0
+            for dr in range(-radius, radius + 1):
+                rr = min(max(row + dr, 0), height - 1)
+                acc += rows[rr, col]
             out[row, col] = acc / count
     return out
 
 
 def box_mean_numpy(grid, radius):
+    """Mean over each cell's (2r+1)^2 window, edges replicated.
+
+    Each window is summed on its own, in a fixed order, in float64 (no
+    running sums): a non-finite cell only affects the windows containing
+    it, and a crop yields the same bits as the full frame wherever the
+    crop holds the whole window.
+    """
+    height, width = grid.shape
     padded = np.pad(grid, radius, mode="edge").astype(np.float64)
     window = 2 * radius + 1
-    # separable cumulative sums along each axis
-    csum = np.cumsum(padded, axis=1)
-    rows = np.empty_like(padded)
-    rows[:, : padded.shape[1] - window + 1] = csum[:, window - 1 :]
-    rows[:, 1 : padded.shape[1] - window + 1] -= csum[:, : padded.shape[1] - window]
-    rows = rows[:, : padded.shape[1] - window + 1]
-    csum = np.cumsum(rows, axis=0)
-    cols = np.empty_like(rows)
-    cols[: padded.shape[0] - window + 1] = csum[window - 1 :]
-    cols[1 : padded.shape[0] - window + 1] -= csum[: padded.shape[0] - window]
-    cols = cols[: padded.shape[0] - window + 1]
-    return (cols / (window * window)).astype(grid.dtype)
+    rows = padded[:, 0:width].copy()
+    for shift in range(1, window):
+        rows += padded[:, shift : shift + width]
+    out = rows[0:height].copy()
+    for shift in range(1, window):
+        out += rows[shift : shift + height]
+    out /= window * window
+    return out.astype(grid.dtype)
 
 
 # ---------------------------------------------------------------------------

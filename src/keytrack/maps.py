@@ -6,12 +6,21 @@ coordinates.  Probability maps carry unit-peak Gaussians per keypoint,
 max-merged where they overlap.  Association maps carry, per connection,
 four channels of weighted mean offsets: ``dx_ab, dy_ab, dx_ba, dy_ba``
 where ``ab`` points from parent to child.
+
+The codec only touches the regions of interest around keypoints.
+Encoding writes and normalises each splat's window, never the whole
+frame; a stack's probability channels share one array, as do its
+association channels.  Decoding smooths and scans only crops around the
+raw cells above the detection threshold: a window mean can exceed the
+threshold only if some cell in the window does, so no other cell can
+yield a candidate.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterable, Iterator, Optional, Sequence
@@ -126,10 +135,8 @@ def encode_prob_maps(
     params: EncoderParams = EncoderParams(),
 ) -> dict[str, np.ndarray]:
     """Render unit-peak Gaussian probability maps, one per category."""
-    maps = {
-        category: np.zeros((height, width), dtype=np.float32)
-        for category in spec.categories
-    }
+    block = np.zeros((len(spec.categories), height, width), dtype=np.float32)
+    maps = dict(zip(spec.categories, block))
     if not poses:
         return maps
     sigmas = pose_sigmas(poses, spec, params)
@@ -163,12 +170,13 @@ def encode_assoc_maps(
     endpoints exist; the weights are its unit-peak keypoint Gaussian
     truncated to zero at ``weight_cutoff``.  Cells never touched stay 0.
     """
-    out: dict[Pair, np.ndarray] = {}
+    pairs = spec.connections
+    block = np.zeros((len(pairs), 4, height, width), dtype=np.float32)
+    # per-connection weight sums on both endpoints: scratch, freed on return
+    wsums = np.zeros((len(pairs), 2, height, width), dtype=np.float32)
     sigmas = pose_sigmas(poses, spec, params) if poses else []
-    for pair in spec.connections:
-        grids = np.zeros((4, height, width), dtype=np.float32)
-        wsum_a = np.zeros((height, width), dtype=np.float32)
-        wsum_b = np.zeros((height, width), dtype=np.float32)
+    for pair, grids, wsum in zip(pairs, block, wsums):
+        splats: list[tuple[int, float, float, float]] = []
         for index, (pose, sigma) in enumerate(zip(poses, sigmas)):
             a = pose.get(pair[0])
             b = pose.get(pair[1])
@@ -183,19 +191,30 @@ def encode_assoc_maps(
             dx = b[0] - a[0]
             dy = b[1] - a[1]
             kernels.assoc_accumulate(
-                wsum_a, grids[0], grids[1], a[0], a[1], sigma,
+                wsum[0], grids[0], grids[1], a[0], a[1], sigma,
                 params.kernel_extent, params.weight_cutoff, dx, dy,
             )
             kernels.assoc_accumulate(
-                wsum_b, grids[2], grids[3], b[0], b[1], sigma,
+                wsum[1], grids[2], grids[3], b[0], b[1], sigma,
                 params.kernel_extent, params.weight_cutoff, -dx, -dy,
             )
-        for idx, wsum in ((0, wsum_a), (1, wsum_a), (2, wsum_b), (3, wsum_b)):
-            covered = wsum > 0
-            grids[idx][covered] /= wsum[covered]
-            grids[idx][~covered] = 0.0
-        out[pair] = grids
-    return out
+            splats.append((0, a[0], a[1], sigma))
+            splats.append((1, b[0], b[1], sigma))
+        for side, cx, cy, sigma in splats:
+            window = kernels.splat_window(
+                (height, width), cx, cy, sigma, params.kernel_extent
+            )
+            if window is None:
+                continue
+            y0, y1, x0, x1 = window
+            weight = wsum[side, y0 : y1 + 1, x0 : x1 + 1]
+            covered = weight > 0
+            for grid in grids[2 * side : 2 * side + 2]:
+                cells = grid[y0 : y1 + 1, x0 : x1 + 1]
+                cells[covered] /= weight[covered]
+            # a cell is normalised once, even where windows overlap
+            weight[covered] = 0.0
+    return dict(zip(pairs, block))
 
 
 def encode(
@@ -227,6 +246,71 @@ def _parabola_offset(left: float, centre: float, right: float) -> float:
     return min(0.5, max(-0.5, offset))
 
 
+def _runs(flags: np.ndarray) -> list[tuple[int, int]]:
+    """Half-open ``(start, stop)`` of each run of True in a 1-D mask."""
+    edges = np.flatnonzero(np.diff(flags.astype(np.int8), prepend=0, append=0))
+    return [(int(a), int(b)) for a, b in zip(edges[::2], edges[1::2])]
+
+
+def _hot_boxes(hot: np.ndarray) -> Iterator[tuple[int, int, int, int]]:
+    """Half-open ``(r0, r1, c0, c1)`` boxes that together cover every True
+    cell: runs of rows holding one, then runs of columns inside each."""
+    for r0, r1 in _runs(hot.any(axis=1)):
+        for c0, c1 in _runs(hot[r0:r1].any(axis=0)):
+            yield r0, r1, c0, c1
+
+
+def _smoothed_maxima(
+    grid: np.ndarray, threshold: float
+) -> dict[tuple[int, int], tuple[float, float, float]]:
+    """Strict maxima above ``threshold`` of the smoothed grid, scanned only
+    around raw cells above it: ``(row, col) -> (score, dx, dy)``.
+
+    A box of hot raw cells can hold a smoothed cell above threshold within
+    ``SMOOTH_RADIUS`` of itself; testing those against their neighbours
+    needs one more ring, and smoothing that ring needs ``SMOOTH_RADIUS``
+    more, so a crop grown by ``2 * SMOOTH_RADIUS + 1`` reproduces the
+    full-frame filter exactly where it is read.  Where a crop meets the
+    image border, the kernels' edge handling acts as on the full frame;
+    the cells their padding alters at other crop edges are never read.
+    """
+    height, width = grid.shape
+    found: dict[tuple[int, int], tuple[float, float, float]] = {}
+
+    def grow(box: tuple[int, int, int, int], by: int) -> tuple[int, int, int, int]:
+        r0, r1, c0, c1 = box
+        return max(r0 - by, 0), min(r1 + by, height), max(c0 - by, 0), min(c1 + by, width)
+
+    for box in _hot_boxes(grid > threshold):
+        y0, y1, x0, x1 = grow(box, 2 * SMOOTH_RADIUS + 1)
+        smoothed = kernels.box_mean(grid[y0:y1, x0:x1], SMOOTH_RADIUS)
+        sy0, sy1, sx0, sx1 = grow(box, SMOOTH_RADIUS + 1)
+        mask = kernels.local_max_mask(
+            smoothed[sy0 - y0 : sy1 - y0, sx0 - x0 : sx1 - x0], threshold
+        )
+        ky0, ky1, kx0, kx1 = grow(box, SMOOTH_RADIUS)
+        for srow, scol in zip(*np.nonzero(mask)):
+            row = int(srow) + sy0
+            col = int(scol) + sx0
+            if not (ky0 <= row < ky1 and kx0 <= col < kx1):
+                continue
+            lrow = row - y0
+            lcol = col - x0
+            centre = float(smoothed[lrow, lcol])
+            dx = 0.0
+            dy = 0.0
+            if 0 < col < width - 1:
+                dx = _parabola_offset(
+                    float(smoothed[lrow, lcol - 1]), centre, float(smoothed[lrow, lcol + 1])
+                )
+            if 0 < row < height - 1:
+                dy = _parabola_offset(
+                    float(smoothed[lrow - 1, lcol]), centre, float(smoothed[lrow + 1, lcol])
+                )
+            found[(row, col)] = (centre, dx, dy)
+    return found
+
+
 def decode_candidates(
     prob_maps: dict[str, np.ndarray],
     threshold: float = DEFAULT_DETECT_THRESHOLD,
@@ -239,43 +323,23 @@ def decode_candidates(
     ``nms_radius`` are reduced to the higher-scoring one (ties: lower row,
     then lower column), and positions are refined by independent one-axis
     parabola fits clamped to half a pixel.
+
+    Only crops around the raw cells above ``threshold`` are smoothed and
+    scanned: a 5x5 mean exceeds the threshold only if a cell of its window
+    does, so the result equals that of filtering the whole map.
     """
     candidates: list[CandidateKeypoint] = []
     for category, grid in prob_maps.items():
-        smoothed = kernels.box_mean(np.ascontiguousarray(grid), SMOOTH_RADIUS)
-        mask = kernels.local_max_mask(smoothed, threshold)
-        rows, cols = np.nonzero(mask)
-        if rows.size == 0:
-            continue
-        scores = smoothed[rows, cols].astype(np.float64)
-        order = np.lexsort((cols, rows, -scores))
-        kept: list[tuple[int, int, float]] = []
-        for idx in order:
-            row = int(rows[idx])
-            col = int(cols[idx])
-            suppressed = False
-            for krow, kcol, _ in kept:
-                if (row - krow) ** 2 + (col - kcol) ** 2 < nms_radius ** 2:
-                    suppressed = True
-                    break
-            if not suppressed:
-                kept.append((row, col, float(scores[idx])))
-        height, width = smoothed.shape
-        for row, col, score in kept:
-            dx = 0.0
-            dy = 0.0
-            if 0 < col < width - 1:
-                dx = _parabola_offset(
-                    float(smoothed[row, col - 1]),
-                    float(smoothed[row, col]),
-                    float(smoothed[row, col + 1]),
-                )
-            if 0 < row < height - 1:
-                dy = _parabola_offset(
-                    float(smoothed[row - 1, col]),
-                    float(smoothed[row, col]),
-                    float(smoothed[row + 1, col]),
-                )
+        found = _smoothed_maxima(np.asarray(grid), threshold)
+        kept: list[tuple[int, int]] = []
+        for row, col in sorted(found, key=lambda cell: (-found[cell][0], cell)):
+            if all(
+                (row - krow) ** 2 + (col - kcol) ** 2 >= nms_radius ** 2
+                for krow, kcol in kept
+            ):
+                kept.append((row, col))
+        for row, col in kept:
+            score, dx, dy = found[(row, col)]
             candidates.append(
                 CandidateKeypoint(category=category, x=col + dx, y=row + dy, score=score)
             )
@@ -431,7 +495,7 @@ def _save_binary(maps: MapStack, path: str) -> None:
             handle.write(struct.pack("<H", len(encoded)))
             handle.write(encoded)
         for _, grid in channels:
-            handle.write(np.ascontiguousarray(grid, dtype="<f4").tobytes())
+            handle.write(np.ascontiguousarray(grid, dtype="<f4"))
 
 
 def _load_binary(path: str) -> MapStack:
@@ -447,15 +511,15 @@ def _load_binary(path: str) -> MapStack:
         for _ in range(count):
             (length,) = struct.unpack("<H", handle.read(2))
             names.append(handle.read(length).decode("utf-8"))
-        grids = []
-        for _ in range(count):
-            raw = handle.read(4 * width * height)
-            if len(raw) != 4 * width * height:
-                raise ValueError(f"{path}: truncated channel data")
-            grids.append(
-                np.frombuffer(raw, dtype="<f4").reshape(height, width).astype(np.float32)
-            )
-    return _assemble_stack(width, height, names, grids, path)
+        # checked before allocating, so a bad header cannot ask for more
+        # memory than the file holds
+        remaining = os.fstat(handle.fileno()).st_size - handle.tell()
+        if remaining < 4 * count * width * height:
+            raise ValueError(f"{path}: truncated channel data")
+        block = np.empty((count, height, width), dtype="<f4")
+        if handle.readinto(block) != block.nbytes:
+            raise ValueError(f"{path}: truncated channel data")
+    return _assemble_stack(names, block.astype(np.float32, copy=False), path)
 
 
 def _save_text(maps: MapStack, path: str) -> None:
@@ -490,22 +554,28 @@ def _load_text(path: str) -> MapStack:
             if grid.shape != (height, width):
                 raise ValueError(f"{path}: channel shape mismatch")
             grids.append(grid)
-    return _assemble_stack(width, height, names, grids, path)
+    block = np.array(grids, dtype=np.float32).reshape(count, height, width)
+    return _assemble_stack(names, block, path)
 
 
-def _assemble_stack(
-    width: int, height: int, names: list[str], grids: list[np.ndarray], path: str
-) -> MapStack:
+def _assemble_stack(names: list[str], block: np.ndarray, path: str) -> MapStack:
+    """A stack whose channels are views of ``block`` (channel, row, col).
+
+    A connection's four association channels stay one view when they are
+    stored consecutively in ``ASSOC_CHANNELS`` order, as ``save_maps``
+    writes them; otherwise they are gathered into a new array.
+    """
+    count, height, width = block.shape
     stack = MapStack(width=width, height=height)
-    assoc_parts: dict[Pair, dict[str, np.ndarray]] = {}
-    for name, grid in zip(names, grids):
+    assoc_parts: dict[Pair, dict[str, int]] = {}
+    for index, name in enumerate(names):
         kind, _, rest = name.partition(":")
         if kind == "prob":
-            stack.prob[rest] = grid
+            stack.prob[rest] = block[index]
         elif kind == "assoc":
             conn, _, suffix = rest.rpartition(":")
             pair = parse_connection_name(conn)
-            assoc_parts.setdefault(pair, {})[suffix] = grid
+            assoc_parts.setdefault(pair, {})[suffix] = index
         else:
             raise ValueError(f"{path}: unknown channel {name!r}")
     for pair, parts in assoc_parts.items():
@@ -513,5 +583,10 @@ def _assemble_stack(
             raise ValueError(
                 f"{path}: incomplete association channels for {connection_name(pair)}"
             )
-        stack.assoc[pair] = np.stack([parts[s] for s in ASSOC_CHANNELS])
+        first = parts[ASSOC_CHANNELS[0]]
+        indices = [parts[suffix] for suffix in ASSOC_CHANNELS]
+        if indices == list(range(first, first + len(ASSOC_CHANNELS))):
+            stack.assoc[pair] = block[first : first + len(ASSOC_CHANNELS)]
+        else:
+            stack.assoc[pair] = block[indices]
     return stack

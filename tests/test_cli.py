@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import keytrack
+from keytrack import cli as cli_module
 from keytrack.cli import cli
 from keytrack.io import (
     StreamHeader,
@@ -343,3 +345,35 @@ class TestConsoleScript:
             str(tmp_path / "o.jsonl"),
         )
         assert proc.returncode == 2
+
+    def test_non_finite_detection_exits_two(self, tmp_path):
+        detections = tmp_path / "det.jsonl"
+        save_detections(str(detections), StreamHeader("cattle-dorsal", 100, 100), {})
+        with open(detections, "a") as handle:
+            pose = {"withers": [50.0, 50.0], "tail_implant": [math.nan, 50.0]}
+            handle.write(json.dumps({"frame_index": 0, "poses": [pose]}) + "\n")
+        proc = self.run("track", "--detections", str(detections), "--out", str(tmp_path / "o.jsonl"))
+        assert proc.returncode == 2
+        assert f"{detections} line 2: non-finite coordinates for 'tail_implant'" in proc.stderr
+
+
+def test_unexpected_error_logs_traceback_at_debug(monkeypatch, caplog, tmp_path):
+    detections = tmp_path / "det.jsonl"
+    save_detections(str(detections), StreamHeader("cattle-dorsal", 100, 100), {0: []})
+
+    def broken(path):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli_module.io, "load_detections", broken)
+    monkeypatch.setattr(
+        sys, "argv", ["keytrack", "track", "--detections", str(detections), "--out", str(tmp_path / "o.jsonl")]
+    )
+    caplog.set_level(logging.DEBUG, logger="keytrack")
+    with pytest.raises(SystemExit) as exit_info:
+        cli_module.main()
+    assert exit_info.value.code == 1
+    records = [r for r in caplog.records if r.getMessage() == "unexpected error"]
+    assert len(records) == 1
+    assert records[0].levelno == logging.DEBUG
+    assert records[0].exc_info[0] is RuntimeError
+    assert "boom" in caplog.text

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -199,6 +200,31 @@ class TestDetectionsStream:
         with pytest.raises(ValueError, match="malformed coordinates"):
             load_detections(str(path))
 
+    def test_malformed_coordinates_name_path_and_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        save_detections(str(path), HEADER, {0: []})
+        with open(path, "a") as handle:
+            handle.write(
+                json.dumps({"frame_index": 1, "poses": [{"withers": ["a", 2.0]}]}) + "\n"
+            )
+        with pytest.raises(ValueError) as info:
+            load_detections(str(path))
+        assert str(info.value) == f"{path} line 3: malformed coordinates for 'withers'"
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_coordinates_rejected(self, tmp_path, bad):
+        path = tmp_path / "nan.jsonl"
+        save_detections(str(path), HEADER, {0: [make_pose(withers=(1.0, 2.0))]})
+        with open(path, "a") as handle:
+            # json.dumps writes NaN and Infinity as bare literals
+            value = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}[bad]
+            pose = {"withers": [3.0, 4.0], "head": [value, 5.0]}
+            handle.write(json.dumps({"frame_index": 1, "poses": [pose]}) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_detections(str(path))
+        message = str(info.value)
+        assert message.startswith(f"{path} line 3: non-finite coordinates for 'head'")
+
     def test_missing_field_line_numbered(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         save_detections(str(path), HEADER, {})
@@ -304,3 +330,15 @@ class TestTracksStream:
             handle.write(json.dumps(record) + "\n")
         with pytest.raises(ValueError, match="line 2: tracklet missing field"):
             load_tracks(str(path))
+
+    def test_non_finite_posterior_rejected(self, spec, square_pose, tmp_path):
+        path = tmp_path / "tracks.jsonl"
+        save_tracks(str(path), HEADER, self.tracked_outputs(spec, square_pose))
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        record["tracklets"][0]["posterior"]["nose"] = [math.nan, 1.0]
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_tracks(str(path))
+        assert str(info.value).startswith(f"{path} line 3: non-finite coordinates for 'nose'")

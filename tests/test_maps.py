@@ -1,6 +1,7 @@
 import logging
 import math
 import os
+import struct
 import subprocess
 import sys
 
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from keytrack import kernels
 from keytrack.maps import (
+    DEFAULT_DETECT_THRESHOLD,
+    DEFAULT_NMS_RADIUS,
     CandidateKeypoint,
     EncoderParams,
     MapStack,
@@ -27,9 +30,17 @@ from keytrack.maps import (
     read_offset,
     save_maps,
 )
+from keytrack.simulate import (
+    RegimeSegment,
+    ScenarioConfig,
+    corrupt,
+    generate,
+    parallel_rows_scene,
+)
 from keytrack.skeleton import Pose
 
 from conftest import make_pose
+from map_oracles import dense_decode_candidates, dense_encode
 
 
 class TestKernelSigma:
@@ -367,6 +378,43 @@ class TestSerialization:
         with pytest.raises(ValueError, match="truncated"):
             load_maps(str(path))
 
+    def test_binary_v1_byte_layout(self, tmp_path):
+        prob = np.array([[0.0, 0.5, 1.0], [0.25, -2.0, 3.5]], dtype=np.float32)
+        assoc = np.arange(24, dtype=np.float32).reshape(4, 2, 3) - 7.5
+        stack = MapStack(width=3, height=2, prob={"k": prob}, assoc={("k", "j"): assoc})
+        path = tmp_path / "m.ktm"
+        save_maps(stack, str(path))
+        names = ["prob:k", "assoc:k->j:dx_ab", "assoc:k->j:dy_ab", "assoc:k->j:dx_ba", "assoc:k->j:dy_ba"]
+        expected = b"KTMB" + struct.pack("<IIII", 1, 3, 2, len(names))
+        for name in names:
+            expected += struct.pack("<H", len(name)) + name.encode("utf-8")
+        for channel in [prob, *assoc]:
+            expected += struct.pack("<6f", *channel.ravel().tolist())
+        assert path.read_bytes() == expected
+        loaded = load_maps(str(path))
+        np.testing.assert_array_equal(loaded.prob["k"], prob)
+        np.testing.assert_array_equal(loaded.assoc[("k", "j")], assoc)
+
+    def test_binary_load_shares_one_block(self, spec, square_pose, tmp_path):
+        stack = encode([square_pose], spec, 200, 160)
+        path = tmp_path / "m.ktm"
+        save_maps(stack, str(path))
+        loaded = load_maps(str(path))
+        grids = [*loaded.prob.values(), *loaded.assoc.values()]
+        block = grids[0].base
+        assert block is not None and block.shape == (30, 160, 200)
+        assert all(grid.base is block and grid.dtype == np.float32 for grid in grids)
+
+    def test_absurd_dimensions_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.ktm"
+        name = b"prob:k"
+        path.write_bytes(
+            b"KTMB" + struct.pack("<IIII", 1, 2**20, 2**20, 1)
+            + struct.pack("<H", len(name)) + name + b"\x00" * 64
+        )
+        with pytest.raises(ValueError, match="truncated channel data"):
+            load_maps(str(path))
+
 
 class TestKernelImplementations:
     """The numba and numpy kernel variants must agree."""
@@ -414,6 +462,28 @@ class TestKernelImplementations:
             out = fn(grid.copy(), 2)
             # corner window replicates the corner cell 9 times
             assert out[0, 0] == pytest.approx(9.0 / 25.0, abs=1e-6), name
+
+    def test_box_mean_non_finite_cell_stays_in_its_windows(self):
+        grid = np.zeros((40, 60), dtype=np.float32)
+        grid[2, 3] = np.nan
+        grid[30, 40] = np.inf
+        for name, fn in kernels.implementations()["box_mean"].items():
+            out = fn(grid.copy(), 2)
+            # rows 0..4 x cols 1..5 hold (2, 3); rows 28..32 x cols 38..42 hold (30, 40)
+            assert np.isnan(out).sum() == 25, name
+            assert np.isnan(out[0:5, 1:6]).all(), name
+            assert np.isposinf(out[28:33, 38:43]).all(), name
+            assert np.isfinite(out).sum() == out.size - 50, name
+
+    def test_box_mean_crop_matches_full_frame_bits(self, rng):
+        grid = rng.random((50, 70)).astype(np.float32)
+        full = kernels.box_mean(grid, 2)
+        crop = kernels.box_mean(grid[10:30, 20:45], 2)
+        # cells whose whole window lies inside the crop
+        assert crop[2:-2, 2:-2].tobytes() == full[12:28, 22:43].tobytes()
+        # a crop at the image corner replicates the same edge cells
+        corner = kernels.box_mean(grid[0:20, 0:25], 2)
+        assert corner[:-2, :-2].tobytes() == full[0:18, 0:23].tobytes()
 
     def test_local_max_equivalence(self, rng):
         impls = kernels.implementations()["local_max_mask"]
@@ -474,3 +544,143 @@ def test_decode_recovers_position_property(spec, x, y):
     found = [c for c in decode_candidates(maps) if c.category == "withers"]
     assert len(found) == 1
     assert math.hypot(found[0].x - x, found[0].y - y) < 0.4
+
+
+# ---------------------------------------------------------------------------
+# region-of-interest codec against the full-frame oracles in map_oracles.py
+
+
+def assert_same_candidates(got, want):
+    assert [c.category for c in got] == [c.category for c in want]
+    for g, w in zip(got, want):
+        assert g.x == pytest.approx(w.x, abs=1e-6)
+        assert g.y == pytest.approx(w.y, abs=1e-6)
+        assert g.score == pytest.approx(w.score, abs=1e-6)
+
+
+_coordinate = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-0.05, 1.05))
+_peak = st.tuples(_coordinate, _coordinate, st.floats(-1.0, 1.5), st.floats(0.6, 5.0))
+_plateau = st.none() | st.tuples(
+    st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(1, 6), st.integers(1, 6), st.floats(0.0, 1.2)
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    height=st.integers(1, 40),
+    width=st.integers(1, 40),
+    peaks=st.lists(_peak, max_size=6),
+    plateau=_plateau,
+    offset=st.sampled_from([0.0, -0.3]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    threshold=st.sampled_from([0.0, 0.05, 0.4, 0.9]),
+    nms_radius=st.sampled_from([0.0, 0.5, 2.0, 7.0, 20.0]),
+)
+def test_roi_decode_matches_dense_oracle(
+    height, width, peaks, plateau, offset, dtype, threshold, nms_radius
+):
+    grid = np.zeros((height, width), dtype=dtype)
+    for fx, fy, amplitude, sigma in peaks:
+        bump = np.zeros((height, width), dtype=dtype)
+        kernels.gaussian_max_numpy(bump, fx * (width - 1), fy * (height - 1), sigma, 3.0)
+        grid += dtype(amplitude) * bump
+    if plateau is not None:
+        fr, fc, rows, cols, value = plateau
+        row = int(fr * (height - 1))
+        col = int(fc * (width - 1))
+        grid[row : row + rows, col : col + cols] = value
+    grid += dtype(offset)  # a negative offset gives maps with negative values
+    # the second map is a transposed, non-contiguous view
+    prob = {"a": grid, "b": grid[::-1].T}
+    got = decode_candidates(prob, threshold, nms_radius)
+    want = dense_decode_candidates(prob, threshold, nms_radius)
+    assert_same_candidates(got, want)
+
+
+def _parity_scenes(spec):
+    """Frames of the codec acceptance scenes plus ones with overlapping animals."""
+    scenes = []
+    for n, seed in ((1, 1000), (3, 1002), (5, 1004), (8, 1007)):
+        config = ScenarioConfig(
+            n_animals=n, seed=seed, regimes=(RegimeSegment("stationary", 1),)
+        )
+        scenes.append((spec, generate(spec, config).frames[0].poses, 960, 720))
+    noisy = ScenarioConfig(
+        n_animals=3, seed=34, detection_noise=1.0, dropout=0.2,
+        regimes=(RegimeSegment("stationary", 3),),
+    )
+    for poses in corrupt(generate(spec, noisy), spec).values():
+        scenes.append((spec, poses, 960, 720))
+    # overlapping animals: keypoint windows of different animals intersect
+    near = make_pose(withers=(50, 50), tail_implant=(10, 50), head=(70, 52))
+    far = make_pose(withers=(56, 50), tail_implant=(96, 50), head=(60, 70))
+    same = make_pose(withers=(50, 53), tail_implant=(12, 47), head=(71, 50))
+    scenes.append((spec, [near, far, same], 120, 100))
+    # an animal cut by the image border: splat windows clip at the edge
+    edge = make_pose(withers=(2, 1), tail_implant=(0, 40), head=(1, 0))
+    scenes.append((spec, [edge, near], 120, 100))
+    rows = parallel_rows_scene(n_rows=7, row_gap=20.0)
+    scenes.append((rows.spec, rows.truth_poses, 800, 600))
+    return scenes
+
+
+def test_roi_encode_bit_equal_to_dense_oracle(spec):
+    for scene_spec, poses, width, height in _parity_scenes(spec):
+        got = encode(poses, scene_spec, width, height)
+        want = dense_encode(poses, scene_spec, width, height)
+        assert list(got.prob) == list(want.prob)
+        assert list(got.assoc) == list(want.assoc)
+        for category, grid in want.prob.items():
+            assert got.prob[category].dtype == grid.dtype
+            assert got.prob[category].tobytes() == grid.tobytes(), category
+        for pair, grids in want.assoc.items():
+            assert got.assoc[pair].dtype == grids.dtype
+            assert got.assoc[pair].tobytes() == grids.tobytes(), pair
+        assert_same_candidates(
+            decode_candidates(got.prob),
+            dense_decode_candidates(want.prob, DEFAULT_DETECT_THRESHOLD, DEFAULT_NMS_RADIUS),
+        )
+
+
+def test_decode_survives_nan_far_from_peak():
+    grid = np.zeros((40, 60), dtype=np.float32)
+    kernels.gaussian_max_numpy(grid, 45.0, 3.0, 2.0, 3.0)
+    grid[2, 3] = np.nan  # 42 px from the peak
+    found = decode_candidates({"k": grid})
+    assert len(found) == 1
+    assert (found[0].x, found[0].y) == pytest.approx((45.0, 3.0), abs=0.3)
+
+
+def test_decode_survives_nan_inside_peak_crop():
+    grid = np.zeros((40, 60), dtype=np.float32)
+    kernels.gaussian_max_numpy(grid, 30.0, 20.0, 2.0, 3.0)
+    # inside the smoothed crop and before the peak in row and column order,
+    # but outside every window the peak test reads
+    grid[18, 26] = np.nan
+    found = decode_candidates({"k": grid})
+    assert len(found) == 1
+    assert (found[0].x, found[0].y) == pytest.approx((30.0, 20.0), abs=0.3)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize(
+    "cells, nms_radius, expected_cols",
+    [
+        # hot cells 10 and 15 form separate boxes; col 12 ties with col 13,
+        # whose window reaches raw col 15, five cells outside col 10's box
+        ([1.0, 0.5, 0.5, 0.5, 0.5, 1.0], 0.5, []),
+        # the only maximum lies two cells outside the box of col 10
+        ([1.0, 0.5, 0.5, 0.5, 0.5, 0.0], 0.5, [12]),
+        # boxes at cols 10 and 14 both reach the maximum at col 12; with a
+        # zero NMS radius only deduplication keeps it single
+        ([1.0, 0.3, 0.5, 0.3, 1.0], 0.0, [12]),
+    ],
+)
+def test_roi_decode_box_margins(cells, nms_radius, expected_cols, transpose):
+    row = np.zeros(26, dtype=np.float32)
+    row[10 : 10 + len(cells)] = cells
+    grid = row[None, :].T.copy() if transpose else row[None, :]
+    prob = {"k": grid}
+    want = dense_decode_candidates(prob, 0.5, nms_radius)
+    assert [round(c.y if transpose else c.x) for c in want] == expected_cols
+    assert_same_candidates(decode_candidates(prob, 0.5, nms_radius), want)
