@@ -192,11 +192,6 @@ def joseph_update(P: np.ndarray, K: np.ndarray, H: np.ndarray, R: np.ndarray) ->
     A = identity - K @ H
     return A @ P @ A.T + K @ R @ K.T
 
-def simplified_update(P: np.ndarray, K: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Short-form posterior covariance; for cross-checking only."""
-    identity = np.eye(P.shape[0])
-    return (identity - K @ H) @ P
-
 
 def _apply_update(
     model: FilterModel,

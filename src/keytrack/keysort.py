@@ -321,6 +321,12 @@ class KeySortTracker:
     def step(self, poses: Sequence[Pose], frame_index: int) -> TrackOutput:
         """Advance one frame; returns records for matched and new tracklets."""
         for index, pose in enumerate(poses):
+            for category, xy in pose.coords.items():
+                if xy is not None and not (math.isfinite(xy[0]) and math.isfinite(xy[1])):
+                    raise ValueError(
+                        f"frame {frame_index} pose {index} keypoint {category!r} "
+                        f"has a non-finite coordinate ({xy[0]}, {xy[1]})"
+                    )
             if not is_valid_pose(self.spec, pose):
                 raise ValueError(
                     f"frame {frame_index} pose {index} is invalid "

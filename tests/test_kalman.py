@@ -14,10 +14,16 @@ from keytrack.kalman import (
     joseph_update,
     mitigation_gamma,
     predict,
-    simplified_update,
     update_adaptive,
     update_standard,
 )
+
+
+def simplified_update(P: np.ndarray, K: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Short-form posterior covariance, valid only for the optimal gain;
+    the reference for the Joseph form."""
+    identity = np.eye(P.shape[0])
+    return (identity - K @ H) @ P
 
 
 def scalar_model(q=0.0, r=1.0):

@@ -268,6 +268,15 @@ class TestTrackerStepBasics:
                 frame_index=0,
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_rejected(self, tracker, square_pose, bad):
+        tracker.step([square_pose], frame_index=0)
+        far = shifted(square_pose, 200.0, 0.0, 1)
+        nose = square_pose.coords["nose"]
+        broken = Pose(coords={**square_pose.coords, "nose": (nose[0], bad)}, frame_index=1)
+        with pytest.raises(ValueError, match=r"frame 1 pose 1 keypoint 'nose' has a non-finite"):
+            tracker.step([far, broken], frame_index=1)
+
     def test_single_dominant_connection_accepted(self, tracker, square_pose):
         pose = without(square_pose, "tail_implant", "left_hip", "head", "nose")
         out = tracker.step([pose], frame_index=0)

@@ -1,9 +1,6 @@
 import logging
 import math
-import os
 import struct
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -40,6 +37,12 @@ from keytrack.simulate import (
 from keytrack.skeleton import Pose
 
 from conftest import make_pose
+from kernel_oracles import (
+    _assoc_accumulate_loop,
+    _box_mean_loop,
+    _gaussian_max_loop,
+    _local_max_mask_loop,
+)
 from map_oracles import dense_decode_candidates, dense_encode
 
 
@@ -218,7 +221,7 @@ class TestDecode:
         grid = np.zeros(shape, dtype=np.float32)
         for x, y, amplitude in peaks:
             bump = np.zeros(shape, dtype=np.float32)
-            kernels.gaussian_max_numpy(bump, x, y, 2.0, 3.0)
+            kernels.gaussian_max(bump, x, y, 2.0, 3.0)
             np.maximum(grid, amplitude * bump, out=grid)
         return grid
 
@@ -416,58 +419,86 @@ class TestSerialization:
             load_maps(str(path))
 
 
-class TestKernelImplementations:
-    """The numba and numpy kernel variants must agree."""
+# Splats on a 40x50 grid (sigma 4 and extent 3 reach 12 px): clipped by each
+# image border, and wholly off the grid, where ``splat_window`` is None.
+_EDGE_SPLATS = {
+    "left": (1.5, 20.3),
+    "right": (48.6, 17.2),
+    "top": (25.4, 0.7),
+    "bottom": (12.9, 39.4),
+    "off-left": (-30.0, 20.0),
+    "off-bottom": (25.0, 60.5),
+}
+_FLOATS = (np.float32, np.float64)
 
-    def test_gaussian_max_equivalence(self, rng):
-        impls = kernels.implementations()["gaussian_max"]
-        results = {}
-        for name, fn in impls.items():
-            grid = np.zeros((50, 60), dtype=np.float32)
-            fn(grid, 31.3, 24.8, 4.0, 3.0)
-            fn(grid, 35.1, 24.2, 3.0, 3.0)
-            results[name] = grid
-        reference = results.pop("numpy")
-        for name, grid in results.items():
-            np.testing.assert_allclose(grid, reference, rtol=0, atol=1e-6)
+
+def _splat_cases(interior_shape, interior, offset=()):
+    """``(name, shape, dtype, splats)`` inputs: the interior splats, then each
+    of _EDGE_SPLATS alone (sigma 4, plus ``offset``), in float32 and float64."""
+    for dtype in _FLOATS:
+        yield f"interior-{dtype.__name__}", interior_shape, dtype, interior
+        for name, (cx, cy) in _EDGE_SPLATS.items():
+            yield f"{name}-{dtype.__name__}", (40, 50), dtype, [(cx, cy, 4.0, *offset)]
+
+
+class TestKernelImplementations:
+    """Each numpy kernel must agree with its loop oracle in kernel_oracles.py.
+
+    Every test runs a table of inputs; assertion messages name the case.
+    """
+
+    def test_gaussian_max_equivalence(self):
+        interior = [(31.3, 24.8, 4.0), (35.1, 24.2, 3.0)]
+        for name, shape, dtype, splats in _splat_cases((50, 60), interior):
+            got = np.zeros(shape, dtype=dtype)
+            want = np.zeros(shape, dtype=dtype)
+            for cx, cy, sigma in splats:
+                kernels.gaussian_max(got, cx, cy, sigma, 3.0)
+                _gaussian_max_loop(want, cx, cy, sigma, 3.0)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-6, err_msg=name)
+            window = kernels.splat_window(shape, cx, cy, sigma, 3.0)
+            assert (window is None) == name.startswith("off"), name
+            assert got.any() == (window is not None), name
 
     def test_assoc_accumulate_equivalence(self):
-        impls = kernels.implementations()["assoc_accumulate"]
-        results = {}
-        for name, fn in impls.items():
-            wsum = np.zeros((40, 40), dtype=np.float32)
-            nx = np.zeros((40, 40), dtype=np.float32)
-            ny = np.zeros((40, 40), dtype=np.float32)
-            fn(wsum, nx, ny, 20.2, 19.7, 5.0, 3.0, 0.2, 12.5, -3.25)
-            fn(wsum, nx, ny, 22.0, 20.0, 4.0, 3.0, 0.2, -7.0, 9.0)
-            results[name] = (wsum, nx, ny)
-        ref = results.pop("numpy")
-        for name, grids in results.items():
-            for got, want in zip(grids, ref):
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+        interior = [(20.2, 19.7, 5.0, 12.5, -3.25), (22.0, 20.0, 4.0, -7.0, 9.0)]
+        for name, shape, dtype, splats in _splat_cases((40, 40), interior, (12.5, -3.25)):
+            got = [np.zeros(shape, dtype=dtype) for _ in range(3)]
+            want = [np.zeros(shape, dtype=dtype) for _ in range(3)]
+            for cx, cy, sigma, dx, dy in splats:
+                kernels.assoc_accumulate(*got, cx, cy, sigma, 3.0, 0.2, dx, dy)
+                _assoc_accumulate_loop(*want, cx, cy, sigma, 3.0, 0.2, dx, dy)
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-5, err_msg=name)
+            window = kernels.splat_window(shape, cx, cy, sigma, 3.0)
+            assert (window is None) == name.startswith("off"), name
+            assert all(g.any() == (window is not None) for g in got), name
 
     def test_box_mean_equivalence(self, rng):
-        impls = kernels.implementations()["box_mean"]
-        grid = rng.random((45, 37)).astype(np.float32)
-        results = {name: fn(grid.copy(), 2) for name, fn in impls.items()}
-        ref = results.pop("numpy")
-        for name, got in results.items():
-            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-6)
+        for dtype in _FLOATS:
+            grid = rng.random((45, 37)).astype(dtype)
+            for radius in (2, 1, 0):
+                got = kernels.box_mean(grid.copy(), radius)
+                want = _box_mean_loop(grid.copy(), radius)
+                assert got.dtype == want.dtype == dtype
+                np.testing.assert_allclose(
+                    got, want, rtol=0, atol=1e-6, err_msg=f"{dtype.__name__} r={radius}"
+                )
 
     def test_box_mean_edge_replication(self):
-        impls = kernels.implementations()["box_mean"]
         grid = np.zeros((10, 10), dtype=np.float32)
         grid[0, 0] = 1.0
-        for name, fn in impls.items():
+        for fn in (kernels.box_mean, _box_mean_loop):
             out = fn(grid.copy(), 2)
             # corner window replicates the corner cell 9 times
-            assert out[0, 0] == pytest.approx(9.0 / 25.0, abs=1e-6), name
+            assert out[0, 0] == pytest.approx(9.0 / 25.0, abs=1e-6), fn.__name__
 
     def test_box_mean_non_finite_cell_stays_in_its_windows(self):
         grid = np.zeros((40, 60), dtype=np.float32)
         grid[2, 3] = np.nan
         grid[30, 40] = np.inf
-        for name, fn in kernels.implementations()["box_mean"].items():
+        for fn in (kernels.box_mean, _box_mean_loop):
+            name = fn.__name__
             out = fn(grid.copy(), 2)
             # rows 0..4 x cols 1..5 hold (2, 3); rows 28..32 x cols 38..42 hold (30, 40)
             assert np.isnan(out).sum() == 25, name
@@ -486,51 +517,19 @@ class TestKernelImplementations:
         assert corner[:-2, :-2].tobytes() == full[0:18, 0:23].tobytes()
 
     def test_local_max_equivalence(self, rng):
-        impls = kernels.implementations()["local_max_mask"]
-        grid = rng.random((30, 30)).astype(np.float32)
-        results = {name: fn(grid, 0.5) for name, fn in impls.items()}
-        ref = results.pop("numpy")
-        for name, got in results.items():
-            np.testing.assert_array_equal(got, ref)
+        for dtype in _FLOATS:
+            grid = rng.random((30, 30)).astype(dtype)
+            np.testing.assert_array_equal(
+                kernels.local_max_mask(grid, 0.5),
+                _local_max_mask_loop(grid, 0.5),
+                err_msg=dtype.__name__,
+            )
 
     def test_local_max_strictness(self):
         grid = np.zeros((8, 8), dtype=np.float32)
         grid[3, 3] = grid[3, 4] = 1.0  # tied neighbours: neither is strict
-        for name, fn in kernels.implementations()["local_max_mask"].items():
-            assert fn(grid, 0.1).sum() == 0, name
-
-    def test_numpy_fallback_selected_by_env(self):
-        code = (
-            "from keytrack import kernels\n"
-            "assert kernels.gaussian_max is kernels.gaussian_max_numpy\n"
-            "assert kernels.box_mean is kernels.box_mean_numpy\n"
-            "assert not kernels.NUMBA_AVAILABLE\n"
-        )
-        env = dict(os.environ, KEYTRACK_NUMBA="0")
-        subprocess.run([sys.executable, "-c", code], check=True, env=env)
-
-    def test_fallback_pipeline_matches(self, spec, square_pose, tmp_path):
-        # encode+decode under the numpy fallback and compare to this process
-        stack = encode([square_pose], spec, 180, 160)
-        ref_path = tmp_path / "ref.ktm"
-        save_maps(stack, str(ref_path))
-        code = f"""
-import numpy as np
-import keytrack as kt
-from keytrack.skeleton import Pose
-spec = kt.default_skeleton()
-pose = Pose(coords={dict(square_pose.coords)!r})
-stack = kt.encode([pose], spec, 180, 160)
-ref = kt.load_maps({str(ref_path)!r})
-for cat in ref.prob:
-    np.testing.assert_allclose(stack.prob[cat], ref.prob[cat], rtol=0, atol=1e-5)
-for pair in ref.assoc:
-    np.testing.assert_allclose(stack.assoc[pair], ref.assoc[pair], rtol=1e-5, atol=1e-4)
-cands = kt.decode_candidates(stack.prob)
-assert len(cands) == 6, cands
-"""
-        env = dict(os.environ, KEYTRACK_NUMBA="0")
-        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+        for fn in (kernels.local_max_mask, _local_max_mask_loop):
+            assert fn(grid, 0.1).sum() == 0, fn.__name__
 
 
 @settings(deadline=None, max_examples=30)
@@ -582,7 +581,7 @@ def test_roi_decode_matches_dense_oracle(
     grid = np.zeros((height, width), dtype=dtype)
     for fx, fy, amplitude, sigma in peaks:
         bump = np.zeros((height, width), dtype=dtype)
-        kernels.gaussian_max_numpy(bump, fx * (width - 1), fy * (height - 1), sigma, 3.0)
+        kernels.gaussian_max(bump, fx * (width - 1), fy * (height - 1), sigma, 3.0)
         grid += dtype(amplitude) * bump
     if plateau is not None:
         fr, fc, rows, cols, value = plateau
@@ -644,7 +643,7 @@ def test_roi_encode_bit_equal_to_dense_oracle(spec):
 
 def test_decode_survives_nan_far_from_peak():
     grid = np.zeros((40, 60), dtype=np.float32)
-    kernels.gaussian_max_numpy(grid, 45.0, 3.0, 2.0, 3.0)
+    kernels.gaussian_max(grid, 45.0, 3.0, 2.0, 3.0)
     grid[2, 3] = np.nan  # 42 px from the peak
     found = decode_candidates({"k": grid})
     assert len(found) == 1
@@ -653,7 +652,7 @@ def test_decode_survives_nan_far_from_peak():
 
 def test_decode_survives_nan_inside_peak_crop():
     grid = np.zeros((40, 60), dtype=np.float32)
-    kernels.gaussian_max_numpy(grid, 30.0, 20.0, 2.0, 3.0)
+    kernels.gaussian_max(grid, 30.0, 20.0, 2.0, 3.0)
     # inside the smoothed crop and before the peak in row and column order,
     # but outside every window the peak test reads
     grid[18, 26] = np.nan
