@@ -147,7 +147,13 @@ def track(detections_path: str, out_path: str, skeleton_path: Optional[str], r_s
         sign_window=sign_window,
     )
     tracker = KeySortTracker(spec, np.full(len(spec.categories), r_star), config)
-    outputs = [tracker.step(frames[idx], idx) for idx in sorted(frames)]
+    outputs = []
+    # frames in file order: the tracker rejects an index that does not increase
+    for frame_index, poses in frames.items():
+        try:
+            outputs.append(tracker.step(poses, frame_index))
+        except ValueError as exc:
+            raise ValueError(f"{detections_path}: {exc}") from None
     io.save_tracks(out_path, header, outputs)
     emitted = sum(len(out.records) for out in outputs)
     click.echo(f"tracked {len(frames)} frames, {emitted} tracklet records")

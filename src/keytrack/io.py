@@ -208,6 +208,8 @@ def _pose_from_json(data: Optional[dict], frame_index: int, where: str) -> Optio
     """Parse one pose; ``where`` (path and line) prefixes every error."""
     if data is None:
         return None
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: a pose must be an object or null, got {type(data).__name__}")
     coords: dict[str, Optional[XY]] = {}
     for cat, xy in data.items():
         if xy is None:
@@ -217,7 +219,7 @@ def _pose_from_json(data: Optional[dict], frame_index: int, where: str) -> Optio
             if not isinstance(xy, (list, tuple)) or len(xy) != 2:
                 raise TypeError
             x, y = float(xy[0]), float(xy[1])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(f"{where}: malformed coordinates for {cat!r}") from None
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"{where}: non-finite coordinates for {cat!r}: [{x}, {y}]")
@@ -233,6 +235,8 @@ def _read_header(handle: TextIO, path: str, expected_format: str) -> StreamHeade
         data = json.loads(first)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} line 1: invalid JSON header: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} line 1: the header must be a JSON object")
     if data.get("format") != expected_format:
         raise ValueError(
             f"{path} line 1: expected format {expected_format!r}, got {data.get('format')!r}"
@@ -247,6 +251,40 @@ def _read_header(handle: TextIO, path: str, expected_format: str) -> StreamHeade
         )
     except KeyError as exc:
         raise ValueError(f"{path} line 1: header missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{path} line 1: header width and height must be integers") from None
+
+
+def _json_record(line: str, where: str) -> dict:
+    try:
+        data = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: a record must be a JSON object, got {type(data).__name__}")
+    return data
+
+
+def _frame_fields(data: dict, key: str, where: str) -> tuple[int, list]:
+    """A record's integer ``frame_index`` and the list stored under ``key``."""
+    for name in ("frame_index", key):
+        if name not in data:
+            raise ValueError(f"{where}: missing field {name!r}")
+    frame_index, items = data["frame_index"], data[key]
+    if isinstance(frame_index, bool) or not isinstance(frame_index, int):
+        raise ValueError(f"{where}: frame_index must be an integer, got {frame_index!r}")
+    if not isinstance(items, list):
+        raise ValueError(f"{where}: {key} must be a list, got {type(items).__name__}")
+    return frame_index, items
+
+
+def _number_or_null(item: dict, key: str, where: str) -> Optional[float]:
+    value = item.get(key)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where}: {key} must be a number or null, got {value!r}")
+    return float(value)
 
 
 def _header_json(header: StreamHeader, fmt: str) -> str:
@@ -293,20 +331,14 @@ def load_detections(
         for line_no, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path} line {line_no}: invalid JSON: {exc}") from exc
-            try:
-                frame_index = int(data["frame_index"])
-                poses_json = data["poses"]
-            except KeyError as exc:
-                raise ValueError(f"{path} line {line_no}: missing field {exc}") from exc
+            where = f"{path} line {line_no}"
+            data = _json_record(line, where)
+            frame_index, poses_json = _frame_fields(data, "poses", where)
             if frame_index in frames:
-                raise ValueError(f"{path} line {line_no}: duplicate frame {frame_index}")
+                raise ValueError(f"{where}: duplicate frame {frame_index}")
             poses = []
             for pose_json in poses_json:
-                pose = _pose_from_json(pose_json, frame_index, f"{path} line {line_no}")
+                pose = _pose_from_json(pose_json, frame_index, where)
                 if pose is not None:
                     poses.append(pose)
             frames[frame_index] = poses
@@ -349,37 +381,39 @@ def load_tracks(path: str) -> tuple[StreamHeader, list[TrackOutput]]:
         for line_no, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path} line {line_no}: invalid JSON: {exc}") from exc
-            try:
-                frame_index = int(data["frame_index"])
-                tracklets = data["tracklets"]
-            except KeyError as exc:
-                raise ValueError(f"{path} line {line_no}: missing field {exc}") from exc
-            records = []
             where = f"{path} line {line_no}"
+            data = _json_record(line, where)
+            frame_index, tracklets = _frame_fields(data, "tracklets", where)
+            records = []
             for item in tracklets:
+                if not isinstance(item, dict):
+                    raise ValueError(f"{where}: a tracklet record must be an object")
                 try:
                     observed = _pose_from_json(item["observed"], frame_index, where)
-                    if observed is None:
-                        raise ValueError(f"{where}: tracklet record without observation")
-                    records.append(
-                        TrackletFrameRecord(
-                            tracklet_id=int(item["id"]),
-                            observed=observed,
-                            prior=_pose_from_json(item.get("prior"), frame_index, where),
-                            posterior=_pose_from_json(item["posterior"], frame_index, where),
-                            imputed=frozenset(item.get("imputed", ())),
-                            alpha=item.get("alpha"),
-                            gamma=item.get("gamma"),
-                            psi=item.get("psi"),
-                        )
-                    )
+                    posterior = _pose_from_json(item["posterior"], frame_index, where)
+                    tracklet_id = item["id"]
                 except KeyError as exc:
-                    raise ValueError(
-                        f"{path} line {line_no}: tracklet missing field {exc}"
-                    ) from exc
+                    raise ValueError(f"{where}: tracklet missing field {exc}") from exc
+                if observed is None:
+                    raise ValueError(f"{where}: tracklet record without observation")
+                if posterior is None:
+                    raise ValueError(f"{where}: tracklet record without posterior")
+                if isinstance(tracklet_id, bool) or not isinstance(tracklet_id, int):
+                    raise ValueError(f"{where}: tracklet id must be an integer, got {tracklet_id!r}")
+                imputed = item.get("imputed", [])
+                if not isinstance(imputed, list) or not all(isinstance(c, str) for c in imputed):
+                    raise ValueError(f"{where}: imputed must be a list of category names")
+                records.append(
+                    TrackletFrameRecord(
+                        tracklet_id=tracklet_id,
+                        observed=observed,
+                        prior=_pose_from_json(item.get("prior"), frame_index, where),
+                        posterior=posterior,
+                        imputed=frozenset(imputed),
+                        alpha=_number_or_null(item, "alpha", where),
+                        gamma=_number_or_null(item, "gamma", where),
+                        psi=_number_or_null(item, "psi", where),
+                    )
+                )
             outputs.append(TrackOutput(frame_index=frame_index, records=records))
     return header, outputs

@@ -8,10 +8,18 @@ parent), and missing keypoints reduce to dropped observation rows.
 Emitted prior and posterior poses convert back to absolute coordinates
 by summing offsets along the tree.  Frame association matches observed
 skeletons to predicted ones by mean keypoint distance, gated in pixels.
+
+Because every measured dimension is a state dimension, each (position,
+velocity) pair evolves on its own and the covariance is block-diagonal
+with 2x2 blocks.  The tracker therefore holds all live tracklets' filters
+as arrays of per-axis blocks and advances them together; the adaptive
+factor alpha, a ratio of traces, is the only quantity that spans a
+tracklet's dimensions, and traces are sums over blocks.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -19,14 +27,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .assignment import hungarian
-from .kalman import (
-    FilterModel,
-    FilterState,
-    initial_state,
-    predict,
-    update_adaptive,
-)
+from .kalman import _MIN_ALPHA, FilterModel
 from .skeleton import Pose, SkeletonSpec, XY, is_valid_pose, require_valid_spec
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -84,6 +88,23 @@ def psi(observed: Pose, predicted: Pose) -> Optional[float]:
     if count == 0:
         return None
     return total / count
+
+
+def _psi_costs(observed: np.ndarray, predicted: np.ndarray, coord_scale: float) -> np.ndarray:
+    """Every :func:`psi` between two pose arrays at once, scaled to pixels.
+
+    ``observed`` is (N, K, 2) and ``predicted`` (T, K, 2), NaN where a
+    keypoint is missing.  Returns the (N, T) cost matrix, ``inf`` where a
+    pair shares no category.
+    """
+    diff = observed[:, None] - predicted[None]
+    dist = np.hypot(diff[..., 0], diff[..., 1])
+    shared = ~np.isnan(dist)
+    count = shared.sum(axis=-1)
+    total = np.where(shared, dist, 0.0).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cost = total / count * coord_scale
+    return np.where(count > 0, cost, np.inf)
 
 
 class TrackerModel:
@@ -144,46 +165,93 @@ class TrackerModel:
         self.model = FilterModel(phi=phi, H=H, Q=Q, R=R)
 
         self._rank_order = sorted(self.non_root, key=lambda c: spec.ranks[c])
+        self._index = {cat: i for i, cat in enumerate(categories)}
+        self._children = np.array([self._index[c] for c in self.non_root], dtype=np.intp)
+        self._parents = np.array(
+            [self._index[spec.parent_of[c]] for c in self.non_root], dtype=np.intp
+        )
+        self._chain = [
+            (self._index[c], self._index[spec.parent_of[c]]) for c in self._rank_order
+        ]
+
+        # Per-axis view of the filter, in observation order: observation
+        # row i measures state position dimension pos_of_row[i], whose
+        # velocity sits ``half`` dimensions later.  Q, R and P0 are
+        # diagonal, so each 2x2 block takes its noise from the diagonals.
+        pos_of_row = self.model.H.argmax(axis=1)
+        self.pos_of_row = pos_of_row
+        diag_q = np.diag(self.model.Q)
+        diag_p0 = np.diag(self.P0)
+        self.q_block = np.stack([diag_q[pos_of_row], diag_q[pos_of_row + half]], axis=-1)
+        self.p0_block = np.stack([diag_p0[pos_of_row], diag_p0[pos_of_row + half]], axis=-1)
+        self.r_row = np.diag(self.model.R).copy()
+
+    def absolute(self, offsets: np.ndarray) -> np.ndarray:
+        """Absolute keypoint positions from (..., K, 2) state positions."""
+        coords = offsets.copy()
+        for child, parent in self._chain:
+            coords[..., child, :] = coords[..., parent, :] + offsets[..., child, :]
+        return coords
+
+    def measurements(self, observed: np.ndarray) -> np.ndarray:
+        """Measured state positions of (N, K, 2) observed poses.
+
+        The root measures its absolute coordinates; every other category
+        measures its offset from its tree parent, which requires both
+        endpoints to be detected.  Unmeasurable entries are NaN.
+        """
+        rows = observed.copy()
+        rows[:, self._children] -= observed[:, self._parents]
+        return rows
+
+    def observed_array(self, poses: Sequence[Pose], frame_index: int = 0) -> np.ndarray:
+        """(N, K, 2) coordinates of the skeleton's categories, NaN where absent.
+
+        Raises ``ValueError`` naming the frame, pose and category for a
+        category outside the skeleton or a non-finite coordinate.
+        """
+        index = self._index
+        width = 2 * len(index)
+        rows = []
+        for n, pose in enumerate(poses):
+            row = [math.nan] * width
+            for category, xy in pose.coords.items():
+                k = index.get(category)
+                if k is None:
+                    raise ValueError(
+                        f"frame {frame_index} pose {n} has unknown category {category!r}"
+                    )
+                if xy is None:
+                    continue
+                x, y = float(xy[0]), float(xy[1])
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ValueError(
+                        f"frame {frame_index} pose {n} keypoint {category!r} "
+                        f"has a non-finite coordinate ({x}, {y})"
+                    )
+                row[2 * k] = x
+                row[2 * k + 1] = y
+            rows.append(row)
+        return np.array(rows, dtype=np.float64).reshape(len(poses), len(index), 2)
 
     def project(self, x: np.ndarray, frame_index: int = 0) -> Pose:
         """Full predicted pose (every category) from a state vector."""
-        coords: dict[str, Optional[XY]] = {}
-        root_xy = (float(x[0]), float(x[1]))
-        coords[self.spec.root] = root_xy
-        for cat in self._rank_order:
-            parent_xy = coords[self.spec.parent_of[cat]]
-            slot = self.pos_slot[cat]
-            coords[cat] = (parent_xy[0] + float(x[slot]), parent_xy[1] + float(x[slot + 1]))
-        ordered = {c: coords[c] for c in self.spec.categories}
-        return Pose(coords=ordered, frame_index=frame_index)
+        offsets = np.asarray(x, dtype=np.float64)[self.pos_of_row].reshape(-1, 2)
+        coords = self.absolute(offsets).tolist()
+        return Pose(
+            coords={c: tuple(xy) for c, xy in zip(self.spec.categories, coords)},
+            frame_index=frame_index,
+        )
 
     def make_observation(self, pose: Pose) -> tuple[np.ndarray, np.ndarray]:
         """Observed-dimension vector and the observation mask for a pose.
 
-        The root measures its absolute coordinates; every other category
-        measures its offset from its tree parent, which requires both
-        endpoints to be detected.  Unmeasurable rows are masked out
+        Rows follow :meth:`measurements`; unmeasurable rows are masked out
         (removing the H rows and R rows/columns during the update).
         """
-        mask = np.zeros(self.obs_dim, dtype=bool)
-        values: list[float] = []
-        for i, cat in enumerate(self.spec.categories):
-            xy = pose.get(cat)
-            if xy is None:
-                continue
-            if cat == self.spec.root:
-                mask[2 * i] = True
-                mask[2 * i + 1] = True
-                values.extend(xy)
-                continue
-            parent_xy = pose.get(self.spec.parent_of[cat])
-            if parent_xy is None:
-                continue
-            mask[2 * i] = True
-            mask[2 * i + 1] = True
-            values.append(xy[0] - parent_xy[0])
-            values.append(xy[1] - parent_xy[1])
-        return np.array(values, dtype=np.float64), mask
+        rows = self.measurements(self.observed_array([pose], pose.frame_index)).reshape(-1)
+        mask = ~np.isnan(rows)
+        return rows[mask], mask
 
     def init_state_vector(self, pose: Pose) -> np.ndarray:
         """First-observation state: offsets from observed parent chains.
@@ -217,18 +285,139 @@ def build_model(spec: SkeletonSpec, r_star, config: TrackerConfig = TrackerConfi
     return TrackerModel(spec, r_star, config)
 
 
+class _FilterBank:
+    """Adaptive Kalman filters of all live tracklets, one 2x2 block per axis.
+
+    ``mean`` is (T, D, 2) with position and velocity of each of the D
+    observation-order dimensions, ``cov`` is (T, D, 2, 2), and ``signs``
+    is a (T, D, W) ring of the last W innovation signs per dimension with
+    ``counts`` (T, D) signs recorded so far.  :func:`predict` and
+    :func:`update_adaptive` follow :mod:`keytrack.kalman` restricted to one
+    block, so the results agree with the dense filter to rounding.
+    """
+
+    def __init__(self, model: TrackerModel, sign_window: int):
+        self.q = model.q_block
+        self.p0 = model.p0_block
+        self.r = model.r_row
+        self.window = sign_window
+        dims = model.obs_dim
+        self.mean = np.empty((0, dims, 2))
+        self.cov = np.empty((0, dims, 2, 2))
+        self.signs = np.empty((0, dims, sign_window))
+        self.counts = np.empty((0, dims), dtype=np.intp)
+
+    def resize(self, keep: Sequence[int], born: np.ndarray) -> None:
+        """Keep rows ``keep`` in order, then append (B, D) newborn positions."""
+        count = len(born)
+        mean = np.zeros((count,) + self.mean.shape[1:])
+        mean[..., 0] = born
+        cov = np.zeros((count,) + self.cov.shape[1:])
+        cov[..., 0, 0] = self.p0[:, 0]
+        cov[..., 1, 1] = self.p0[:, 1]
+        keep = np.asarray(keep, dtype=np.intp)
+        self.mean = np.concatenate([self.mean[keep], mean])
+        self.cov = np.concatenate([self.cov[keep], cov])
+        self.signs = np.concatenate(
+            [self.signs[keep], np.zeros((count,) + self.signs.shape[1:])]
+        )
+        self.counts = np.concatenate(
+            [self.counts[keep], np.zeros((count,) + self.counts.shape[1:], dtype=np.intp)]
+        )
+
+
+def predict(bank: _FilterBank) -> None:
+    """Constant-velocity step of every filter: x = phi x, P = phi P phi^T + Q."""
+    bank.mean[..., 0] += bank.mean[..., 1]
+    a = bank.cov[..., 0, 0]
+    b = bank.cov[..., 0, 1]
+    c = bank.cov[..., 1, 1]
+    bc = b + c
+    bank.cov[..., 0, 0] = ((a + b) + bc) + bank.q[:, 0]
+    bank.cov[..., 0, 1] = bc
+    bank.cov[..., 1, 0] = bc
+    bank.cov[..., 1, 1] = c + bank.q[:, 1]
+
+
+def update_adaptive(
+    bank: _FilterBank, rows: np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mitigated adaptive update of the filters ``rows`` with (M, D) ``z``.
+
+    NaN entries of ``z`` are unobserved dimensions and drop out.
+    Returns the alpha and gamma applied to each row.
+    """
+    r = bank.r
+    observed = ~np.isnan(z)
+    mean = bank.mean[rows]
+    cov = bank.cov[rows]
+    y = np.where(observed, z - mean[..., 0], 0.0)
+
+    # the sign window includes the current innovation
+    signs = bank.signs[rows]
+    counts = bank.counts[rows]
+    m, d = np.nonzero(observed)
+    signs[m, d, counts[m, d] % bank.window] = np.sign(y[m, d])
+    counts += observed
+    bank.signs[rows] = signs
+    bank.counts[rows] = counts
+    balance = np.abs(signs.sum(axis=-1)) / np.minimum(np.maximum(counts, 1), bank.window)
+    n_observed = observed.sum(axis=1)
+    gamma = np.where(observed, balance, 0.0).sum(axis=1) / n_observed
+
+    t_expected = np.where(observed, cov[..., 0, 0] + r, 0.0).sum(axis=1)
+    t_observed = (y * y).sum(axis=1)
+    t_noise = np.where(observed, r, 0.0).sum(axis=1)
+    denom = t_observed - t_noise
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(
+            denom > 0.0, (t_expected - t_noise) / denom, t_expected / t_observed
+        )
+        raw = np.where(
+            (t_observed <= 0.0) | (t_observed < t_expected),
+            1.0,
+            np.clip(ratio, _MIN_ALPHA, 1.0),
+        )
+    alpha = np.clip(1.0 - gamma * (1.0 - raw), _MIN_ALPHA, 1.0)
+
+    # Joseph form per block with A = [[1 - kp, 0], [-kv, 1]]; an
+    # unobserved block has zero gain and keeps its inflated prior
+    prior = cov / alpha[:, None, None, None]
+    a = prior[..., 0, 0]
+    b = prior[..., 0, 1]
+    c = prior[..., 1, 1]
+    s = a + r
+    kp = np.where(observed, a / s, 0.0)
+    kv = np.where(observed, b / s, 0.0)
+    mean[..., 0] += kp * y
+    mean[..., 1] += kv * y
+    one_kp = 1.0 - kp
+    t0 = one_kp * a
+    t1 = one_kp * b
+    t2 = -kv * a + b
+    t3 = -kv * b + c
+    rp = kp * r
+    rv = kv * r
+    off = 0.5 * ((t0 * -kv + t1 + rp * kv) + (t2 * one_kp + rv * kp))
+    cov[..., 0, 0] = t0 * one_kp + rp * kp
+    cov[..., 0, 1] = off
+    cov[..., 1, 0] = off
+    cov[..., 1, 1] = (t2 * -kv + t3) + rv * kv
+    bank.mean[rows] = mean
+    bank.cov[rows] = cov
+    return alpha, gamma
+
+
 @dataclass
 class Tracklet:
-    """One tracked skeleton instance."""
+    """Lifecycle of one tracked skeleton instance; its filter lives in the tracker."""
 
     tracklet_id: int
-    state: FilterState
     created_frame: int
     age: int = 0
     missed: int = 0
     freq: dict[str, float] = field(default_factory=dict)
     last_seen: dict[str, Optional[int]] = field(default_factory=dict)
-    prior_pose: Optional[Pose] = None
 
 
 @dataclass
@@ -252,142 +441,162 @@ class TrackOutput:
 
 
 class KeySortTracker:
-    """Frame-by-frame tracker; tracklet ids are never reused."""
+    """Frame-by-frame tracker; tracklet ids are never reused.
+
+    Frame indices must increase from call to call.  A gap of k frames is
+    tracked as k - 1 empty frames followed by the given one: the filters
+    predict once per elapsed frame, and misses count per frame.
+    """
 
     def __init__(self, spec: SkeletonSpec, r_star, config: TrackerConfig = TrackerConfig()):
         self.config = config
         self.model = build_model(spec, r_star, config)
         self.spec = self.model.spec
         self.tracklets: list[Tracklet] = []
+        self._filters = _FilterBank(self.model, config.sign_window)
         self._next_id = 1
+        self._last_frame: Optional[int] = None
 
-    def _initiate(self, pose: Pose, frame_index: int) -> Tracklet:
-        x0 = self.model.init_state_vector(pose)
-        state = initial_state(
-            self.model.model, x0, self.model.P0, sign_window=self.config.sign_window
-        )
-        tracklet = Tracklet(
-            tracklet_id=self._next_id,
-            state=state,
-            created_frame=frame_index,
-        )
-        self._next_id += 1
-        for cat in self.spec.categories:
-            observed = pose.present(cat)
-            tracklet.freq[cat] = 1.0 if observed else 0.0
-            tracklet.last_seen[cat] = frame_index if observed else None
-        return tracklet
-
-    def _posterior_record(
-        self,
-        tracklet: Tracklet,
-        pose: Pose,
-        frame_index: int,
-        matched_psi: Optional[float],
-    ) -> TrackletFrameRecord:
-        posterior_full = self.model.project(tracklet.state.x, frame_index)
-        emitted: dict[str, Optional[XY]] = {}
-        imputed: set[str] = set()
-        prior = tracklet.prior_pose
-        for cat in self.spec.categories:
-            if pose.present(cat):
-                emitted[cat] = posterior_full.get(cat)
-                continue
-            last = tracklet.last_seen[cat]
-            recent = (
-                last is not None
-                and frame_index - last <= self.config.impute_max_consecutive
+    def _validated(self, poses: Sequence[Pose], frame_index: int) -> np.ndarray:
+        """Observed array of the frame's poses; raises on unusable input."""
+        if self._last_frame is not None and frame_index <= self._last_frame:
+            raise ValueError(
+                f"frame {frame_index} does not follow frame {self._last_frame}: "
+                "frame indices must increase"
             )
-            if (
-                prior is not None
-                and recent
-                and tracklet.freq[cat] > self.config.impute_min_freq
-            ):
-                emitted[cat] = prior.get(cat)
-                imputed.add(cat)
-            else:
-                emitted[cat] = None
-        return TrackletFrameRecord(
-            tracklet_id=tracklet.tracklet_id,
-            observed=pose,
-            prior=prior,
-            posterior=Pose(coords=emitted, frame_index=frame_index),
-            imputed=frozenset(imputed),
-            alpha=tracklet.state.last_alpha,
-            gamma=tracklet.state.last_gamma,
-            psi=matched_psi,
-        )
-
-    def step(self, poses: Sequence[Pose], frame_index: int) -> TrackOutput:
-        """Advance one frame; returns records for matched and new tracklets."""
+        observed = self.model.observed_array(poses, frame_index)
         for index, pose in enumerate(poses):
-            for category, xy in pose.coords.items():
-                if xy is not None and not (math.isfinite(xy[0]) and math.isfinite(xy[1])):
-                    raise ValueError(
-                        f"frame {frame_index} pose {index} keypoint {category!r} "
-                        f"has a non-finite coordinate ({xy[0]}, {xy[1]})"
-                    )
             if not is_valid_pose(self.spec, pose):
                 raise ValueError(
                     f"frame {frame_index} pose {index} is invalid "
                     "(missing root or all dominant connections)"
                 )
+        return observed
 
-        for tracklet in self.tracklets:
-            predict(self.model.model, tracklet.state)
-            tracklet.prior_pose = self.model.project(tracklet.state.x, frame_index)
+    def step(self, poses: Sequence[Pose], frame_index: int) -> TrackOutput:
+        """Advance to ``frame_index``; returns records for matched and new tracklets."""
+        observed = self._validated(poses, frame_index)
+        if self._last_frame is not None:
+            for skipped in range(self._last_frame + 1, frame_index):
+                if not self.tracklets:
+                    break
+                self._advance([], observed[:0], skipped)
+        self._last_frame = frame_index
+        return self._advance(poses, observed, frame_index)
+
+    def _advance(
+        self, poses: Sequence[Pose], observed: np.ndarray, frame_index: int
+    ) -> TrackOutput:
+        """One frame of predict, associate, update and lifecycle."""
+        config = self.config
+        categories = self.spec.categories
+        debug = log.isEnabledFor(logging.DEBUG)
+        filters = self._filters
+        predict(filters)
 
         records: list[TrackletFrameRecord] = []
         matched_obs: set[int] = set()
         matched_trk: set[int] = set()
         if poses and self.tracklets:
-            cost = np.empty((len(poses), len(self.tracklets)))
-            for i, pose in enumerate(poses):
-                for j, tracklet in enumerate(self.tracklets):
-                    distance = psi(pose, tracklet.prior_pose)
-                    cost[i, j] = (
-                        np.inf if distance is None else distance * self.config.coord_scale
-                    )
-            for i, j in hungarian(cost, gate=self.config.gate_px):
+            positions = filters.mean[..., 0].reshape(len(self.tracklets), len(categories), 2)
+            priors = self.model.absolute(positions)
+            cost = _psi_costs(observed, priors, config.coord_scale)
+            pairs = hungarian(cost, gate=config.gate_px)
+            if pairs:
+                obs_rows = np.array([i for i, _ in pairs], dtype=np.intp)
+                trk_rows = np.array([j for _, j in pairs], dtype=np.intp)
+                z = self.model.measurements(observed[obs_rows]).reshape(len(pairs), -1)
+                alpha, gamma = update_adaptive(filters, trk_rows, z)
+                posteriors = self.model.absolute(
+                    filters.mean[trk_rows, :, 0].reshape(len(pairs), len(categories), 2)
+                ).tolist()
+                prior_rows = priors[trk_rows].tolist()
+                present_rows = (~np.isnan(observed[obs_rows, :, 0])).tolist()
+                alpha, gamma = alpha.tolist(), gamma.tolist()
+            for m, (i, j) in enumerate(pairs):
                 matched_obs.add(i)
                 matched_trk.add(j)
                 tracklet = self.tracklets[j]
                 pose = poses[i]
-                z, mask = self.model.make_observation(pose)
-                update_adaptive(self.model.model, tracklet.state, z, mask)
                 tracklet.age += 1
                 tracklet.missed = 0
-                for cat in self.spec.categories:
-                    observed = pose.present(cat)
+                if debug and tracklet.age == config.maturity_age:
+                    log.debug("frame %d: tracklet %d matured", frame_index, tracklet.tracklet_id)
+                prior = Pose(
+                    coords={c: tuple(xy) for c, xy in zip(categories, prior_rows[m])},
+                    frame_index=frame_index,
+                )
+                emitted: dict[str, Optional[XY]] = {}
+                imputed: set[str] = set()
+                for cat, post_xy, present in zip(categories, posteriors[m], present_rows[m]):
                     tracklet.freq[cat] = running_freq(
-                        tracklet.freq[cat], observed, self.config.freq_memory
+                        tracklet.freq[cat], present, config.freq_memory
                     )
-                    if observed:
+                    if present:
                         tracklet.last_seen[cat] = frame_index
+                        emitted[cat] = tuple(post_xy)
+                        continue
+                    last = tracklet.last_seen[cat]
+                    if (
+                        last is not None
+                        and frame_index - last <= config.impute_max_consecutive
+                        and tracklet.freq[cat] > config.impute_min_freq
+                    ):
+                        emitted[cat] = prior.coords[cat]
+                        imputed.add(cat)
+                    else:
+                        emitted[cat] = None
                 records.append(
-                    self._posterior_record(tracklet, pose, frame_index, float(cost[i, j]))
+                    TrackletFrameRecord(
+                        tracklet_id=tracklet.tracklet_id,
+                        observed=pose,
+                        prior=prior,
+                        posterior=Pose(coords=emitted, frame_index=frame_index),
+                        imputed=frozenset(imputed),
+                        alpha=alpha[m],
+                        gamma=gamma[m],
+                        psi=float(cost[i, j]),
+                    )
                 )
 
+        keep: list[int] = []
         survivors: list[Tracklet] = []
         for j, tracklet in enumerate(self.tracklets):
             if j in matched_trk:
-                survivors.append(tracklet)
-            elif tracklet.age < self.config.maturity_age:
-                continue  # young tracklets do not survive a miss
+                reason = None
+            elif tracklet.age < config.maturity_age:
+                reason = "young-miss"  # young tracklets do not survive a miss
             else:
                 tracklet.missed += 1
-                if tracklet.missed <= self.config.max_missed:
-                    survivors.append(tracklet)
+                reason = "max-missed" if tracklet.missed > config.max_missed else None
+            if reason is None:
+                keep.append(j)
+                survivors.append(tracklet)
+            elif debug:
+                log.debug(
+                    "frame %d: tracklet %d terminated (%s)",
+                    frame_index, tracklet.tracklet_id, reason,
+                )
 
-        for i, pose in enumerate(poses):
-            if i in matched_obs:
-                continue
-            tracklet = self._initiate(pose, frame_index)
-            posterior = self.model.project(tracklet.state.x, frame_index)
-            emitted = {
-                cat: (posterior.get(cat) if pose.present(cat) else None)
-                for cat in self.spec.categories
-            }
+        born = [i for i in range(len(poses)) if i not in matched_obs]
+        states = np.zeros((len(born), self.model.obs_dim))
+        for row, i in enumerate(born):
+            states[row] = self.model.init_state_vector(poses[i])[self.model.pos_of_row]
+        posteriors = self.model.absolute(states.reshape(len(born), len(categories), 2))
+        for i, posterior in zip(born, posteriors.tolist()):
+            pose = poses[i]
+            tracklet = Tracklet(tracklet_id=self._next_id, created_frame=frame_index)
+            self._next_id += 1
+            emitted = {}
+            for cat, xy in zip(categories, posterior):
+                present = pose.present(cat)
+                tracklet.freq[cat] = 1.0 if present else 0.0
+                tracklet.last_seen[cat] = frame_index if present else None
+                emitted[cat] = tuple(xy) if present else None
+            if debug:
+                log.debug("frame %d: tracklet %d born", frame_index, tracklet.tracklet_id)
+                if config.maturity_age == 0:
+                    log.debug("frame %d: tracklet %d matured", frame_index, tracklet.tracklet_id)
             records.append(
                 TrackletFrameRecord(
                     tracklet_id=tracklet.tracklet_id,
@@ -402,6 +611,8 @@ class KeySortTracker:
             )
             survivors.append(tracklet)
 
+        if len(keep) != len(self.tracklets) or born:
+            filters.resize(keep, states)
         self.tracklets = survivors
         records.sort(key=lambda record: record.tracklet_id)
         return TrackOutput(frame_index=frame_index, records=records)

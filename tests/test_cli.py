@@ -356,6 +356,29 @@ class TestConsoleScript:
         assert proc.returncode == 2
         assert f"{detections} line 2: non-finite coordinates for 'tail_implant'" in proc.stderr
 
+    def test_decreasing_frame_index_exits_two(self, tmp_path):
+        detections = tmp_path / "det.jsonl"
+        save_detections(str(detections), StreamHeader("cattle-dorsal", 100, 100), {})
+        pose = {"withers": [50.0, 50.0], "tail_implant": [20.0, 50.0]}
+        with open(detections, "a") as handle:
+            for frame_index in (3, 5, 4):
+                handle.write(json.dumps({"frame_index": frame_index, "poses": [pose]}) + "\n")
+        proc = self.run("track", "--detections", str(detections), "--out", str(tmp_path / "o.jsonl"))
+        assert proc.returncode == 2
+        assert f"{detections}: frame 4 does not follow frame 5" in proc.stderr
+
+    def test_unknown_category_exits_two(self, tmp_path):
+        detections = tmp_path / "det.jsonl"
+        save_detections(str(detections), StreamHeader("cattle-dorsal", 100, 100), {})
+        good = {"withers": [50.0, 50.0], "tail_implant": [20.0, 50.0]}
+        bad = {**good, "horn": [60.0, 40.0]}
+        with open(detections, "a") as handle:
+            handle.write(json.dumps({"frame_index": 0, "poses": [good]}) + "\n")
+            handle.write(json.dumps({"frame_index": 1, "poses": [good, bad]}) + "\n")
+        proc = self.run("track", "--detections", str(detections), "--out", str(tmp_path / "o.jsonl"))
+        assert proc.returncode == 2
+        assert f"{detections}: frame 1 pose 1 has unknown category 'horn'" in proc.stderr
+
 
 def test_unexpected_error_logs_traceback_at_debug(monkeypatch, caplog, tmp_path):
     detections = tmp_path / "det.jsonl"

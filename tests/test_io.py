@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keytrack.io import (
     StreamHeader,
@@ -342,3 +344,151 @@ class TestTracksStream:
         with pytest.raises(ValueError) as info:
             load_tracks(str(path))
         assert str(info.value).startswith(f"{path} line 3: non-finite coordinates for 'nose'")
+
+
+# ---------------------------------------------------------------------------
+# fuzzed JSONL readers: every input parses or raises ValueError
+
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+)
+_json = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_coords = st.one_of(
+    st.lists(st.floats(-1e3, 1e3), min_size=0, max_size=4),  # wrong lengths included
+    st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)).map(list),
+    _json,
+)
+_pose = st.one_of(
+    st.dictionaries(st.sampled_from(["withers", "head", "nose", "x"]), st.none() | _coords, max_size=3),
+    _json,
+)
+
+
+def _maybe(field_strategy, wrong=_json):
+    """The field's plausible value, a value of the wrong type, or no field at all."""
+    return st.one_of(field_strategy, wrong, st.just(_MISSING))
+
+
+_MISSING = object()
+_frame_index = st.integers(min_value=-3, max_value=5)
+_detection_record = st.fixed_dictionaries(
+    {"frame_index": _maybe(_frame_index), "poses": _maybe(st.lists(_pose, max_size=3))}
+)
+_tracklet = st.fixed_dictionaries(
+    {
+        "id": _maybe(st.integers(0, 5)),
+        "observed": _maybe(_pose),
+        "prior": _maybe(_pose),
+        "posterior": _maybe(_pose),
+        "imputed": _maybe(st.lists(st.sampled_from(["head", "nose"]), max_size=2)),
+        "alpha": _maybe(st.floats(0.0, 1.0)),
+        "gamma": _maybe(st.floats(0.0, 1.0)),
+        "psi": _maybe(st.floats(0.0, 50.0) | st.none()),
+    }
+)
+_track_record = st.one_of(
+    st.fixed_dictionaries(
+        {"frame_index": _maybe(_frame_index), "tracklets": _maybe(st.lists(_tracklet, max_size=2))}
+    ),
+    _json,
+)
+
+
+def _present(value):
+    """``value`` with the fields drawn as missing left out, at any depth."""
+    if isinstance(value, dict):
+        return {k: _present(v) for k, v in value.items() if v is not _MISSING}
+    if isinstance(value, list):
+        return [_present(v) for v in value]
+    return value
+
+
+def _render(record, cut):
+    text = json.dumps(_present(record))
+    return text if cut is None else text[: cut % (len(text) + 1)]  # truncated line
+
+
+def _stream(fmt, records):
+    header = {"format": fmt, "version": 1, "skeleton": "cattle-dorsal", "width": 960, "height": 720}
+    return st.tuples(
+        st.one_of(st.just(header), _json),
+        st.lists(st.tuples(records, st.none() | st.integers(0, 200)), max_size=4),
+    ).map(lambda drawn: "\n".join([json.dumps(drawn[0])] + [_render(r, c) for r, c in drawn[1]]))
+
+
+def _parses_or_value_error(loader, path, text):
+    path.write_text(text, encoding="utf-8")
+    try:
+        loader(str(path))
+    except ValueError:
+        pass
+
+
+@settings(deadline=None, max_examples=300)
+@given(text=_stream("keytrack-detections", _detection_record | _json))
+def test_fuzzed_detections_parse_or_raise_value_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "det.jsonl"
+    _parses_or_value_error(load_detections, path, text)
+
+
+@settings(deadline=None, max_examples=300)
+@given(text=_stream("keytrack-tracks", _track_record))
+def test_fuzzed_tracks_parse_or_raise_value_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "tracks.jsonl"
+    _parses_or_value_error(load_tracks, path, text)
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ([0, []], "a record must be a JSON object"),
+        ({"frame_index": None, "poses": []}, "frame_index must be an integer"),
+        ({"frame_index": 1.5, "poses": []}, "frame_index must be an integer"),
+        ({"frame_index": 0, "poses": {"withers": [1, 2]}}, "poses must be a list"),
+        ({"frame_index": 0, "poses": [[1, 2]]}, "a pose must be an object or null"),
+        ({"frame_index": 0, "poses": [{"withers": [10**400, 1]}]}, "malformed coordinates"),
+    ],
+)
+def test_wrongly_typed_detection_records_rejected(tmp_path, record, message):
+    path = tmp_path / "det.jsonl"
+    save_detections(str(path), HEADER, {})
+    with open(path, "a") as handle:
+        handle.write(json.dumps(record) + "\n")
+    with pytest.raises(ValueError, match=f"line 2: {message}"):
+        load_detections(str(path))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("id", "1", "tracklet id must be an integer"),
+        ("imputed", "nose", "imputed must be a list"),
+        ("alpha", "0.5", "alpha must be a number or null"),
+        ("posterior", None, "tracklet record without posterior"),
+    ],
+)
+def test_wrongly_typed_track_fields_rejected(tmp_path, field, value, message):
+    item = {"id": 1, "observed": {"withers": [1.0, 2.0]}, "posterior": {"withers": [1.0, 2.0]}}
+    item[field] = value
+    path = tmp_path / "tracks.jsonl"
+    save_tracks(str(path), HEADER, [])
+    with open(path, "a") as handle:
+        handle.write(json.dumps({"frame_index": 0, "tracklets": [item]}) + "\n")
+    with pytest.raises(ValueError, match=f"line 2: {message}"):
+        load_tracks(str(path))
+
+
+def test_header_must_be_an_object(tmp_path):
+    path = tmp_path / "det.jsonl"
+    path.write_text("[1, 2]\n")
+    with pytest.raises(ValueError, match="line 1: the header must be a JSON object"):
+        load_detections(str(path))

@@ -1,16 +1,22 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import keysort_oracle
 from keytrack.keysort import (
     KeySortTracker,
     TrackerConfig,
     TrackerModel,
+    _psi_costs,
     build_model,
     psi,
     running_freq,
 )
+from keytrack.simulate import RegimeSegment, ScenarioConfig, corrupt, generate
 from keytrack.skeleton import Pose
 
 from conftest import make_pose
@@ -457,3 +463,214 @@ class TestShapePreservation:
         freq_before = dict(tracker.tracklets[0].freq)
         tracker.step([], frame_index=5)  # miss: frequencies must not decay
         assert tracker.tracklets[0].freq == freq_before
+
+
+def _simulated_detections(spec, animals: int, seed: int, frames: int = 110):
+    """Walking scene with 2 px noise and 10 % keypoint dropout."""
+    arena = {3: 960, 12: 2000, 30: 4000}[animals]
+    half = frames // 2
+    config = ScenarioConfig(
+        n_animals=animals,
+        width=arena,
+        height=arena,
+        seed=seed,
+        margin=130.0 if animals <= 12 else 400.0,
+        min_separation=75.0,
+        regimes=(
+            RegimeSegment("walking", half, velocity=(2.0, 1.0)),
+            RegimeSegment("walking", frames - half, velocity=(-2.0, -1.0)),
+        ),
+        detection_noise=2.0,
+        dropout=0.1,
+    )
+    return corrupt(generate(spec, config), spec, config)
+
+
+def _assert_poses_close(a, b, spec, what):
+    assert (a is None) == (b is None), what
+    if a is None:
+        return
+    for cat in spec.categories:
+        xa, xb = a.get(cat), b.get(cat)
+        assert (xa is None) == (xb is None), (what, cat)
+        if xa is not None:
+            assert abs(xa[0] - xb[0]) <= 1e-9 and abs(xa[1] - xb[1]) <= 1e-9, (what, cat, xa, xb)
+
+
+class TestOracleParity:
+    """The batched tracker against the per-tracklet dense-filter tracker."""
+
+    @pytest.mark.parametrize("animals", [3, 12, 30])
+    def test_matches_dense_oracle(self, spec, animals):
+        ids = returned = imputed = 0
+        for seed in (1, 2, 3):
+            scene = self.compare(spec, _simulated_detections(spec, animals, seed))
+            ids += scene[0]
+            returned += scene[1]
+            imputed += scene[2]
+        # the scenes exercise births, deaths, misses and imputation
+        assert ids > 3 * animals
+        assert returned > 0
+        assert imputed > 0
+
+    def compare(self, spec, detections):
+        """Step both trackers; returns (ids, returns after a miss, imputed)."""
+        batched = KeySortTracker(spec, np.ones(6))
+        dense = keysort_oracle.KeySortTracker(spec, np.ones(6))
+        seen: dict[int, int] = {}  # tracklet id -> last frame it was matched
+        returned = imputed = 0
+        for frame in sorted(detections):
+            got = batched.step(detections[frame], frame)
+            want = dense.step(detections[frame], frame)
+            assert got.frame_index == want.frame_index == frame
+            assert [r.tracklet_id for r in got.records] == [r.tracklet_id for r in want.records]
+            for a, b in zip(got.records, want.records):
+                what = (frame, a.tracklet_id)
+                assert a.imputed == b.imputed, what
+                assert a.observed is b.observed, what
+                _assert_poses_close(a.prior, b.prior, spec, what + ("prior",))
+                _assert_poses_close(a.posterior, b.posterior, spec, what + ("posterior",))
+                for name in ("alpha", "gamma", "psi"):
+                    x, y = getattr(a, name), getattr(b, name)
+                    assert (x is None) == (y is None), what + (name,)
+                    if x is not None:
+                        assert abs(x - y) <= 1e-9, what + (name, x, y)
+                returned += a.tracklet_id in seen and seen[a.tracklet_id] < frame - 1
+                seen[a.tracklet_id] = frame
+                imputed += len(a.imputed)
+        return len(seen), returned, imputed
+
+
+def _track(tracker, detections, frames):
+    return [tracker.step(detections[f], f) for f in frames]
+
+
+class TestFrameIndexContract:
+    @pytest.mark.parametrize("second", [0, -1])
+    def test_non_increasing_frame_rejected(self, tracker, square_pose, second):
+        tracker.step([square_pose], frame_index=0)
+        with pytest.raises(ValueError, match=rf"frame {second} does not follow frame 0"):
+            tracker.step([square_pose], frame_index=second)
+
+    def test_rejected_frame_leaves_tracker_unchanged(self, tracker, square_pose):
+        tracker.step([square_pose], frame_index=5)
+        with pytest.raises(ValueError):
+            tracker.step([square_pose], frame_index=5)
+        with pytest.raises(ValueError, match="invalid"):
+            tracker.step([without(square_pose, "withers")], frame_index=9)
+        # neither failed call advanced the tracker: frame 6 is one step on
+        out = tracker.step([square_pose], frame_index=6)
+        assert out.records[0].tracklet_id == 1
+
+    def test_first_frame_may_start_anywhere(self, tracker, square_pose):
+        assert tracker.step([square_pose], frame_index=1000).records[0].tracklet_id == 1
+        assert tracker.step([square_pose], frame_index=1001).records[0].tracklet_id == 1
+
+    def test_gap_equals_explicit_empty_frames(self, spec):
+        detections = _simulated_detections(spec, 12, 4, frames=80)
+        dropped = {10, 20, 21, 30, 31, 32, 50, 51, 52, 53, 54, 55, 70}
+        kept = [f for f in sorted(detections) if f not in dropped]
+        gapped = KeySortTracker(spec, np.ones(6))
+        explicit = KeySortTracker(spec, np.ones(6))
+        got = _track(gapped, detections, kept)
+        want = {
+            frame: explicit.step([] if frame in dropped else detections[frame], frame)
+            for frame in sorted(detections)
+        }
+        assert got == [want[f] for f in kept]
+        # the long gap outlived max_missed, so the same scene tracked without
+        # gaps keeps ids that the gapped run had to replace
+        ids_gapped = {r.tracklet_id for out in got for r in out.records}
+        continuous = KeySortTracker(spec, np.ones(6))
+        ids_continuous = {
+            r.tracklet_id
+            for out in _track(continuous, detections, sorted(detections))
+            for r in out.records
+        }
+        assert len(ids_gapped) > len(ids_continuous)
+
+    def test_gap_predicts_once_per_elapsed_frame(self, tracker, square_pose):
+        for frame in range(20):
+            tracker.step([shifted(square_pose, 3.0 * frame, 0.0, frame)], frame_index=frame)
+        out = tracker.step([shifted(square_pose, 3.0 * 23, 0.0, 23)], frame_index=23)
+        record = out.records[0]
+        assert record.tracklet_id == 1
+        # three frames of constant velocity: the prior lands on the pose
+        assert record.psi == pytest.approx(0.0, abs=0.5)
+        assert record.prior.get("withers")[0] == pytest.approx(100.0 + 69.0, abs=0.5)
+
+    def test_gap_counts_misses_per_frame(self, tracker, square_pose):
+        for frame in range(4):
+            tracker.step([square_pose], frame_index=frame)
+        # max_missed is 3: a gap of four empty frames ends the tracklet
+        assert tracker.step([square_pose], frame_index=7).records[0].tracklet_id == 1
+        assert tracker.step([square_pose], frame_index=12).records[0].tracklet_id == 2
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("value", [(120.0, 80.0), None])
+    def test_unknown_category_rejected(self, tracker, square_pose, value):
+        tracker.step([square_pose], frame_index=0)
+        far = shifted(square_pose, 200.0, 0.0, 1)
+        extra = Pose(coords={**square_pose.coords, "horn": value}, frame_index=1)
+        with pytest.raises(ValueError, match=r"frame 1 pose 1 has unknown category 'horn'"):
+            tracker.step([far, extra], frame_index=1)
+
+
+class TestLifecycleLog:
+    def test_born_matured_and_terminated_events(self, tracker, square_pose, caplog):
+        caplog.set_level(logging.DEBUG, logger="keytrack.keysort")
+        far = shifted(square_pose, 300.0, 0.0)
+        tracker.step([square_pose, far], frame_index=0)
+        for frame in range(1, 4):
+            tracker.step([shifted(square_pose, 0.0, 0.0, frame)], frame_index=frame)
+        for frame in range(4, 8):
+            tracker.step([], frame_index=frame)
+        messages = [r.getMessage() for r in caplog.records if r.name == "keytrack.keysort"]
+        assert all(r.levelno == logging.DEBUG for r in caplog.records)
+        assert messages == [
+            "frame 0: tracklet 1 born",
+            "frame 0: tracklet 2 born",
+            "frame 1: tracklet 2 terminated (young-miss)",
+            "frame 3: tracklet 1 matured",
+            "frame 7: tracklet 1 terminated (max-missed)",
+        ]
+
+    def test_silent_above_debug(self, tracker, square_pose, caplog):
+        caplog.set_level(logging.INFO, logger="keytrack.keysort")
+        tracker.step([square_pose], frame_index=0)
+        tracker.step([], frame_index=1)
+        assert caplog.records == []
+
+
+_coordinate = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
+_keypoint = st.one_of(st.none(), st.tuples(_coordinate, _coordinate))
+
+
+def _pose_lists(spec):
+    pose = st.fixed_dictionaries({cat: _keypoint for cat in spec.categories})
+    return st.lists(pose, max_size=8)
+
+
+def _as_array(poses, spec):
+    return np.array(
+        [[pose[c] if pose[c] is not None else (np.nan, np.nan) for c in spec.categories]
+         for pose in poses],
+        dtype=np.float64,
+    ).reshape(len(poses), len(spec.categories), 2)
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), coord_scale=st.sampled_from([1.0, 0.5, 2.5]))
+def test_cost_matrix_matches_psi(spec, data, coord_scale):
+    observed = data.draw(_pose_lists(spec), label="observed")
+    predicted = data.draw(_pose_lists(spec), label="predicted")
+    cost = _psi_costs(_as_array(observed, spec), _as_array(predicted, spec), coord_scale)
+    assert cost.shape == (len(observed), len(predicted))
+    for i, obs in enumerate(observed):
+        for j, pred in enumerate(predicted):
+            expected = psi(Pose(coords=obs), Pose(coords=pred))
+            if expected is None:
+                assert cost[i, j] == np.inf
+            else:
+                assert abs(cost[i, j] - expected * coord_scale) <= 1e-9
