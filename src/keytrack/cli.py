@@ -34,6 +34,22 @@ def _load_spec(path: Optional[str]) -> SkeletonSpec:
     return io.load_skeleton(path)
 
 
+def _load_detections(
+    path: str, spec: SkeletonSpec
+) -> tuple[io.StreamHeader, dict[int, list[Pose]], dict[int, str]]:
+    """``io.load_detections``, rejecting a keypoint category the skeleton lacks."""
+    header, frames, regimes = io.load_detections(path)
+    known = set(spec.categories)
+    for frame_index, poses in frames.items():
+        for n, pose in enumerate(poses):
+            for category in pose.coords:
+                if category not in known:
+                    raise ValueError(
+                        f"{path}: frame {frame_index} pose {n} has unknown category {category!r}"
+                    )
+    return header, frames, regimes
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="keytrack")
 def cli() -> None:
@@ -65,7 +81,7 @@ def encode(detections_path: str, out_dir: str, skeleton_path: Optional[str], the
     """Encode poses into probability and association maps."""
     spec = _load_spec(skeleton_path)
     params = maps.EncoderParams(theta=theta, weight_cutoff=cutoff, kernel_extent=extent)
-    header, frames, _ = io.load_detections(detections_path)
+    header, frames, _ = _load_detections(detections_path, spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     suffix = "ktmt" if text else "ktm"
@@ -138,7 +154,7 @@ def decode_assemble(maps_dir: str, out_path: str, skeleton_path: Optional[str], 
 def track(detections_path: str, out_path: str, skeleton_path: Optional[str], r_star: float, gate_px: float, coord_scale: float, max_missed: int, maturity_age: int, sign_window: int) -> None:
     """Track assembled skeletons across frames."""
     spec = _load_spec(skeleton_path)
-    header, frames, _ = io.load_detections(detections_path)
+    header, frames, _ = _load_detections(detections_path, spec)
     config = TrackerConfig(
         gate_px=gate_px,
         coord_scale=coord_scale,
@@ -210,10 +226,10 @@ def evaluate(truth_path: str, poses_path: Optional[str], tracks_path: Optional[s
     if (truth_maps is None) != (pred_maps is None):
         raise ValueError("--truth-maps and --pred-maps go together")
     spec = _load_spec(skeleton_path)
-    _, gt_frames, _ = io.load_detections(truth_path)
+    _, gt_frames, _ = _load_detections(truth_path, spec)
 
     if poses_path is not None:
-        _, pred_frames, _ = io.load_detections(poses_path)
+        _, pred_frames, _ = _load_detections(poses_path, spec)
         report, _ = metrics.evaluate_poses(gt_frames, pred_frames, spec, pair_gate, coord_scale)
     else:
         _, outputs = io.load_tracks(tracks_path)

@@ -67,16 +67,6 @@ class FilterState:
     last_alpha: Optional[float] = None
     last_gamma: Optional[float] = None
 
-    def copy(self) -> "FilterState":
-        return FilterState(
-            x=self.x.copy(),
-            P=self.P.copy(),
-            step=self.step,
-            sign_history=[deque(d, maxlen=d.maxlen) for d in self.sign_history],
-            last_alpha=self.last_alpha,
-            last_gamma=self.last_gamma,
-        )
-
 
 def initial_state(
     model: FilterModel,
@@ -118,30 +108,6 @@ def _checked_mask(model: FilterModel, mask) -> np.ndarray:
     if mask.shape != (model.obs_dim,):
         raise ValueError("mask shape inconsistent with model")
     return mask
-
-
-def innovation(
-    model: FilterModel,
-    state: FilterState,
-    z,
-    mask,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Innovation and its expected covariance on the observed dimensions.
-
-    ``z`` holds only the observed dimensions, in model observation order.
-    An all-false mask yields empty arrays (pure prediction step).
-    """
-    mask = _checked_mask(model, mask)
-    z = np.asarray(z, dtype=np.float64)
-    count = int(mask.sum())
-    if z.shape != (count,):
-        raise ValueError(f"z must have {count} observed entries, got shape {z.shape}")
-    if count == 0:
-        return np.empty(0), np.empty((0, 0))
-    H, R = _reduced_observation(model, mask)
-    y = z - H @ state.x
-    S = H @ state.P @ H.T + R
-    return y, S
 
 
 def adaptive_alpha(S: np.ndarray, S_hat: np.ndarray, R: np.ndarray) -> float:

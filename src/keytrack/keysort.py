@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .assignment import hungarian
-from .kalman import _MIN_ALPHA, FilterModel
+from .kalman import _MIN_ALPHA
 from .skeleton import Pose, SkeletonSpec, XY, is_valid_pose, require_valid_spec
 
 log = logging.getLogger(__name__)
@@ -108,7 +108,23 @@ def _psi_costs(observed: np.ndarray, predicted: np.ndarray, coord_scale: float) 
 
 
 class TrackerModel:
-    """Filter model plus the index bookkeeping for one skeleton layout."""
+    """Index bookkeeping and per-axis noise for one skeleton layout.
+
+    Positions are held in observation order, (..., K, 2) over the skeleton's
+    categories: the root in absolute coordinates and every other category
+    as an offset from its tree parent, each with a velocity beside it.
+    Measurements live in those same coordinates, so each (position,
+    velocity) pair is a filter of its own.  Updating against absolute
+    coordinates instead would couple the root with every offset, and the
+    learned anti-correlation would then drag undetected offsets toward
+    their old absolute positions when the animal moves, which is exactly
+    the artefact relative tracking is meant to remove.
+
+    The noise is uniform except for R: ``r_row`` holds the measurement
+    variance of each observation row, and ``q_pos``, ``q_vel``, ``p0_pos``
+    and ``p0_vel`` are the process and initial variances of every position
+    and velocity.
+    """
 
     def __init__(self, spec: SkeletonSpec, r_star, config: TrackerConfig):
         require_valid_spec(spec)
@@ -116,15 +132,6 @@ class TrackerModel:
         self.config = config
         categories = spec.categories
         ncat = len(categories)
-        self.non_root = tuple(c for c in categories if c != spec.root)
-
-        # state layout: root x/y, per non-root category offset x/y, then
-        # the velocities of all position dimensions in the same order
-        self.pos_slot: dict[str, int] = {spec.root: 0}
-        for j, cat in enumerate(self.non_root):
-            self.pos_slot[cat] = 2 + 2 * j
-        half = 2 * ncat
-        self.state_dim = 2 * half
         self.obs_dim = 2 * ncat
 
         r_star = np.asarray(r_star, dtype=np.float64)
@@ -137,54 +144,24 @@ class TrackerModel:
         if (r_star <= 0).any():
             raise ValueError("r_star variances must be positive")
 
-        R = np.diag(r_star * config.r_scale)
-        sigma_bar = float(np.mean(np.diag(R)))
-        q_diag = np.concatenate(
-            [
-                np.full(half, sigma_bar * config.q_pos_factor),
-                np.full(half, sigma_bar * config.q_vel_factor),
-            ]
-        )
-        Q = np.diag(q_diag)
-        self.P0 = Q * config.p0_factor
+        self.r_row = r_star * config.r_scale
+        sigma_bar = float(np.mean(self.r_row))
+        self.q_pos = sigma_bar * config.q_pos_factor
+        self.q_vel = sigma_bar * config.q_vel_factor
+        self.p0_pos = self.q_pos * config.p0_factor
+        self.p0_vel = self.q_vel * config.p0_factor
 
-        phi = np.eye(self.state_dim)
-        phi[:half, half:] = np.eye(half)
-
-        # Measurements live in the state's own coordinates (root absolute,
-        # everything else as an offset from its tree parent), so H selects
-        # position dimensions and P stays block-diagonal.  Updating against
-        # absolute coordinates instead couples the root with every offset,
-        # and the learned anti-correlation then drags undetected offsets
-        # toward their old absolute positions when the animal moves, which
-        # is exactly the artefact relative tracking is meant to remove.
-        H = np.zeros((self.obs_dim, self.state_dim))
-        for i, cat in enumerate(categories):
-            for axis in (0, 1):
-                H[2 * i + axis, self.pos_slot[cat] + axis] = 1.0
-        self.model = FilterModel(phi=phi, H=H, Q=Q, R=R)
-
-        self._rank_order = sorted(self.non_root, key=lambda c: spec.ranks[c])
+        non_root = [c for c in categories if c != spec.root]
         self._index = {cat: i for i, cat in enumerate(categories)}
-        self._children = np.array([self._index[c] for c in self.non_root], dtype=np.intp)
+        self._root = self._index[spec.root]
+        self._children = np.array([self._index[c] for c in non_root], dtype=np.intp)
         self._parents = np.array(
-            [self._index[spec.parent_of[c]] for c in self.non_root], dtype=np.intp
+            [self._index[spec.parent_of[c]] for c in non_root], dtype=np.intp
         )
         self._chain = [
-            (self._index[c], self._index[spec.parent_of[c]]) for c in self._rank_order
+            (self._index[c], self._index[spec.parent_of[c]])
+            for c in sorted(non_root, key=lambda c: spec.ranks[c])
         ]
-
-        # Per-axis view of the filter, in observation order: observation
-        # row i measures state position dimension pos_of_row[i], whose
-        # velocity sits ``half`` dimensions later.  Q, R and P0 are
-        # diagonal, so each 2x2 block takes its noise from the diagonals.
-        pos_of_row = self.model.H.argmax(axis=1)
-        self.pos_of_row = pos_of_row
-        diag_q = np.diag(self.model.Q)
-        diag_p0 = np.diag(self.P0)
-        self.q_block = np.stack([diag_q[pos_of_row], diag_q[pos_of_row + half]], axis=-1)
-        self.p0_block = np.stack([diag_p0[pos_of_row], diag_p0[pos_of_row + half]], axis=-1)
-        self.r_row = np.diag(self.model.R).copy()
 
     def absolute(self, offsets: np.ndarray) -> np.ndarray:
         """Absolute keypoint positions from (..., K, 2) state positions."""
@@ -203,6 +180,24 @@ class TrackerModel:
         rows = observed.copy()
         rows[:, self._children] -= observed[:, self._parents]
         return rows
+
+    def birth_positions(self, observed: np.ndarray) -> np.ndarray:
+        """(B, 2K) first-observation state positions of (B, K, 2) valid poses.
+
+        Walking the tree from the root, a category's offset is its detection
+        minus its parent's implied position (the root plus the offsets on the
+        way), when both it and its parent are detected, and 0 otherwise.
+        """
+        detected = ~np.isnan(observed[..., 0])
+        offsets = np.zeros_like(observed)
+        offsets[:, self._root] = observed[:, self._root]
+        implied = offsets.copy()
+        for child, parent in self._chain:
+            both = (detected[:, child] & detected[:, parent])[:, None]
+            offset = np.where(both, observed[:, child] - implied[:, parent], 0.0)
+            offsets[:, child] = offset
+            implied[:, child] = implied[:, parent] + offset
+        return offsets.reshape(len(observed), self.obs_dim)
 
     def observed_array(self, poses: Sequence[Pose], frame_index: int = 0) -> np.ndarray:
         """(N, K, 2) coordinates of the skeleton's categories, NaN where absent.
@@ -234,56 +229,6 @@ class TrackerModel:
             rows.append(row)
         return np.array(rows, dtype=np.float64).reshape(len(poses), len(index), 2)
 
-    def project(self, x: np.ndarray, frame_index: int = 0) -> Pose:
-        """Full predicted pose (every category) from a state vector."""
-        offsets = np.asarray(x, dtype=np.float64)[self.pos_of_row].reshape(-1, 2)
-        coords = self.absolute(offsets).tolist()
-        return Pose(
-            coords={c: tuple(xy) for c, xy in zip(self.spec.categories, coords)},
-            frame_index=frame_index,
-        )
-
-    def make_observation(self, pose: Pose) -> tuple[np.ndarray, np.ndarray]:
-        """Observed-dimension vector and the observation mask for a pose.
-
-        Rows follow :meth:`measurements`; unmeasurable rows are masked out
-        (removing the H rows and R rows/columns during the update).
-        """
-        rows = self.measurements(self.observed_array([pose], pose.frame_index)).reshape(-1)
-        mask = ~np.isnan(rows)
-        return rows[mask], mask
-
-    def init_state_vector(self, pose: Pose) -> np.ndarray:
-        """First-observation state: offsets from observed parent chains.
-
-        Offsets of keypoints that are unobserved, or whose parent is
-        unobserved, start at zero; velocities start at zero.
-        """
-        x = np.zeros(self.state_dim)
-        root_xy = pose.get(self.spec.root)
-        if root_xy is None:
-            raise ValueError("cannot initiate a tracklet without the root keypoint")
-        x[0] = root_xy[0]
-        x[1] = root_xy[1]
-        implied: dict[str, XY] = {self.spec.root: root_xy}
-        for cat in self._rank_order:
-            parent = self.spec.parent_of[cat]
-            xy = pose.get(cat)
-            parent_xy = implied[parent]
-            if xy is not None and pose.present(parent):
-                delta = (xy[0] - parent_xy[0], xy[1] - parent_xy[1])
-            else:
-                delta = (0.0, 0.0)
-            slot = self.pos_slot[cat]
-            x[slot] = delta[0]
-            x[slot + 1] = delta[1]
-            implied[cat] = (parent_xy[0] + delta[0], parent_xy[1] + delta[1])
-        return x
-
-
-def build_model(spec: SkeletonSpec, r_star, config: TrackerConfig = TrackerConfig()) -> TrackerModel:
-    return TrackerModel(spec, r_star, config)
-
 
 class _FilterBank:
     """Adaptive Kalman filters of all live tracklets, one 2x2 block per axis.
@@ -297,8 +242,8 @@ class _FilterBank:
     """
 
     def __init__(self, model: TrackerModel, sign_window: int):
-        self.q = model.q_block
-        self.p0 = model.p0_block
+        self.q = (model.q_pos, model.q_vel)
+        self.p0 = (model.p0_pos, model.p0_vel)
         self.r = model.r_row
         self.window = sign_window
         dims = model.obs_dim
@@ -313,8 +258,8 @@ class _FilterBank:
         mean = np.zeros((count,) + self.mean.shape[1:])
         mean[..., 0] = born
         cov = np.zeros((count,) + self.cov.shape[1:])
-        cov[..., 0, 0] = self.p0[:, 0]
-        cov[..., 1, 1] = self.p0[:, 1]
+        cov[..., 0, 0] = self.p0[0]
+        cov[..., 1, 1] = self.p0[1]
         keep = np.asarray(keep, dtype=np.intp)
         self.mean = np.concatenate([self.mean[keep], mean])
         self.cov = np.concatenate([self.cov[keep], cov])
@@ -333,10 +278,10 @@ def predict(bank: _FilterBank) -> None:
     b = bank.cov[..., 0, 1]
     c = bank.cov[..., 1, 1]
     bc = b + c
-    bank.cov[..., 0, 0] = ((a + b) + bc) + bank.q[:, 0]
+    bank.cov[..., 0, 0] = ((a + b) + bc) + bank.q[0]
     bank.cov[..., 0, 1] = bc
     bank.cov[..., 1, 0] = bc
-    bank.cov[..., 1, 1] = c + bank.q[:, 1]
+    bank.cov[..., 1, 1] = c + bank.q[1]
 
 
 def update_adaptive(
@@ -450,7 +395,7 @@ class KeySortTracker:
 
     def __init__(self, spec: SkeletonSpec, r_star, config: TrackerConfig = TrackerConfig()):
         self.config = config
-        self.model = build_model(spec, r_star, config)
+        self.model = TrackerModel(spec, r_star, config)
         self.spec = self.model.spec
         self.tracklets: list[Tracklet] = []
         self._filters = _FilterBank(self.model, config.sign_window)
@@ -579,9 +524,9 @@ class KeySortTracker:
                 )
 
         born = [i for i in range(len(poses)) if i not in matched_obs]
-        states = np.zeros((len(born), self.model.obs_dim))
-        for row, i in enumerate(born):
-            states[row] = self.model.init_state_vector(poses[i])[self.model.pos_of_row]
+        states = np.zeros((0, self.model.obs_dim))
+        if born:  # the walk costs tens of microseconds even without poses
+            states = self.model.birth_positions(observed[born])
         posteriors = self.model.absolute(states.reshape(len(born), len(categories), 2))
         for i, posterior in zip(born, posteriors.tolist()):
             pose = poses[i]

@@ -498,19 +498,30 @@ def _save_binary(maps: MapStack, path: str) -> None:
             handle.write(np.ascontiguousarray(grid, dtype="<f4"))
 
 
+def _read_exact(handle: BinaryIO, size: int, path: str, what: str) -> bytes:
+    data = handle.read(size)
+    if len(data) != size:
+        raise ValueError(f"{path}: truncated {what}")
+    return data
+
+
 def _load_binary(path: str) -> MapStack:
     with open(path, "rb") as handle:
         magic = handle.read(4)
         if magic != _BINARY_MAGIC:
             raise ValueError(f"{path}: bad magic")
-        version, width, height = struct.unpack("<III", handle.read(12))
+        version, width, height, count = struct.unpack(
+            "<IIII", _read_exact(handle, 16, path, "header")
+        )
         if version != _FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        (count,) = struct.unpack("<I", handle.read(4))
         names = []
         for _ in range(count):
-            (length,) = struct.unpack("<H", handle.read(2))
-            names.append(handle.read(length).decode("utf-8"))
+            (length,) = struct.unpack("<H", _read_exact(handle, 2, path, "channel name"))
+            try:
+                names.append(_read_exact(handle, length, path, "channel name").decode("utf-8"))
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: channel name is not UTF-8") from None
         # checked before allocating, so a bad header cannot ask for more
         # memory than the file holds
         remaining = os.fstat(handle.fileno()).st_size - handle.tell()
@@ -535,25 +546,33 @@ def _save_text(maps: MapStack, path: str) -> None:
 
 
 def _load_text(path: str) -> MapStack:
-    with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().split()
+    with open(path, "rb") as handle:
+
+        def line() -> str:
+            return handle.readline().decode("utf-8")
+
+        header = line().split()
         if len(header) != 2 or header[0] != _TEXT_MAGIC:
             raise ValueError(f"{path}: bad text header")
         if int(header[1]) != _FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported version {header[1]}")
-        width, height, count = (int(tok) for tok in handle.readline().split())
+        width, height, count = (int(tok) for tok in line().split())
+        if min(width, height, count) < 0:
+            raise ValueError(f"{path}: negative size {width} x {height} x {count}")
+        # each channel is a name line and ``height`` lines of ``width``
+        # values, each line at least one byte per value and never empty, so
+        # a header that asks for more than the file holds is rejected here
+        remaining = os.fstat(handle.fileno()).st_size - handle.tell()
+        if remaining < count * (1 + height * max(width, 1)):
+            raise ValueError(f"{path}: truncated channel data")
         names = []
         grids = []
         for _ in range(count):
-            names.append(handle.readline().strip())
-            rows = [
-                np.array(handle.readline().split(), dtype=np.float32)
-                for _ in range(height)
-            ]
-            grid = np.vstack(rows)
-            if grid.shape != (height, width):
+            names.append(line().strip())
+            rows = [np.array(line().split(), dtype=np.float32) for _ in range(height)]
+            if any(row.shape != (width,) for row in rows):
                 raise ValueError(f"{path}: channel shape mismatch")
-            grids.append(grid)
+            grids.append(np.array(rows, dtype=np.float32).reshape(height, width))
     block = np.array(grids, dtype=np.float32).reshape(count, height, width)
     return _assemble_stack(names, block, path)
 

@@ -367,6 +367,33 @@ class TestConsoleScript:
         assert proc.returncode == 2
         assert f"{detections}: frame 4 does not follow frame 5" in proc.stderr
 
+    def write_poses(self, path, *extra):
+        """A two-frame pose file; ``extra`` keypoints join frame 1's second pose."""
+        save_detections(str(path), StreamHeader("cattle-dorsal", 100, 100), {})
+        good = {"withers": [50.0, 50.0], "tail_implant": [20.0, 50.0]}
+        bad = {**good, **{name: [60.0, 40.0] for name in extra}}
+        with open(path, "a") as handle:
+            handle.write(json.dumps({"frame_index": 0, "poses": [good]}) + "\n")
+            handle.write(json.dumps({"frame_index": 1, "poses": [good, bad]}) + "\n")
+        return path
+
+    def test_encode_unknown_category_exits_two(self, tmp_path):
+        detections = self.write_poses(tmp_path / "det.jsonl", "horn")
+        proc = self.run("encode", "--detections", str(detections), "--out-dir", str(tmp_path / "maps"))
+        assert proc.returncode == 2
+        assert f"{detections}: frame 1 pose 1 has unknown category 'horn'" in proc.stderr
+
+    @pytest.mark.parametrize("bad_side", ["--truth", "--poses"])
+    def test_evaluate_unknown_category_exits_two(self, tmp_path, bad_side):
+        args = []
+        for side in ("--truth", "--poses"):
+            extra = ["horn"] if side == bad_side else []
+            args += [side, str(self.write_poses(tmp_path / f"{side[2:]}.jsonl", *extra))]
+        proc = self.run("evaluate", *args)
+        assert proc.returncode == 2
+        bad = tmp_path / f"{bad_side[2:]}.jsonl"
+        assert f"{bad}: frame 1 pose 1 has unknown category 'horn'" in proc.stderr
+
     def test_unknown_category_exits_two(self, tmp_path):
         detections = tmp_path / "det.jsonl"
         save_detections(str(detections), StreamHeader("cattle-dorsal", 100, 100), {})

@@ -10,7 +10,6 @@ from keytrack.kalman import (
     FilterState,
     adaptive_alpha,
     initial_state,
-    innovation,
     joseph_update,
     mitigation_gamma,
     predict,
@@ -70,15 +69,6 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="sign window"):
             initial_state(model, [1.0, 0.0], np.eye(2), sign_window=0)
 
-    def test_state_copy_is_independent(self):
-        model = scalar_model()
-        state = initial_state(model, [0.0], [[1.0]])
-        clone = state.copy()
-        update_standard(model, state, [5.0], [True])
-        assert clone.x[0] == 0.0
-        assert clone.step == 0
-        assert len(clone.sign_history[0]) == 0
-
 
 class TestPredict:
     def test_state_and_covariance_propagation(self):
@@ -94,28 +84,6 @@ class TestPredict:
         for _ in range(50):
             predict(model, state)
         np.testing.assert_array_equal(state.P, state.P.T)
-
-
-class TestInnovation:
-    def test_hand_computed(self):
-        model = cv_model()
-        state = initial_state(model, [5.0, 3.0], [[2.1, 1.0], [1.0, 1.2]])
-        y, S = innovation(model, state, [6.0], [True])
-        np.testing.assert_allclose(y, [1.0])
-        np.testing.assert_allclose(S, [[3.1]])
-
-    def test_empty_mask_yields_empty(self):
-        model = cv_model()
-        state = initial_state(model, [0.0, 0.0], np.eye(2))
-        y, S = innovation(model, state, [], [False])
-        assert y.shape == (0,)
-        assert S.shape == (0, 0)
-
-    def test_observation_length_checked(self):
-        model = cv_model()
-        state = initial_state(model, [0.0, 0.0], np.eye(2))
-        with pytest.raises(ValueError, match="observed entries"):
-            innovation(model, state, [1.0, 2.0], [True])
 
 
 class TestAdaptiveAlpha:
@@ -218,6 +186,23 @@ class TestStandardUpdate:
         assert state.step == 1
         assert state.last_alpha is None
         assert state.last_gamma is None
+
+    def test_hand_computed_on_observed_dimension(self):
+        # innovation y = 6 - 5 = 1 with S = 2.1 + 1 = 3.1, so K = [2.1, 1.0] / 3.1
+        model = cv_model()
+        state = initial_state(model, [5.0, 3.0], [[2.1, 1.0], [1.0, 1.2]])
+        update_standard(model, state, [6.0], [True])
+        np.testing.assert_allclose(state.x, [5.0 + 2.1 / 3.1, 3.0 + 1.0 / 3.1])
+        np.testing.assert_allclose(
+            state.P,
+            [[2.1 - 2.1 * 2.1 / 3.1, 1.0 - 2.1 / 3.1], [1.0 - 2.1 / 3.1, 1.2 - 1.0 / 3.1]],
+        )
+
+    def test_observation_length_checked(self):
+        model = cv_model()
+        state = initial_state(model, [0.0, 0.0], np.eye(2))
+        with pytest.raises(ValueError, match="observed entries"):
+            update_standard(model, state, [1.0, 2.0], [True])
 
     def test_empty_mask_is_noop(self):
         model = cv_model()

@@ -12,12 +12,11 @@ from keytrack.keysort import (
     TrackerConfig,
     TrackerModel,
     _psi_costs,
-    build_model,
     psi,
     running_freq,
 )
 from keytrack.simulate import RegimeSegment, ScenarioConfig, corrupt, generate
-from keytrack.skeleton import Pose
+from keytrack.skeleton import Pose, SkeletonSpec
 
 from conftest import make_pose
 
@@ -102,14 +101,16 @@ class TestPsi:
 
 
 class TestTrackerModel:
+    """The dense 4K-state layout, kept in the oracle the tracker is checked against."""
+
     def test_dimensions(self, spec):
-        model = build_model(spec, np.ones(6))
+        model = keysort_oracle.build_model(spec, np.ones(6))
         assert model.state_dim == 24
         assert model.model.phi.shape == (24, 24)
         assert model.obs_dim == 12
 
     def test_noise_matrices(self, spec):
-        model = build_model(spec, np.full(6, 2.0))
+        model = keysort_oracle.build_model(spec, np.full(6, 2.0))
         R = model.model.R
         np.testing.assert_allclose(np.diag(R), np.full(12, 2.0 * 1e-2))
         sigma_bar = 2.0 * 1e-2
@@ -119,14 +120,14 @@ class TestTrackerModel:
         np.testing.assert_allclose(model.P0, Q * 1e10)
 
     def test_transition_is_constant_velocity(self, spec):
-        phi = build_model(spec, np.ones(6)).model.phi
+        phi = keysort_oracle.build_model(spec, np.ones(6)).model.phi
         np.testing.assert_array_equal(phi[:12, :12], np.eye(12))
         np.testing.assert_array_equal(phi[:12, 12:], np.eye(12))
         np.testing.assert_array_equal(phi[12:, 12:], np.eye(12))
         np.testing.assert_array_equal(phi[12:, :12], np.zeros((12, 12)))
 
     def test_H_selects_position_dimensions(self, spec):
-        model = build_model(spec, np.ones(6))
+        model = keysort_oracle.build_model(spec, np.ones(6))
         H = model.model.H
         assert H.shape == (12, 24)
         # each observation row reads exactly one state dimension
@@ -139,17 +140,17 @@ class TestTrackerModel:
 
     def test_per_coordinate_r_star(self, spec):
         r12 = np.arange(1.0, 13.0)
-        model = build_model(spec, r12)
+        model = keysort_oracle.build_model(spec, r12)
         np.testing.assert_allclose(np.diag(model.model.R), r12 * 1e-2)
 
     def test_r_star_validation(self, spec):
         with pytest.raises(ValueError, match="entries"):
-            build_model(spec, np.ones(5))
+            TrackerModel(spec, np.ones(5), TrackerConfig())
         with pytest.raises(ValueError, match="positive"):
-            build_model(spec, np.zeros(6))
+            TrackerModel(spec, np.zeros(6), TrackerConfig())
 
     def test_init_state_round_trip(self, spec, square_pose):
-        model = build_model(spec, np.ones(6))
+        model = keysort_oracle.build_model(spec, np.ones(6))
         x = model.init_state_vector(square_pose)
         np.testing.assert_array_equal(x[12:], np.zeros(12))
         recovered = model.project(x, frame_index=3)
@@ -158,7 +159,7 @@ class TestTrackerModel:
             assert recovered.get(cat) == pytest.approx(xy)
 
     def test_init_offsets(self, spec, square_pose):
-        model = build_model(spec, np.ones(6))
+        model = keysort_oracle.build_model(spec, np.ones(6))
         x = model.init_state_vector(square_pose)
         assert (x[0], x[1]) == (100.0, 100.0)
         slot = model.pos_slot
@@ -169,7 +170,7 @@ class TestTrackerModel:
         assert (x[slot["right_hip"]], x[slot["right_hip"] + 1]) == (-39.0, -14.0)
 
     def test_init_missing_keypoint_zero_offset(self, spec, square_pose):
-        model = build_model(spec, np.ones(6))
+        model = keysort_oracle.build_model(spec, np.ones(6))
         x = model.init_state_vector(without(square_pose, "nose"))
         slot = model.pos_slot["nose"]
         assert (x[slot], x[slot + 1]) == (0.0, 0.0)
@@ -178,19 +179,19 @@ class TestTrackerModel:
         assert projected.get("nose") == pytest.approx(projected.get("head"))
 
     def test_init_missing_parent_zeroes_child_offset(self, spec, square_pose):
-        model = build_model(spec, np.ones(6))
+        model = keysort_oracle.build_model(spec, np.ones(6))
         x = model.init_state_vector(without(square_pose, "head"))
         assert (x[model.pos_slot["head"]], x[model.pos_slot["head"] + 1]) == (0.0, 0.0)
         # the nose is detected but its parent is not, so its offset resets too
         assert (x[model.pos_slot["nose"]], x[model.pos_slot["nose"] + 1]) == (0.0, 0.0)
 
     def test_init_requires_root(self, spec, square_pose):
-        model = build_model(spec, np.ones(6))
+        model = keysort_oracle.build_model(spec, np.ones(6))
         with pytest.raises(ValueError, match="root"):
             model.init_state_vector(without(square_pose, "withers"))
 
     def test_make_observation_full(self, spec, square_pose):
-        model = build_model(spec, np.ones(6))
+        model = keysort_oracle.build_model(spec, np.ones(6))
         z, mask = model.make_observation(square_pose)
         assert mask.all() and mask.shape == (12,)
         np.testing.assert_allclose(
@@ -199,7 +200,7 @@ class TestTrackerModel:
         )
 
     def test_make_observation_masks_missing(self, spec, square_pose):
-        model = build_model(spec, np.ones(6))
+        model = keysort_oracle.build_model(spec, np.ones(6))
         z, mask = model.make_observation(without(square_pose, "nose"))
         nose_row = 2 * spec.categories.index("nose")
         assert not mask[nose_row] and not mask[nose_row + 1]
@@ -207,7 +208,7 @@ class TestTrackerModel:
         assert z.shape == (10,)
 
     def test_make_observation_needs_detected_parent(self, spec, square_pose):
-        model = build_model(spec, np.ones(6))
+        model = keysort_oracle.build_model(spec, np.ones(6))
         z, mask = model.make_observation(without(square_pose, "head"))
         head_row = 2 * spec.categories.index("head")
         nose_row = 2 * spec.categories.index("nose")
@@ -216,7 +217,7 @@ class TestTrackerModel:
         assert mask.sum() == 8
 
     def test_projection_chains_offsets(self, spec):
-        model = build_model(spec, np.ones(6))
+        model = keysort_oracle.build_model(spec, np.ones(6))
         x = np.zeros(24)
         x[0], x[1] = 50.0, 80.0
         x[model.pos_slot["head"]] = 20.0
@@ -224,6 +225,60 @@ class TestTrackerModel:
         pose = model.project(x)
         assert pose.get("head") == pytest.approx((70.0, 80.0))
         assert pose.get("nose") == pytest.approx((85.0, 80.0))
+
+
+def _dense_positions(dense, pose: Pose) -> np.ndarray:
+    """The oracle's first-observation state positions in observation order."""
+    return dense.init_state_vector(pose)[dense.model.H.argmax(axis=1)]
+
+
+# root -> a -> b -> c and root -> d, listed out of rank order with the root
+# in the middle, so the chain walk cannot lean on the category order
+_DEEP_SPEC = SkeletonSpec(
+    name="deep-chain",
+    categories=("c", "a", "root", "b", "d"),
+    root="root",
+    connections=(("b", "c"), ("root", "a"), ("a", "b"), ("root", "d")),
+    dominant=(("root", "a"), ("root", "d")),
+    betas={("root", "a"): 1.0, ("root", "d"): 1.5},
+    reference=("root", "a"),
+)
+
+
+class TestPerAxisModel:
+    """The per-axis layout the tracker runs, against the dense oracle layout."""
+
+    def test_noise_equals_dense_diagonals(self, spec):
+        r_star = np.linspace(0.3, 4.1, 12)
+        factors = dict(r_scale=0.07, q_pos_factor=3e-5, q_vel_factor=2e-7, p0_factor=1e9)
+        model = TrackerModel(spec, r_star, TrackerConfig(**factors))
+        dense = keysort_oracle.build_model(spec, r_star, keysort_oracle.TrackerConfig(**factors))
+        assert model.obs_dim == 12
+        assert model.r_row.tolist() == np.diag(dense.model.R).tolist()
+        q, p0 = np.diag(dense.model.Q), np.diag(dense.P0)
+        assert set(q[:12].tolist()) == {model.q_pos}
+        assert set(q[12:].tolist()) == {model.q_vel}
+        assert set(p0[:12].tolist()) == {model.p0_pos}
+        assert set(p0[12:].tolist()) == {model.p0_vel}
+
+    def test_birth_positions_of_full_pose(self, spec, square_pose):
+        model = TrackerModel(spec, np.ones(6), TrackerConfig())
+        positions = model.birth_positions(model.observed_array([square_pose]))
+        assert positions.tolist() == [[100, 100, -60, 0, 22, 0, 16, 0, -39, 14, -39, -14]]
+
+    def test_birth_offset_is_taken_from_implied_parent(self):
+        # a is missing: b starts on the root, and c's offset is measured from
+        # b's implied position (the root), not from b's detection
+        model = TrackerModel(_DEEP_SPEC, np.ones(5), TrackerConfig())
+        pose = make_pose(root=(10.0, 20.0), b=(30.0, 20.0), c=(35.0, 26.0), d=(0.0, 20.0))
+        positions = model.birth_positions(model.observed_array([pose])).reshape(5, 2)
+        offsets = dict(zip(_DEEP_SPEC.categories, positions.tolist()))
+        assert offsets == {
+            "root": [10.0, 20.0], "a": [0.0, 0.0], "b": [0.0, 0.0],
+            "c": [25.0, 6.0], "d": [-10.0, 0.0],
+        }
+        dense = keysort_oracle.build_model(_DEEP_SPEC, np.ones(5))
+        assert positions.reshape(-1).tolist() == _dense_positions(dense, pose).tolist()
 
 
 class TestTrackerStepBasics:
@@ -674,3 +729,28 @@ def test_cost_matrix_matches_psi(spec, data, coord_scale):
                 assert cost[i, j] == np.inf
             else:
                 assert abs(cost[i, j] - expected * coord_scale) <= 1e-9
+
+
+def _rooted_pose_lists(spec):
+    # the root is always detected (tracklets are born from valid poses only);
+    # every other keypoint may be missing, intermediate ones included
+    coordinate = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
+    keypoint = st.tuples(coordinate, coordinate)
+    fields = {cat: st.one_of(st.none(), keypoint) for cat in spec.categories}
+    fields[spec.root] = keypoint
+    return st.lists(st.fixed_dictionaries(fields), max_size=6)
+
+
+@pytest.mark.parametrize("which", ["default", "deep"])
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_birth_positions_match_dense_init(spec, which, data):
+    layout = spec if which == "default" else _DEEP_SPEC
+    r_star = np.ones(len(layout.categories))
+    model = TrackerModel(layout, r_star, TrackerConfig())
+    dense = keysort_oracle.build_model(layout, r_star)
+    poses = [Pose(coords=coords) for coords in data.draw(_rooted_pose_lists(layout))]
+    got = model.birth_positions(model.observed_array(poses))
+    assert got.shape == (len(poses), 2 * len(layout.categories))
+    for row, pose in zip(got, poses):
+        assert row.tobytes() == _dense_positions(dense, pose).tobytes()

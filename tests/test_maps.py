@@ -419,6 +419,132 @@ class TestSerialization:
             load_maps(str(path))
 
 
+    @pytest.mark.parametrize("cut", [4, 9, 15, 19])
+    def test_binary_cut_inside_header_rejected(self, tmp_path, cut):
+        path = tmp_path / "m.ktm"
+        save_maps(_small_stack(), str(path))
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match="truncated header"):
+            load_maps(str(path))
+
+    def test_absurd_text_dimensions_rejected_before_reading(self, tmp_path):
+        path = tmp_path / "huge.ktmt"
+        path.write_text("KTMT 1\n2 1000000000000 1\nprob:k\n0 0\n")
+        with pytest.raises(ValueError, match="truncated channel data"):
+            load_maps(str(path))
+
+    @pytest.mark.parametrize("text", [False, True])
+    def test_zero_height_round_trip(self, tmp_path, text):
+        stack = MapStack(width=3, height=0, prob={"k": np.zeros((0, 3), np.float32)})
+        path = tmp_path / ("m.ktmt" if text else "m.ktm")
+        save_maps(stack, str(path), text=text)
+        assert load_maps(str(path)).prob["k"].shape == (0, 3)
+
+    def test_negative_text_dimensions_rejected(self, tmp_path):
+        path = tmp_path / "m.ktmt"
+        path.write_text("KTMT 1\n2 -1 1\nprob:k\n")
+        with pytest.raises(ValueError, match="negative size"):
+            load_maps(str(path))
+
+# fuzzed map file readers: every input loads or raises ValueError
+
+
+def _small_stack() -> MapStack:
+    prob = np.array([[0.0, 0.5, 1.0], [0.25, -2.0, 3.5]], dtype=np.float32)
+    assoc = np.arange(24, dtype=np.float32).reshape(4, 2, 3) - 7.5
+    return MapStack(width=3, height=2, prob={"k": prob}, assoc={("k", "j"): assoc})
+
+
+_CHANNEL_NAMES = (
+    "prob:k", "assoc:k->j:dx_ab", "assoc:k->j:dy_ab", "assoc:k->j:dx_ba", "assoc:k->j:dy_ba",
+    "assoc:k->j:bogus", "assoc:kj:dx_ab", "assoc:->j:dx_ab", "prob", "other:k", "",
+)
+_channel_name = st.one_of(
+    st.sampled_from(_CHANNEL_NAMES).map(str.encode),
+    st.text(max_size=6).map(str.encode),
+    st.binary(max_size=6),  # not UTF-8
+)
+# sizes that the data can fill, and absurd ones that it cannot
+_size = st.one_of(st.integers(0, 4), st.integers(5, 2**32 - 1), st.sampled_from([2**16, 2**32 - 1]))
+
+
+def _cut(draw, data: bytes) -> bytes:
+    """``data`` whole, or truncated at any byte."""
+    cut = draw(st.none() | st.integers(0, len(data)))
+    return data if cut is None else data[:cut]
+
+
+@st.composite
+def _ktm_files(draw):
+    width, height = draw(_size), draw(_size)
+    names = draw(st.lists(_channel_name, max_size=6))
+    count = draw(st.just(len(names)) | _size)  # wrong channel counts too
+    data = b"KTMB" + struct.pack("<IIII", draw(st.sampled_from([1, 2])), width, height, count)
+    for name in names:
+        data += struct.pack("<H", len(name)) + name
+    cells = min(len(names) * width * height, 512)
+    data += np.arange(cells, dtype="<f4").tobytes() + draw(st.binary(max_size=8))
+    return _cut(draw, data)
+
+
+_text_size = st.one_of(st.integers(-2, 4), st.integers(5, 10**15), st.sampled_from([10**9, 10**15]))
+_text_value = st.sampled_from(["0", "0.5", "-1e3", "nan", "inf", "1e999", "x", ""])
+
+
+@st.composite
+def _ktmt_files(draw):
+    width, height = draw(_text_size), draw(_text_size)
+    names = draw(st.lists(_channel_name, max_size=4))
+    count = draw(st.just(len(names)) | _text_size)
+    sizes = draw(st.sampled_from([f"{width} {height} {count}", f"{width} {height}", "a b c"]))
+    lines = [draw(st.sampled_from(["KTMT 1", "KTMT 2", "KTMT x", "KTMT"])).encode(), sizes.encode()]
+    for name in names:
+        lines.append(name)
+        for _ in range(max(0, min(height, 3))):
+            row_width = draw(st.just(max(0, min(width, 3))) | st.integers(0, 4))
+            lines.append(" ".join(draw(_text_value) for _ in range(row_width)).encode())
+    return _cut(draw, b"\n".join(lines) + b"\n")
+
+
+def _loads_or_value_error(path, data: bytes) -> None:
+    path.write_bytes(data)
+    try:
+        stack = load_maps(str(path))
+    except ValueError:
+        return
+    assert all(grid.shape == (stack.height, stack.width) for _, grid in stack.channel_items())
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=_ktm_files())
+def test_fuzzed_ktm_loads_or_raises_value_error(tmp_path_factory, data):
+    _loads_or_value_error(tmp_path_factory.mktemp("fuzz") / "m.ktm", data)
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=_ktmt_files())
+def test_fuzzed_ktmt_loads_or_raises_value_error(tmp_path_factory, data):
+    _loads_or_value_error(tmp_path_factory.mktemp("fuzz") / "m.ktmt", data)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    text=st.booleans(),
+    flip=st.none() | st.tuples(st.integers(0, 2**16), st.integers(0, 255)),
+    cut=st.none() | st.integers(0, 2**16),
+)
+def test_damaged_map_file_loads_or_raises_value_error(tmp_path_factory, text, flip, cut):
+    """A valid file with one byte overwritten and/or cut short at any byte."""
+    path = tmp_path_factory.mktemp("fuzz") / "m.ktm"
+    save_maps(_small_stack(), str(path), text=text)
+    data = bytearray(path.read_bytes())
+    if flip is not None:
+        data[flip[0] % len(data)] = flip[1]
+    if cut is not None:
+        data = data[: cut % (len(data) + 1)]
+    _loads_or_value_error(path, bytes(data))
+
+
 # Splats on a 40x50 grid (sigma 4 and extent 3 reach 12 px): clipped by each
 # image border, and wholly off the grid, where ``splat_window`` is None.
 _EDGE_SPLATS = {
