@@ -1,6 +1,6 @@
 """Keypoint map codec, skeleton assembly and multi-animal tracking."""
 
-from .assembly import PartialSkeleton, assemble, association_penalty, predict_complement
+from .assembly import assemble, association_penalty
 from .assignment import greedy_assign, hungarian
 from .io import (
     StreamHeader,
@@ -10,92 +10,32 @@ from .io import (
     load_skeleton,
     load_tracks,
     save_detections,
-    save_scenario,
-    save_skeleton,
     save_tracks,
 )
-from .keysort import (
-    KeySortTracker,
-    TrackerConfig,
-    Tracklet,
-    TrackletFrameRecord,
-    TrackOutput,
-    psi,
-    running_freq,
-)
-from .maps import (
-    CandidateKeypoint,
-    EncoderParams,
-    LossBreakdown,
-    MapStack,
-    decode_candidates,
-    encode,
-    encode_assoc_maps,
-    encode_prob_maps,
-    kernel_sigma,
-    load_maps,
-    map_loss,
-    pose_sigmas,
-    quadratic_sample,
-    read_offset,
-    save_maps,
-)
+from .keysort import KeySortTracker, TrackerConfig
+from .maps import EncoderParams, decode_candidates, encode, load_maps, pose_sigmas, save_maps
 from .metrics import (
-    EvalReport,
-    EvalSeries,
-    PairingResult,
     PRReport,
     evaluate_poses,
     evaluate_tracks,
-    frame_difference,
     pair_skeletons,
     precision_recall,
-    quantiles,
-    recovery_rate,
-    relative_error,
 )
 from .simulate import (
-    GroundTruthFrame,
-    GroundTruthSequence,
-    KfDemoResult,
-    ParallelScene,
     RegimeSegment,
     ScenarioConfig,
     corrupt,
     generate,
     parallel_rows_scene,
     regime_switch_demo,
-    two_point_skeleton,
 )
-from .skeleton import (
-    Pose,
-    SkeletonSpec,
-    connection_name,
-    connection_vector,
-    estimate_betas,
-    is_valid_pose,
-    parse_connection_name,
-    require_valid_spec,
-    skeleton_scale,
-    validate_spec,
-)
+from .skeleton import Pose, SkeletonSpec, is_valid_pose
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "CandidateKeypoint",
     "EncoderParams",
-    "EvalReport",
-    "EvalSeries",
-    "GroundTruthFrame",
-    "GroundTruthSequence",
     "KeySortTracker",
-    "KfDemoResult",
-    "LossBreakdown",
-    "MapStack",
-    "PairingResult",
-    "ParallelScene",
-    "PartialSkeleton",
     "Pose",
     "PRReport",
     "RegimeSegment",
@@ -103,55 +43,29 @@ __all__ = [
     "SkeletonSpec",
     "StreamHeader",
     "TrackerConfig",
-    "Tracklet",
-    "TrackletFrameRecord",
-    "TrackOutput",
     "assemble",
     "association_penalty",
-    "connection_name",
-    "connection_vector",
     "corrupt",
     "decode_candidates",
     "default_skeleton",
     "encode",
-    "encode_assoc_maps",
-    "encode_prob_maps",
-    "estimate_betas",
     "evaluate_poses",
     "evaluate_tracks",
-    "frame_difference",
     "generate",
     "greedy_assign",
     "hungarian",
     "is_valid_pose",
-    "kernel_sigma",
     "load_detections",
     "load_maps",
     "load_scenario",
     "load_skeleton",
     "load_tracks",
-    "map_loss",
     "pair_skeletons",
     "parallel_rows_scene",
-    "parse_connection_name",
     "pose_sigmas",
     "precision_recall",
-    "predict_complement",
-    "psi",
-    "quadratic_sample",
-    "quantiles",
-    "read_offset",
-    "recovery_rate",
     "regime_switch_demo",
-    "relative_error",
-    "require_valid_spec",
-    "running_freq",
     "save_detections",
     "save_maps",
-    "save_scenario",
-    "save_skeleton",
     "save_tracks",
-    "skeleton_scale",
-    "two_point_skeleton",
-    "validate_spec",
 ]

@@ -12,9 +12,9 @@ skeletons to predicted ones by mean keypoint distance, gated in pixels.
 Because every measured dimension is a state dimension, each (position,
 velocity) pair evolves on its own and the covariance is block-diagonal
 with 2x2 blocks.  The tracker therefore holds all live tracklets' filters
-as arrays of per-axis blocks and advances them together; the adaptive
-factor alpha, a ratio of traces, is the only quantity that spans a
-tracklet's dimensions, and traces are sums over blocks.
+in one :class:`keytrack.kalman.FilterBank` and advances them together;
+the adaptive factor alpha, a ratio of traces, is the only quantity that
+spans a tracklet's dimensions, and traces are sums over blocks.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .assignment import hungarian
-from .kalman import _MIN_ALPHA
+from .kalman import FilterBank, predict, update_adaptive
 from .skeleton import Pose, SkeletonSpec, XY, is_valid_pose, require_valid_spec
 
 log = logging.getLogger(__name__)
@@ -230,129 +230,6 @@ class TrackerModel:
         return np.array(rows, dtype=np.float64).reshape(len(poses), len(index), 2)
 
 
-class _FilterBank:
-    """Adaptive Kalman filters of all live tracklets, one 2x2 block per axis.
-
-    ``mean`` is (T, D, 2) with position and velocity of each of the D
-    observation-order dimensions, ``cov`` is (T, D, 2, 2), and ``signs``
-    is a (T, D, W) ring of the last W innovation signs per dimension with
-    ``counts`` (T, D) signs recorded so far.  :func:`predict` and
-    :func:`update_adaptive` follow :mod:`keytrack.kalman` restricted to one
-    block, so the results agree with the dense filter to rounding.
-    """
-
-    def __init__(self, model: TrackerModel, sign_window: int):
-        self.q = (model.q_pos, model.q_vel)
-        self.p0 = (model.p0_pos, model.p0_vel)
-        self.r = model.r_row
-        self.window = sign_window
-        dims = model.obs_dim
-        self.mean = np.empty((0, dims, 2))
-        self.cov = np.empty((0, dims, 2, 2))
-        self.signs = np.empty((0, dims, sign_window))
-        self.counts = np.empty((0, dims), dtype=np.intp)
-
-    def resize(self, keep: Sequence[int], born: np.ndarray) -> None:
-        """Keep rows ``keep`` in order, then append (B, D) newborn positions."""
-        count = len(born)
-        mean = np.zeros((count,) + self.mean.shape[1:])
-        mean[..., 0] = born
-        cov = np.zeros((count,) + self.cov.shape[1:])
-        cov[..., 0, 0] = self.p0[0]
-        cov[..., 1, 1] = self.p0[1]
-        keep = np.asarray(keep, dtype=np.intp)
-        self.mean = np.concatenate([self.mean[keep], mean])
-        self.cov = np.concatenate([self.cov[keep], cov])
-        self.signs = np.concatenate(
-            [self.signs[keep], np.zeros((count,) + self.signs.shape[1:])]
-        )
-        self.counts = np.concatenate(
-            [self.counts[keep], np.zeros((count,) + self.counts.shape[1:], dtype=np.intp)]
-        )
-
-
-def predict(bank: _FilterBank) -> None:
-    """Constant-velocity step of every filter: x = phi x, P = phi P phi^T + Q."""
-    bank.mean[..., 0] += bank.mean[..., 1]
-    a = bank.cov[..., 0, 0]
-    b = bank.cov[..., 0, 1]
-    c = bank.cov[..., 1, 1]
-    bc = b + c
-    bank.cov[..., 0, 0] = ((a + b) + bc) + bank.q[0]
-    bank.cov[..., 0, 1] = bc
-    bank.cov[..., 1, 0] = bc
-    bank.cov[..., 1, 1] = c + bank.q[1]
-
-
-def update_adaptive(
-    bank: _FilterBank, rows: np.ndarray, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mitigated adaptive update of the filters ``rows`` with (M, D) ``z``.
-
-    NaN entries of ``z`` are unobserved dimensions and drop out.
-    Returns the alpha and gamma applied to each row.
-    """
-    r = bank.r
-    observed = ~np.isnan(z)
-    mean = bank.mean[rows]
-    cov = bank.cov[rows]
-    y = np.where(observed, z - mean[..., 0], 0.0)
-
-    # the sign window includes the current innovation
-    signs = bank.signs[rows]
-    counts = bank.counts[rows]
-    m, d = np.nonzero(observed)
-    signs[m, d, counts[m, d] % bank.window] = np.sign(y[m, d])
-    counts += observed
-    bank.signs[rows] = signs
-    bank.counts[rows] = counts
-    balance = np.abs(signs.sum(axis=-1)) / np.minimum(np.maximum(counts, 1), bank.window)
-    n_observed = observed.sum(axis=1)
-    gamma = np.where(observed, balance, 0.0).sum(axis=1) / n_observed
-
-    t_expected = np.where(observed, cov[..., 0, 0] + r, 0.0).sum(axis=1)
-    t_observed = (y * y).sum(axis=1)
-    t_noise = np.where(observed, r, 0.0).sum(axis=1)
-    denom = t_observed - t_noise
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(
-            denom > 0.0, (t_expected - t_noise) / denom, t_expected / t_observed
-        )
-        raw = np.where(
-            (t_observed <= 0.0) | (t_observed < t_expected),
-            1.0,
-            np.clip(ratio, _MIN_ALPHA, 1.0),
-        )
-    alpha = np.clip(1.0 - gamma * (1.0 - raw), _MIN_ALPHA, 1.0)
-
-    # Joseph form per block with A = [[1 - kp, 0], [-kv, 1]]; an
-    # unobserved block has zero gain and keeps its inflated prior
-    prior = cov / alpha[:, None, None, None]
-    a = prior[..., 0, 0]
-    b = prior[..., 0, 1]
-    c = prior[..., 1, 1]
-    s = a + r
-    kp = np.where(observed, a / s, 0.0)
-    kv = np.where(observed, b / s, 0.0)
-    mean[..., 0] += kp * y
-    mean[..., 1] += kv * y
-    one_kp = 1.0 - kp
-    t0 = one_kp * a
-    t1 = one_kp * b
-    t2 = -kv * a + b
-    t3 = -kv * b + c
-    rp = kp * r
-    rv = kv * r
-    off = 0.5 * ((t0 * -kv + t1 + rp * kv) + (t2 * one_kp + rv * kp))
-    cov[..., 0, 0] = t0 * one_kp + rp * kp
-    cov[..., 0, 1] = off
-    cov[..., 1, 0] = off
-    cov[..., 1, 1] = (t2 * -kv + t3) + rv * kv
-    bank.mean[rows] = mean
-    bank.cov[rows] = cov
-    return alpha, gamma
-
-
 @dataclass
 class Tracklet:
     """Lifecycle of one tracked skeleton instance; its filter lives in the tracker."""
@@ -395,10 +272,13 @@ class KeySortTracker:
 
     def __init__(self, spec: SkeletonSpec, r_star, config: TrackerConfig = TrackerConfig()):
         self.config = config
-        self.model = TrackerModel(spec, r_star, config)
-        self.spec = self.model.spec
+        self.model = model = TrackerModel(spec, r_star, config)
+        self.spec = model.spec
         self.tracklets: list[Tracklet] = []
-        self._filters = _FilterBank(self.model, config.sign_window)
+        self._filters = FilterBank(
+            model.r_row, (model.q_pos, model.q_vel), (model.p0_pos, model.p0_vel),
+            config.sign_window,
+        )
         self._next_id = 1
         self._last_frame: Optional[int] = None
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .assignment import hungarian
 from .maps import CandidateKeypoint, quadratic_sample
-from .keysort import TrackOutput
+from .keysort import TrackOutput, psi
 from .skeleton import Pose, SkeletonSpec, skeleton_scale
 
 log = logging.getLogger(__name__)
@@ -114,21 +114,6 @@ class PairingResult:
     unpaired_pred: list[int]
 
 
-def _mean_shared_distance(gt: Pose, pred: Pose) -> float:
-    total = 0.0
-    count = 0
-    for category in gt.coords:
-        gt_xy = gt.get(category)
-        pred_xy = pred.get(category)
-        if gt_xy is None or pred_xy is None:
-            continue
-        total += math.hypot(gt_xy[0] - pred_xy[0], gt_xy[1] - pred_xy[1])
-        count += 1
-    if count == 0:
-        return math.inf
-    return total / count
-
-
 def pair_skeletons(
     gt_poses: Sequence[Pose],
     pred_poses: Sequence[Pose],
@@ -150,7 +135,9 @@ def pair_skeletons(
     cost = np.empty((len(gt_poses), len(pred_poses)))
     for i, gt in enumerate(gt_poses):
         for j, pred in enumerate(pred_poses):
-            distance = _mean_shared_distance(gt, pred)
+            distance = psi(gt, pred)
+            if distance is None:
+                distance = math.inf
             cost[i, j] = distance * coord_scale if math.isfinite(distance) else math.inf
     pairs = hungarian(cost, gate=max_distance)
     paired_gt = {i for i, _ in pairs}

@@ -14,13 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .kalman import (
-    FilterModel,
-    initial_state,
-    predict,
-    update_adaptive,
-    update_standard,
-)
+from .kalman import FilterBank, predict, update_adaptive
 from .maps import CandidateKeypoint, EncoderParams, MapStack, encode
 from .skeleton import Pair, Pose, SkeletonSpec, XY, is_valid_pose, require_valid_spec
 
@@ -375,7 +369,9 @@ class KfDemoResult:
         return float(np.sqrt(np.mean(diff * diff)))
 
 
-KF_DEMO_MODES = ("standard", "adaptive", "adaptive-unmitigated")
+# the mitigation factor each mode forces; None computes it from the signs
+_KF_DEMO_GAMMA = {"standard": 0.0, "adaptive": None, "adaptive-unmitigated": 1.0}
+KF_DEMO_MODES = tuple(_KF_DEMO_GAMMA)
 
 
 def regime_switch_demo(
@@ -392,13 +388,28 @@ def regime_switch_demo(
 
     The filter always assumes the pre-switch process noise, so after the
     switch its noise model is underestimated by ``q_jump``.  ``mode``
-    selects the update rule: plain Kalman, mitigated adaptive, or
-    unmitigated adaptive (mitigation factor forced to 1).
+    selects the update rule: plain Kalman (mitigation factor forced to 0),
+    mitigated adaptive, or unmitigated adaptive (forced to 1).  Raises
+    ``ValueError`` naming the parameter unless ``steps >= 2``,
+    ``1 <= switch_at <= steps - 1``, ``q_var`` and ``r_var`` are positive,
+    ``q_jump`` is non-negative (all finite) and ``sign_window >= 1``.
     """
     if mode not in KF_DEMO_MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if steps < 2:
+        raise ValueError(f"steps must be at least 2, got {steps}")
     if switch_at is None:
         switch_at = steps // 2
+    if not 1 <= switch_at <= steps - 1:
+        raise ValueError(
+            f"switch_at must be between 1 and steps - 1 = {steps - 1}, got {switch_at}"
+        )
+    for name, value in (("q_var", q_var), ("r_var", r_var)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not 0.0 <= q_jump < math.inf:
+        raise ValueError(f"q_jump must be non-negative and finite, got {q_jump}")
+    bank = FilterBank([r_var], (q_var, q_var), (10.0 * r_var, 10.0 * r_var), sign_window)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
 
     truth = np.zeros((steps, 2))
@@ -409,41 +420,22 @@ def regime_switch_demo(
         truth[t, 1] = truth[t - 1, 1] + w[1]
     z = truth[:, 0] + rng.normal(0.0, math.sqrt(r_var), size=steps)
 
-    model = FilterModel(
-        phi=np.array([[1.0, 1.0], [0.0, 1.0]]),
-        H=np.array([[1.0, 0.0]]),
-        Q=np.diag([q_var, q_var]),
-        R=np.array([[r_var]]),
-    )
-    state = initial_state(
-        model,
-        x0=np.array([z[0], 0.0]),
-        P0=np.diag([10.0 * r_var, 10.0 * r_var]),
-        sign_window=sign_window,
-    )
-    mask = np.array([True])
-
+    bank.resize([], z[:1, None])
+    rows = np.zeros(1, dtype=np.intp)
+    forced = _KF_DEMO_GAMMA[mode]
     prior_pos = np.zeros(steps)
     posterior_pos = np.zeros(steps)
     alpha = np.full(steps, np.nan)
     gamma = np.full(steps, np.nan)
-    prior_pos[0] = state.x[0]
-    posterior_pos[0] = state.x[0]
+    prior_pos[0] = posterior_pos[0] = z[0]
     for t in range(1, steps):
-        predict(model, state)
-        prior_pos[t] = state.x[0]
-        obs = np.array([z[t]])
-        if mode == "standard":
-            update_standard(model, state, obs, mask)
-        elif mode == "adaptive":
-            update_adaptive(model, state, obs, mask)
-        else:
-            update_adaptive(model, state, obs, mask, gamma_override=1.0)
-        posterior_pos[t] = state.x[0]
-        if state.last_alpha is not None:
-            alpha[t] = state.last_alpha
-        if state.last_gamma is not None:
-            gamma[t] = state.last_gamma
+        predict(bank)
+        prior_pos[t] = bank.mean[0, 0, 0]
+        step_alpha, step_gamma = update_adaptive(bank, rows, z[t : t + 1, None], forced)
+        posterior_pos[t] = bank.mean[0, 0, 0]
+        if mode != "standard":
+            alpha[t] = step_alpha[0]
+            gamma[t] = step_gamma[0]
 
     return KfDemoResult(
         mode=mode,

@@ -22,14 +22,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from keytrack.assignment import hungarian
-from keytrack.kalman import (
+from keytrack.skeleton import Pose, SkeletonSpec, XY, is_valid_pose, require_valid_spec
+from kalman_oracle import (
     FilterModel,
     FilterState,
     initial_state,
     predict,
     update_adaptive,
 )
-from keytrack.skeleton import Pose, SkeletonSpec, XY, is_valid_pose, require_valid_spec
 
 
 @dataclass(frozen=True)

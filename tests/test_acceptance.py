@@ -16,7 +16,6 @@ import pytest
 
 from keytrack.assembly import assemble, association_penalty
 from keytrack.assignment import greedy_assign, hungarian
-from keytrack.kalman import FilterModel, initial_state, predict, update_standard
 from keytrack.keysort import KeySortTracker, TrackerConfig
 from keytrack.maps import EncoderParams, decode_candidates, encode, pose_sigmas
 from keytrack.metrics import (
@@ -34,6 +33,7 @@ from keytrack.simulate import (
     regime_switch_demo,
 )
 from keytrack.skeleton import Pose
+from kalman_oracle import FilterModel, initial_state, predict, update_standard
 
 
 def _verdict(label: str, ok: bool, detail: str) -> None:

@@ -302,6 +302,25 @@ class TestKfDemoCommand:
         result = runner.invoke(cli, ["kf-demo", "--mode", "bogus"])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (["--steps", "0"], "steps"),
+            (["--steps", "1"], "steps"),
+            (["--switch-at", "900"], "switch_at"),
+            (["--switch-at", "-3"], "switch_at"),
+            (["--q-var", "0"], "q_var"),
+            (["--r-var", "-1"], "r_var"),
+            (["--q-jump", "-1"], "q_jump"),
+        ],
+    )
+    def test_bad_parameter_exits_two(self, monkeypatch, capsys, args, name):
+        monkeypatch.setattr(sys, "argv", ["keytrack", "kf-demo", *args])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_module.main()
+        assert exit_info.value.code == 2
+        assert f"error: {name} must be" in capsys.readouterr().err
+
 
 class TestConsoleScript:
     """Exit-code contract of ``python -m keytrack.cli`` run from the source tree."""

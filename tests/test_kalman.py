@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keytrack.kalman import (
+from keytrack import kalman
+from kalman_oracle import (
     FilterModel,
     FilterState,
     adaptive_alpha,
@@ -299,3 +300,157 @@ class TestAdaptiveUpdate:
         assert state.last_alpha is not None
         update_standard(model, state, [1.0], [True])
         assert state.last_alpha is None
+
+
+def cv_bank(sign_window=8):
+    """Constant-velocity bank of one row and one dimension: r = 1, no
+    process noise, unit initial variances, born at 0."""
+    bank = kalman.FilterBank([1.0], (0.0, 0.0), (1.0, 1.0), sign_window)
+    bank.resize([], np.zeros((1, 1)))
+    return bank
+
+
+def bank_update(bank, z, gamma=None):
+    """Update the bank's one row with observation ``z``; returns (alpha, gamma)."""
+    rows = np.zeros(1, dtype=np.intp)
+    alpha, applied = kalman.update_adaptive(bank, rows, np.array([[z]]), gamma)
+    return float(alpha[0]), float(applied[0])
+
+
+class TestFilterBank:
+    """The production per-axis filter on hand-computed cases."""
+
+    def test_rejects_empty_sign_window(self):
+        with pytest.raises(ValueError, match="sign_window"):
+            kalman.FilterBank([1.0], (0.1, 0.1), (1.0, 1.0), 0)
+
+    def test_first_update_hand_computed(self):
+        # fresh history: gamma 1 (only the current sign), raw alpha
+        # (2 - 1) / (4 - 1); the inflated prior is diag(3, 3) and the gain
+        # [3/4, 0], so the unobserved velocity keeps its inflated variance
+        bank = cv_bank()
+        alpha, gamma = bank_update(bank, 2.0)
+        assert gamma == pytest.approx(1.0)
+        assert alpha == pytest.approx(1.0 / 3.0)
+        np.testing.assert_allclose(bank.mean[0, 0], [1.5, 0.0])
+        np.testing.assert_allclose(bank.cov[0, 0], [[0.75, 0.0], [0.0, 3.0]])
+
+    def test_sign_window_includes_current_innovation(self):
+        bank = cv_bank()
+        bank_update(bank, 2.0)
+        # second innovation is negative: window [+1, -1] -> gamma 0 -> alpha 1
+        alpha, gamma = bank_update(bank, -10.0)
+        assert gamma == pytest.approx(0.0)
+        assert alpha == pytest.approx(1.0)
+
+    def test_sign_window_truncates(self):
+        # each observation lies beyond all earlier ones, so the innovation
+        # signs are + - + + +; a window of 3 sees only the last three
+        observations = (1.0, -10.0, 100.0, 1e3, 1e4)
+        short, long = cv_bank(sign_window=3), cv_bank(sign_window=8)
+        for z in observations:
+            _, short_gamma = bank_update(short, z)
+            _, long_gamma = bank_update(long, z)
+        assert short.signs.shape[-1] == 3
+        assert short.counts[0, 0] == len(observations)
+        assert short_gamma == 1.0
+        assert long_gamma == pytest.approx(3.0 / 5.0)
+
+    def test_gamma_zero_gives_alpha_exactly_one(self):
+        bank = kalman.FilterBank([1.0, 2.0], (0.1, 0.2), (1.0, 1.0), 8)
+        bank.resize([], np.zeros((2, 2)))
+        rng = np.random.default_rng(3)
+        for _ in range(25):
+            kalman.predict(bank)
+            z = rng.normal(5.0, 20.0, size=(2, 2))
+            alpha, gamma = kalman.update_adaptive(bank, np.array([1, 0]), z, gamma=0.0)
+            assert (alpha == 1.0).all()
+            assert (gamma == 0.0).all()
+
+    def test_forced_gamma_one(self):
+        mitigated, unmitigated = cv_bank(), cv_bank()
+        for z in (1.0, -1.2, 1.1, -0.9, 8.0):
+            mitigated_alpha, _ = bank_update(mitigated, z)
+            unmitigated_alpha, gamma = bank_update(unmitigated, z, gamma=1.0)
+            assert gamma == 1.0
+        # alternating signs suppress the mitigated filter's adaptation
+        assert unmitigated_alpha < mitigated_alpha
+
+
+def _assert_close(actual, expected, what):
+    """Equal within 1e-9 relative to the largest entry of ``expected``."""
+    expected = np.asarray(expected, dtype=np.float64)
+    scale = float(np.abs(expected).max(initial=0.0))
+    np.testing.assert_allclose(actual, expected, rtol=1e-9, atol=1e-9 * scale, err_msg=what)
+
+
+_variance = st.floats(1e-2, 1e2)
+_coordinate = st.floats(-100.0, 100.0)
+
+
+def _matrix(data, rows, cols, elements, label):
+    """(rows, cols) float array drawn from ``data``."""
+    row = st.lists(elements, min_size=cols, max_size=cols)
+    drawn = data.draw(st.lists(row, min_size=rows, max_size=rows), label=label)
+    return np.array(drawn, dtype=float)
+
+
+class TestFilterBankOracleParity:
+    """The per-axis bank against the dense oracle on the block-diagonal model."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_matches_dense_oracle(self, data):
+        rows = data.draw(st.integers(1, 4), label="rows")
+        dims = data.draw(st.integers(1, 6), label="dims")
+        q = (data.draw(_variance, label="q_pos"), data.draw(_variance, label="q_vel"))
+        p0 = (data.draw(_variance, label="p0_pos"), data.draw(_variance, label="p0_vel"))
+        r = _matrix(data, 1, dims, _variance, "r")[0]
+        window = data.draw(st.integers(1, 4), label="sign_window")
+        gamma = data.draw(st.sampled_from([None, 0.0, 1.0]), label="gamma")
+        born = _matrix(data, rows, dims, _coordinate, "born")
+
+        bank = kalman.FilterBank(r, q, p0, window)
+        bank.resize([], born)
+        eye, zero = np.eye(dims), np.zeros((dims, dims))
+        model = FilterModel(
+            phi=np.block([[eye, eye], [zero, eye]]),
+            H=np.hstack([eye, zero]),
+            Q=np.diag(np.repeat(q, dims)),
+            R=np.diag(r),
+        )
+        P0 = np.diag(np.repeat(p0, dims))
+        dense = [
+            initial_state(model, np.concatenate([row, np.zeros(dims)]), P0, window)
+            for row in born
+        ]
+
+        for _ in range(data.draw(st.integers(1, 12), label="steps")):
+            kalman.predict(bank)
+            for state in dense:
+                predict(model, state)
+            updated = data.draw(
+                st.lists(st.integers(0, rows - 1), unique=True, max_size=rows), label="updated"
+            )
+            if updated:
+                masks = np.array(data.draw(st.lists(
+                    st.lists(st.booleans(), min_size=dims, max_size=dims).filter(any),
+                    min_size=len(updated), max_size=len(updated),
+                ), label="masks"))
+                z = _matrix(data, len(updated), dims, _coordinate, "z")
+                z[~masks] = np.nan
+                alpha, applied = kalman.update_adaptive(
+                    bank, np.array(updated, dtype=np.intp), z, gamma
+                )
+                for m, row in enumerate(updated):
+                    state = dense[row]
+                    update_adaptive(model, state, z[m, masks[m]], masks[m], gamma_override=gamma)
+                    _assert_close(alpha[m], state.last_alpha, "alpha")
+                    _assert_close(applied[m], state.last_gamma, "gamma")
+            for row, state in enumerate(dense):
+                _assert_close(bank.mean[row, :, 0], state.x[:dims], "position")
+                _assert_close(bank.mean[row, :, 1], state.x[dims:], "velocity")
+                blocks = np.zeros((2 * dims, 2 * dims))
+                for d in range(dims):
+                    blocks[np.ix_([d, dims + d], [d, dims + d])] = bank.cov[row, d]
+                _assert_close(blocks, state.P, "covariance")

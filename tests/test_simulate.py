@@ -20,6 +20,7 @@ from keytrack.skeleton import (
     is_valid_pose,
     require_valid_spec,
 )
+from kalman_oracle import FilterModel, initial_state, predict, update_adaptive, update_standard
 
 
 def pose_array(pose):
@@ -309,7 +310,84 @@ class TestParallelScene:
             assert (cand.x, cand.y) != back_truth
 
 
+def dense_demo(result, mode, q_var=1e-3, r_var=1.0, sign_window=8):
+    """The demo's filter loop on the dense oracle, fed the demo's observations.
+
+    Returns prior and posterior positions, alpha and gamma per step.
+    """
+    model = FilterModel(
+        phi=[[1.0, 1.0], [0.0, 1.0]],
+        H=[[1.0, 0.0]],
+        Q=np.diag([q_var, q_var]),
+        R=[[r_var]],
+    )
+    state = initial_state(
+        model, [result.z[0], 0.0], np.diag([10.0 * r_var, 10.0 * r_var]), sign_window
+    )
+    steps = len(result.z)
+    prior = np.full(steps, result.z[0])
+    posterior = prior.copy()
+    alpha = np.full(steps, np.nan)
+    gamma = np.full(steps, np.nan)
+    for t in range(1, steps):
+        predict(model, state)
+        prior[t] = state.x[0]
+        if mode == "standard":
+            update_standard(model, state, [result.z[t]], [True])
+        else:
+            forced = 1.0 if mode == "adaptive-unmitigated" else None
+            update_adaptive(model, state, [result.z[t]], [True], gamma_override=forced)
+        posterior[t] = state.x[0]
+        if state.last_alpha is not None:
+            alpha[t] = state.last_alpha
+        if state.last_gamma is not None:
+            gamma[t] = state.last_gamma
+    return prior, posterior, alpha, gamma
+
+
 class TestRegimeSwitchDemo:
+    @pytest.mark.parametrize("mode", KF_DEMO_MODES)
+    def test_matches_dense_oracle(self, mode):
+        for seed in range(1, 21):
+            result = regime_switch_demo(mode=mode, steps=200, seed=seed)
+            expected = dense_demo(result, mode)
+            actual = (result.prior_pos, result.posterior_pos, result.alpha, result.gamma)
+            for name, got, want in zip(("prior", "posterior", "alpha", "gamma"), actual, expected):
+                what = f"{mode} seed {seed} {name}"
+                np.testing.assert_array_equal(np.isnan(got), np.isnan(want), err_msg=what)
+                finite = ~np.isnan(want)
+                scale = float(np.abs(want[finite]).max(initial=0.0))
+                np.testing.assert_allclose(
+                    got[finite], want[finite], rtol=1e-9, atol=1e-9 * scale, err_msg=what
+                )
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(steps=0), "steps"),
+            (dict(steps=1), "steps"),
+            (dict(steps=10, switch_at=0), "switch_at"),
+            (dict(steps=10, switch_at=10), "switch_at"),
+            (dict(switch_at=-3), "switch_at"),
+            (dict(switch_at=900), "switch_at"),
+            (dict(q_var=0.0), "q_var"),
+            (dict(q_var=math.nan), "q_var"),
+            (dict(r_var=-1.0), "r_var"),
+            (dict(r_var=math.inf), "r_var"),
+            (dict(q_jump=-1.0), "q_jump"),
+            (dict(sign_window=0), "sign_window"),
+        ],
+    )
+    def test_rejects_bad_parameters(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            regime_switch_demo(**kwargs)
+
+    def test_accepts_boundary_parameters(self):
+        result = regime_switch_demo(steps=2, q_jump=0.0)
+        assert result.switch_at == 1
+        assert math.isfinite(result.rmse(0, 1)) and math.isfinite(result.rmse(1, 2))
+        assert regime_switch_demo(steps=10, switch_at=9, sign_window=1).switch_at == 9
+
     def test_modes(self):
         assert set(KF_DEMO_MODES) == {"standard", "adaptive", "adaptive-unmitigated"}
         with pytest.raises(ValueError, match="unknown mode"):
