@@ -100,14 +100,19 @@ def encode(detections_path: str, out_dir: str, skeleton_path: Optional[str], the
 
 
 def _map_files(maps_dir: str) -> list[tuple[int, Path]]:
-    found = []
+    found: dict[int, Path] = {}
     for entry in sorted(Path(maps_dir).iterdir()):
         match = MAP_FILE_RE.search(entry.name)
         if match:
-            found.append((int(match.group(1)), entry))
+            frame_index = int(match.group(1))
+            if frame_index in found:
+                raise ValueError(
+                    f"two map files for frame {frame_index}: {found[frame_index]} and {entry}"
+                )
+            found[frame_index] = entry
     if not found:
         raise ValueError(f"no frame_*.ktm or frame_*.ktmt files in {maps_dir}")
-    return found
+    return sorted(found.items())
 
 
 @cli.command("decode-assemble")
@@ -126,6 +131,11 @@ def decode_assemble(maps_dir: str, out_path: str, skeleton_path: Optional[str], 
         stack = maps.load_maps(str(path))
         if header is None:
             header = io.StreamHeader(skeleton=spec.name, width=stack.width, height=stack.height)
+        elif (stack.width, stack.height) != (header.width, header.height):
+            raise ValueError(
+                f"{path}: {stack.width}x{stack.height} maps, but earlier frames are "
+                f"{header.width}x{header.height}"
+            )
         candidates = maps.decode_candidates(stack.prob, threshold, nms_radius)
         skeletons = assembly.assemble(candidates, stack, spec, gate_fraction=gate_fraction)
         frames[frame_index] = [

@@ -248,8 +248,10 @@ def _parabola_offset(left: float, centre: float, right: float) -> float:
 
 def _runs(flags: np.ndarray) -> list[tuple[int, int]]:
     """Half-open ``(start, stop)`` of each run of True in a 1-D mask."""
-    edges = np.flatnonzero(np.diff(flags.astype(np.int8), prepend=0, append=0))
-    return [(int(a), int(b)) for a, b in zip(edges[::2], edges[1::2])]
+    padded = np.zeros(flags.size + 2, dtype=bool)
+    padded[1:-1] = flags
+    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+    return list(zip(edges[::2], edges[1::2]))
 
 
 def _hot_boxes(hot: np.ndarray) -> Iterator[tuple[int, int, int, int]]:
@@ -459,12 +461,16 @@ def map_loss(
 
 
 # ---------------------------------------------------------------------------
-# serialization: flat binary container and a text debugging format
+# serialization: a binary container of nonzero boxes and a text debugging format
 
 
 _BINARY_MAGIC = b"KTMB"
 _TEXT_MAGIC = "KTMT"
-_FORMAT_VERSION = 1
+_BINARY_VERSION = 2  # version 1, which stores every cell, still loads
+_TEXT_VERSION = 1
+# a version 2 file need not hold the grid it declares, so the loader bounds
+# it: 2**28 cells (1 GiB of float32) hold 30 channels of a 3840x2160 frame
+_MAX_BOX_BLOCK_CELLS = 1 << 28
 
 
 def save_maps(maps: MapStack, path: str, text: bool = False) -> None:
@@ -485,17 +491,28 @@ def load_maps(path: str) -> MapStack:
 
 
 def _save_binary(maps: MapStack, path: str) -> None:
+    """Header and channel names, then per channel a box count, the
+    ``(r0, r1, c0, c1)`` boxes as ``<u4`` and each box's cells as ``<f4``.
+
+    The boxes are the ``_hot_boxes`` of the cells whose bits are not all
+    zero, so -0.0, NaN and subnormals round-trip exactly and every cell
+    outside the boxes is +0.0.
+    """
     channels = list(maps.channel_items())
     with open(path, "wb") as handle:
         handle.write(_BINARY_MAGIC)
-        handle.write(struct.pack("<III", _FORMAT_VERSION, maps.width, maps.height))
-        handle.write(struct.pack("<I", len(channels)))
+        handle.write(struct.pack("<IIII", _BINARY_VERSION, maps.width, maps.height, len(channels)))
         for name, _ in channels:
             encoded = name.encode("utf-8")
             handle.write(struct.pack("<H", len(encoded)))
             handle.write(encoded)
         for _, grid in channels:
-            handle.write(np.ascontiguousarray(grid, dtype="<f4"))
+            cells = np.ascontiguousarray(grid, dtype="<f4")
+            boxes = list(_hot_boxes(cells.view("<u4") != 0))
+            handle.write(struct.pack("<I", len(boxes)))
+            handle.write(np.array(boxes, dtype="<u4").tobytes())
+            for r0, r1, c0, c1 in boxes:
+                handle.write(cells[r0:r1, c0:c1].tobytes())
 
 
 def _read_exact(handle: BinaryIO, size: int, path: str, what: str) -> bytes:
@@ -513,7 +530,7 @@ def _load_binary(path: str) -> MapStack:
         version, width, height, count = struct.unpack(
             "<IIII", _read_exact(handle, 16, path, "header")
         )
-        if version != _FORMAT_VERSION:
+        if version not in (1, _BINARY_VERSION):
             raise ValueError(f"{path}: unsupported version {version}")
         names = []
         for _ in range(count):
@@ -522,20 +539,78 @@ def _load_binary(path: str) -> MapStack:
                 names.append(_read_exact(handle, length, path, "channel name").decode("utf-8"))
             except UnicodeDecodeError:
                 raise ValueError(f"{path}: channel name is not UTF-8") from None
-        # checked before allocating, so a bad header cannot ask for more
-        # memory than the file holds
-        remaining = os.fstat(handle.fileno()).st_size - handle.tell()
-        if remaining < 4 * count * width * height:
-            raise ValueError(f"{path}: truncated channel data")
-        block = np.empty((count, height, width), dtype="<f4")
-        if handle.readinto(block) != block.nbytes:
-            raise ValueError(f"{path}: truncated channel data")
-    return _assemble_stack(names, block.astype(np.float32, copy=False), path)
+        if version == 1:
+            block = _read_dense_channels(handle, (count, height, width), path)
+        else:
+            block = _read_box_channels(handle.read(), (count, height, width), path)
+    # a version 2 block may be far larger than the file: never copy it
+    return _assemble_stack(names, block, path, gather=version == 1)
+
+
+def _read_dense_channels(handle: BinaryIO, shape: tuple[int, int, int], path: str) -> np.ndarray:
+    """Version 1 channel data: every cell of every channel as ``<f4``."""
+    # checked before allocating, so a bad header cannot ask for more
+    # memory than the file holds
+    remaining = os.fstat(handle.fileno()).st_size - handle.tell()
+    if remaining < 4 * math.prod(shape):
+        raise ValueError(f"{path}: truncated channel data")
+    block = np.empty(shape, dtype="<f4")
+    if handle.readinto(block) != block.nbytes:
+        raise ValueError(f"{path}: truncated channel data")
+    return block.astype(np.float32, copy=False)
+
+
+def _read_box_channels(data: bytes, shape: tuple[int, int, int], path: str) -> np.ndarray:
+    """Version 2 channel data, as ``_save_binary`` writes it, into one
+    zeroed block.  Every count is checked against the bytes left before
+    it is read, and the boxes must be non-empty, inside the grid and
+    disjoint in the order ``_hot_boxes`` yields them: each continues the
+    previous box's rows to its right or starts below them."""
+    count, height, width = shape
+    if len(data) < 4 * count:  # each channel stores at least its box count
+        raise ValueError(f"{path}: truncated channel data")
+    if count * height * width > _MAX_BOX_BLOCK_CELLS:
+        raise ValueError(
+            f"{path}: {count} channels of {width}x{height} exceed "
+            f"{_MAX_BOX_BLOCK_CELLS} cells"
+        )
+    try:
+        block = np.zeros(shape, dtype=np.float32)
+    except MemoryError:
+        raise ValueError(f"{path}: cannot allocate {count} channels of {width}x{height}") from None
+    pos = 0
+    for channel in block:
+        if len(data) - pos < 4:
+            raise ValueError(f"{path}: truncated box count")
+        (boxes,) = struct.unpack_from("<I", data, pos)
+        pos += 4
+        if len(data) - pos < 16 * boxes:
+            raise ValueError(f"{path}: truncated boxes")
+        r0, r1, c0, c1 = (
+            np.frombuffer(data, "<u4", 4 * boxes, pos).reshape(boxes, 4).T.astype(np.int64)
+        )
+        pos += 16 * boxes
+        if not ((r0 < r1) & (r1 <= height) & (c0 < c1) & (c1 <= width)).all():
+            raise ValueError(f"{path}: box empty or outside the {width}x{height} grid")
+        same_rows = (r0[1:] == r0[:-1]) & (r1[1:] == r1[:-1]) & (c0[1:] >= c1[:-1])
+        if not (same_rows | (r0[1:] >= r1[:-1])).all():
+            raise ValueError(f"{path}: boxes overlap or are out of order")
+        # in bounds, disjoint and inside an allocated block: no overflow
+        areas = (r1 - r0) * (c1 - c0)
+        if len(data) - pos < 4 * int(areas.sum()):
+            raise ValueError(f"{path}: truncated box data")
+        for top, bottom, left, right, area in zip(
+            r0.tolist(), r1.tolist(), c0.tolist(), c1.tolist(), areas.tolist()
+        ):
+            cells = np.frombuffer(data, "<f4", area, pos)
+            channel[top:bottom, left:right] = cells.reshape(bottom - top, right - left)
+            pos += 4 * area
+    return block
 
 
 def _save_text(maps: MapStack, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"{_TEXT_MAGIC} {_FORMAT_VERSION}\n")
+        handle.write(f"{_TEXT_MAGIC} {_TEXT_VERSION}\n")
         channels = list(maps.channel_items())
         handle.write(f"{maps.width} {maps.height} {len(channels)}\n")
         for name, grid in channels:
@@ -554,7 +629,7 @@ def _load_text(path: str) -> MapStack:
         header = line().split()
         if len(header) != 2 or header[0] != _TEXT_MAGIC:
             raise ValueError(f"{path}: bad text header")
-        if int(header[1]) != _FORMAT_VERSION:
+        if int(header[1]) != _TEXT_VERSION:
             raise ValueError(f"{path}: unsupported version {header[1]}")
         width, height, count = (int(tok) for tok in line().split())
         if min(width, height, count) < 0:
@@ -577,12 +652,15 @@ def _load_text(path: str) -> MapStack:
     return _assemble_stack(names, block, path)
 
 
-def _assemble_stack(names: list[str], block: np.ndarray, path: str) -> MapStack:
+def _assemble_stack(
+    names: list[str], block: np.ndarray, path: str, gather: bool = True
+) -> MapStack:
     """A stack whose channels are views of ``block`` (channel, row, col).
 
     A connection's four association channels stay one view when they are
     stored consecutively in ``ASSOC_CHANNELS`` order, as ``save_maps``
-    writes them; otherwise they are gathered into a new array.
+    writes them; otherwise they are gathered into a new array, or with
+    ``gather`` false the file is rejected.
     """
     count, height, width = block.shape
     stack = MapStack(width=width, height=height)
@@ -606,6 +684,10 @@ def _assemble_stack(names: list[str], block: np.ndarray, path: str) -> MapStack:
         indices = [parts[suffix] for suffix in ASSOC_CHANNELS]
         if indices == list(range(first, first + len(ASSOC_CHANNELS))):
             stack.assoc[pair] = block[first : first + len(ASSOC_CHANNELS)]
-        else:
+        elif gather:
             stack.assoc[pair] = block[indices]
+        else:
+            raise ValueError(
+                f"{path}: association channels for {connection_name(pair)} out of order"
+            )
     return stack

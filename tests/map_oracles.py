@@ -3,11 +3,14 @@
 The package decodes and normalises only regions of interest.  These are
 the straightforward whole-map versions it must reproduce exactly: the
 dense decoder smooths and scans every cell, and the dense association
-encoder divides every cell by its weight sum.
+encoder divides every cell by its weight sum.  The package writes only
+the boxes of nonzero cells to a ``.ktm`` file; the version 1 writer here
+stores every cell, and its files must still load.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Sequence
 
 import numpy as np
@@ -129,3 +132,19 @@ def dense_encode(
         prob=dense_encode_prob_maps(poses, spec, width, height, params),
         assoc=dense_encode_assoc_maps(poses, spec, width, height, params),
     )
+
+
+def save_maps_v1(maps: MapStack, path: str) -> None:
+    """The version 1 ``.ktm`` layout: magic, version, width, height and
+    channel count, the length-prefixed channel names, then every cell of
+    every channel as ``<f4``."""
+    channels = list(maps.channel_items())
+    with open(path, "wb") as handle:
+        handle.write(b"KTMB")
+        handle.write(struct.pack("<IIII", 1, maps.width, maps.height, len(channels)))
+        for name, _ in channels:
+            encoded = name.encode("utf-8")
+            handle.write(struct.pack("<H", len(encoded)))
+            handle.write(encoded)
+        for _, grid in channels:
+            handle.write(np.ascontiguousarray(grid, dtype="<f4"))

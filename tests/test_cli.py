@@ -17,6 +17,7 @@ from keytrack.io import (
     save_detections,
     save_scenario,
 )
+from keytrack.maps import encode as encode_maps, save_maps
 from keytrack.simulate import RegimeSegment, ScenarioConfig
 
 
@@ -164,6 +165,51 @@ class TestEncodeDecode:
                     ),
                 )
                 assert best < 0.75
+
+    @staticmethod
+    def exit_code_and_error(monkeypatch, capsys, *args):
+        monkeypatch.setattr(sys, "argv", ["keytrack", *args])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_module.main()
+        return exit_info.value.code, capsys.readouterr().err
+
+    def test_two_files_for_one_frame_exit_two(
+        self, runner, spec, truth_file, tmp_path, monkeypatch, capsys
+    ):
+        maps_dir = self.encode(runner, truth_file, tmp_path)
+        # frame 0 also as a text file; the names clash before either is read
+        text_file = maps_dir / "frame_000000.ktmt"
+        save_maps(encode_maps([], spec, 8, 6), str(text_file), text=True)
+        both = f"two map files for frame 0: {maps_dir / 'frame_000000.ktm'} and {text_file}"
+        out = str(tmp_path / "o.jsonl")
+        code, err = self.exit_code_and_error(
+            monkeypatch, capsys, "decode-assemble", "--maps-dir", str(maps_dir), "--out", out
+        )
+        assert code == 2 and both in err
+        single = tmp_path / "single"
+        single.mkdir()
+        for path in maps_dir.glob("*.ktm"):
+            (single / path.name).write_bytes(path.read_bytes())
+        for truth_maps, pred_maps in ((maps_dir, single), (single, maps_dir)):
+            code, err = self.exit_code_and_error(
+                monkeypatch, capsys, "evaluate", "--truth", str(truth_file), "--poses", str(truth_file),
+                "--truth-maps", str(truth_maps), "--pred-maps", str(pred_maps),
+            )
+            assert code == 2 and both in err
+
+    def test_frame_size_change_exits_two(self, spec, tmp_path, monkeypatch, capsys):
+        maps_dir = tmp_path / "maps"
+        maps_dir.mkdir()
+        save_maps(encode_maps([], spec, 320, 240), str(maps_dir / "frame_000000.ktm"))
+        save_maps(encode_maps([], spec, 640, 480), str(maps_dir / "frame_000001.ktm"))
+        out = str(tmp_path / "o.jsonl")
+        code, err = self.exit_code_and_error(
+            monkeypatch, capsys, "decode-assemble", "--maps-dir", str(maps_dir), "--out", out
+        )
+        assert code == 2
+        second = maps_dir / "frame_000001.ktm"
+        assert f"{second}: 640x480 maps, but earlier frames are 320x240" in err
+        assert not (tmp_path / "o.jsonl").exists()
 
     def test_decode_empty_dir_fails(self, runner, tmp_path):
         empty = tmp_path / "empty"

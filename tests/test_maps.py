@@ -14,6 +14,7 @@ from keytrack.maps import (
     CandidateKeypoint,
     EncoderParams,
     MapStack,
+    _hot_boxes,
     _parabola_offset,
     decode_candidates,
     encode,
@@ -43,7 +44,7 @@ from kernel_oracles import (
     _gaussian_max_loop,
     _local_max_mask_loop,
 )
-from map_oracles import dense_decode_candidates, dense_encode
+from map_oracles import dense_decode_candidates, dense_encode, save_maps_v1
 
 
 class TestKernelSigma:
@@ -382,21 +383,218 @@ class TestSerialization:
             load_maps(str(path))
 
     def test_binary_v1_byte_layout(self, tmp_path):
+        """A hand-packed version 1 file, which stores every cell, loads."""
         prob = np.array([[0.0, 0.5, 1.0], [0.25, -2.0, 3.5]], dtype=np.float32)
         assoc = np.arange(24, dtype=np.float32).reshape(4, 2, 3) - 7.5
-        stack = MapStack(width=3, height=2, prob={"k": prob}, assoc={("k", "j"): assoc})
-        path = tmp_path / "m.ktm"
-        save_maps(stack, str(path))
         names = ["prob:k", "assoc:k->j:dx_ab", "assoc:k->j:dy_ab", "assoc:k->j:dx_ba", "assoc:k->j:dy_ba"]
-        expected = b"KTMB" + struct.pack("<IIII", 1, 3, 2, len(names))
+        data = b"KTMB" + struct.pack("<IIII", 1, 3, 2, len(names))
         for name in names:
-            expected += struct.pack("<H", len(name)) + name.encode("utf-8")
+            data += struct.pack("<H", len(name)) + name.encode("utf-8")
         for channel in [prob, *assoc]:
-            expected += struct.pack("<6f", *channel.ravel().tolist())
-        assert path.read_bytes() == expected
+            data += struct.pack("<6f", *channel.ravel().tolist())
+        path = tmp_path / "m.ktm"
+        path.write_bytes(data)
         loaded = load_maps(str(path))
+        assert (loaded.width, loaded.height) == (3, 2)
         np.testing.assert_array_equal(loaded.prob["k"], prob)
         np.testing.assert_array_equal(loaded.assoc[("k", "j")], assoc)
+        # the oracle writer produces exactly this layout
+        save_maps_v1(loaded, str(path))
+        assert path.read_bytes() == data
+
+    def test_binary_v2_byte_layout(self, tmp_path):
+        path = tmp_path / "m.ktm"
+        save_maps(_sparse_stack(), str(path))
+        names = ["prob:k", "prob:z", *_CHANNEL_NAMES[1:5]]
+        expected = b"KTMB" + struct.pack("<IIII", 2, 6, 5, len(names))
+        for name in names:
+            expected += struct.pack("<H", len(name)) + name.encode("utf-8")
+        # prob:k: rows 0-1 hold cols 1 and 3-4, rows 3-4 hold col 0
+        expected += struct.pack("<I", 3)
+        expected += struct.pack("<12I", 0, 2, 1, 2, 0, 2, 3, 5, 3, 5, 0, 1)
+        expected += struct.pack("<2f", 1.0, -0.0)
+        expected += struct.pack("<4f", 2.0, 0.0, 0.0, 3.0)
+        expected += struct.pack("<2f", 4.0, 5.0)
+        expected += struct.pack("<I", 0)  # prob:z is all zero
+        # dx_ab: the bottom-right cell; dy_ab: one cell; dx_ba, dy_ba: empty
+        expected += struct.pack("<I", 1) + struct.pack("<4I", 4, 5, 5, 6) + struct.pack("<f", -7.5)
+        expected += struct.pack("<I", 1) + struct.pack("<4I", 2, 3, 0, 1) + struct.pack("<f", 1e-40)
+        expected += struct.pack("<II", 0, 0)
+        assert path.read_bytes() == expected
+
+    @staticmethod
+    def assert_bit_equal(loaded: MapStack, stack: MapStack) -> None:
+        assert (loaded.width, loaded.height) == (stack.width, stack.height)
+        assert list(loaded.prob) == list(stack.prob)
+        assert list(loaded.assoc) == list(stack.assoc)
+        for (name, got), (_, want) in zip(loaded.channel_items(), stack.channel_items()):
+            assert got.dtype == np.float32, name
+            assert got.tobytes() == np.asarray(want, dtype=np.float32).tobytes(), name
+
+    def test_binary_round_trip_bit_equal_on_scenes(self, spec, tmp_path):
+        stacks = [encode(poses, s, w, h) for s, poses, w, h in _parity_scenes(spec)]
+        for n_animals in (3, 12):
+            for seed in (1, 2, 3):
+                config = ScenarioConfig(
+                    n_animals=n_animals, seed=seed, regimes=(RegimeSegment("stationary", 1),)
+                )
+                poses = corrupt(generate(spec, config), spec, config)[0]
+                stacks.append(encode(poses, spec, config.width, config.height))
+        path = tmp_path / "m.ktm"
+        for stack in stacks:
+            save_maps(stack, str(path))
+            self.assert_bit_equal(load_maps(str(path)), stack)
+
+    def test_v1_files_load_to_the_same_stack(self, spec, tmp_path):
+        v1 = tmp_path / "v1.ktm"
+        v2 = tmp_path / "v2.ktm"
+        for scene_spec, poses, width, height in _parity_scenes(spec):
+            stack = encode(poses, scene_spec, width, height)
+            save_maps_v1(stack, str(v1))
+            save_maps(stack, str(v2))
+            assert v2.stat().st_size < v1.stat().st_size
+            self.assert_bit_equal(load_maps(str(v1)), stack)
+            self.assert_bit_equal(load_maps(str(v2)), load_maps(str(v1)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_binary_round_trip_keeps_special_values(self, tmp_path, dtype):
+        tiny = np.finfo(np.float32).smallest_subnormal
+        prob = np.zeros((7, 9), dtype=dtype)
+        prob[0, 0] = -0.0
+        prob[1, 4] = np.nan
+        prob[2, 8] = np.inf
+        prob[6, 0] = -np.inf
+        prob[6, 8] = tiny
+        prob[3, 3:6] = [-tiny, 1e-45, -1.5]
+        assoc = np.zeros((4, 7, 9), dtype=dtype)
+        assoc[1] = -0.0  # every cell set, all bits of value zero
+        assoc[3, 5, 2] = np.float32(3e-39)
+        stack = MapStack(
+            width=9, height=7, prob={"k": prob, "z": np.zeros((7, 9), dtype)}, assoc={("k", "j"): assoc}
+        )
+        path = tmp_path / "m.ktm"
+        save_maps(stack, str(path))
+        loaded = load_maps(str(path))
+        self.assert_bit_equal(loaded, stack)
+        assert np.signbit(loaded.prob["k"][0, 0]) and np.signbit(loaded.assoc[("k", "j")][1]).all()
+
+    @pytest.mark.parametrize("height, width", [(0, 3), (3, 0), (0, 0)])
+    def test_binary_round_trip_empty_grid(self, tmp_path, height, width):
+        stack = MapStack(
+            width=width,
+            height=height,
+            prob={"k": np.zeros((height, width), np.float32)},
+            assoc={("k", "j"): np.zeros((4, height, width), np.float32)},
+        )
+        path = tmp_path / "m.ktm"
+        save_maps(stack, str(path))
+        self.assert_bit_equal(load_maps(str(path)), stack)
+
+    @staticmethod
+    def v2_file(path, width, height, channels):
+        """Write a version 2 file of ``(name, boxes, cells)`` channels."""
+        data = b"KTMB" + struct.pack("<IIII", 2, width, height, len(channels))
+        for name, _, _ in channels:
+            data += struct.pack("<H", len(name)) + name.encode("utf-8")
+        for _, boxes, cells in channels:
+            data += struct.pack("<I", len(boxes)) + np.array(boxes, dtype="<u4").tobytes()
+            data += struct.pack(f"<{len(cells)}f", *cells)
+        path.write_bytes(data)
+        return path
+
+    @pytest.mark.parametrize(
+        "boxes, cells, message",
+        [
+            ([(0, 3, 0, 1)], [1.0] * 3, "outside the 3x2 grid"),
+            ([(0, 1, 0, 4)], [1.0] * 4, "outside the 3x2 grid"),
+            ([(1, 1, 0, 2)], [], "box empty"),
+            ([(0, 1, 2, 2)], [], "box empty"),
+            ([(0, 2, 0, 2), (1, 2, 1, 3)], [1.0] * 6, "overlap or are out of order"),
+            ([(0, 1, 0, 2), (0, 1, 1, 3)], [1.0] * 4, "overlap or are out of order"),
+            ([(1, 2, 0, 1), (0, 1, 0, 1)], [1.0] * 2, "overlap or are out of order"),
+            ([(0, 2, 2, 3), (0, 2, 0, 1)], [1.0] * 4, "overlap or are out of order"),
+            ([(0, 2, 0, 3)], [1.0] * 5, "truncated box data"),
+            ([(0, 1, 0, 1), (1, 2, 2, 3)], [1.0], "truncated box data"),
+        ],
+    )
+    def test_bad_v2_boxes_rejected(self, tmp_path, boxes, cells, message):
+        path = self.v2_file(tmp_path / "m.ktm", 3, 2, [("prob:k", boxes, cells)])
+        with pytest.raises(ValueError, match=message) as error:
+            load_maps(str(path))
+        assert str(path) in str(error.value)
+
+    def test_v2_accepts_disjoint_boxes_in_save_order(self, tmp_path):
+        # touching boxes are disjoint, and a band may continue to the right
+        boxes = [(0, 1, 0, 1), (0, 1, 1, 3), (1, 2, 0, 3)]
+        path = self.v2_file(tmp_path / "m.ktm", 3, 2, [("prob:k", boxes, [1, 2, 3, 4, 5, 6])])
+        np.testing.assert_array_equal(load_maps(str(path)).prob["k"], [[1, 2, 3], [4, 5, 6]])
+
+    @pytest.mark.parametrize(
+        "tail, message",
+        [
+            (struct.pack("<II", 2**32 - 1, 0), "truncated boxes"),  # absurd box count
+            (struct.pack("<4I", 1, 0, 1, 0), "truncated boxes"),
+            (struct.pack("<5If", 1, 0, 1, 0, 1, 1.0), "truncated box count"),
+            (struct.pack("<I", 0), "truncated channel data"),
+        ],
+    )
+    def test_v2_counts_checked_against_bytes_left(self, tmp_path, tail, message):
+        """Two channels' data replaced by ``tail``."""
+        path = self.v2_file(tmp_path / "m.ktm", 3, 2, [("prob:k", [], []), ("prob:z", [], [])])
+        path.write_bytes(path.read_bytes()[:-8] + tail)
+        with pytest.raises(ValueError, match=message) as error:
+            load_maps(str(path))
+        assert str(path) in str(error.value)
+
+    @pytest.mark.parametrize(
+        "width, height, count",
+        [(40000, 40000, 1), (4000, 4000, 30), (2**32 - 1, 2**32 - 1, 1), (1, 2**32 - 1, 5)],
+    )
+    def test_v2_huge_declared_grid_rejected_before_allocating(
+        self, tmp_path, monkeypatch, width, height, count
+    ):
+        """A file of a few dozen bytes may not declare a multi-GB grid."""
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated the declared block")
+
+        path = self.v2_file(tmp_path / "m.ktm", width, height, [("prob:k", [], [])] * count)
+        monkeypatch.setattr("keytrack.maps.np.zeros", no_allocation)
+        with pytest.raises(ValueError, match=f"{count} channels of {width}x{height} exceed") as error:
+            load_maps(str(path))
+        assert str(path) in str(error.value)
+
+    def test_v2_declared_grid_bound(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("keytrack.maps._MAX_BOX_BLOCK_CELLS", 12)
+        path = self.v2_file(tmp_path / "m.ktm", 3, 2, [("prob:k", [], []), ("prob:j", [], [])])
+        assert load_maps(str(path)).prob["k"].shape == (2, 3)
+        path = self.v2_file(tmp_path / "m.ktm", 13, 1, [("prob:k", [], [])])
+        with pytest.raises(ValueError, match="1 channels of 13x1 exceed 12 cells"):
+            load_maps(str(path))
+
+    def test_v2_unallocatable_block_rejected(self, tmp_path, monkeypatch):
+        path = self.v2_file(tmp_path / "m.ktm", 3, 2, [("prob:k", [], [])])
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("keytrack.maps.np.zeros", no_memory)
+        with pytest.raises(ValueError, match="cannot allocate") as error:
+            load_maps(str(path))
+        assert str(path) in str(error.value)
+
+    def test_v2_association_channels_out_of_order_rejected(self, tmp_path):
+        names = ["assoc:k->j:dy_ab", "assoc:k->j:dx_ab", "assoc:k->j:dx_ba", "assoc:k->j:dy_ba"]
+        path = self.v2_file(tmp_path / "m.ktm", 3, 2, [(name, [], []) for name in names])
+        with pytest.raises(ValueError, match="association channels for k->j out of order"):
+            load_maps(str(path))
+        # a version 1 file stores every cell, so its channels are gathered
+        data = b"KTMB" + struct.pack("<IIII", 1, 3, 2, len(names))
+        for name in names:
+            data += struct.pack("<H", len(name)) + name.encode("utf-8")
+        path.write_bytes(data + np.arange(24, dtype="<f4").tobytes())
+        grids = load_maps(str(path)).assoc[("k", "j")]
+        assert grids[:, 0, 0].tolist() == [6.0, 0.0, 12.0, 18.0]
 
     def test_binary_load_shares_one_block(self, spec, square_pose, tmp_path):
         stack = encode([square_pose], spec, 200, 160)
@@ -455,6 +653,22 @@ def _small_stack() -> MapStack:
     return MapStack(width=3, height=2, prob={"k": prob}, assoc={("k", "j"): assoc})
 
 
+def _sparse_stack() -> MapStack:
+    """A 6x5 stack whose nonzero cells form several boxes per channel."""
+    prob = np.zeros((5, 6), dtype=np.float32)
+    prob[0, 1] = 1.0
+    prob[1, 1] = -0.0
+    prob[0, 3] = 2.0
+    prob[1, 4] = 3.0
+    prob[3:5, 0] = [4.0, 5.0]
+    assoc = np.zeros((4, 5, 6), dtype=np.float32)
+    assoc[0, 4, 5] = -7.5
+    assoc[1, 2, 0] = 1e-40
+    return MapStack(
+        width=6, height=5, prob={"k": prob, "z": np.zeros((5, 6), np.float32)}, assoc={("k", "j"): assoc}
+    )
+
+
 _CHANNEL_NAMES = (
     "prob:k", "assoc:k->j:dx_ab", "assoc:k->j:dy_ab", "assoc:k->j:dx_ba", "assoc:k->j:dy_ba",
     "assoc:k->j:bogus", "assoc:kj:dx_ab", "assoc:->j:dx_ab", "prob", "other:k", "",
@@ -474,17 +688,51 @@ def _cut(draw, data: bytes) -> bytes:
     return data if cut is None else data[:cut]
 
 
+# box corners that fit small grids, overrun them, or are absurd
+_corner = st.one_of(st.integers(0, 5), st.sampled_from([2**31, 2**32 - 1]))
+
+
+@st.composite
+def _ktm_v2_channel(draw, width: int, height: int) -> bytes:
+    """One version 2 channel: the boxes of a random pattern in save order,
+    or those boxes repeated (overlapping), reversed (out of order) or
+    joined by an empty one, or random boxes; a right or absurd box count;
+    and box data of the right size, cut short or too long."""
+    rows, cols = min(height, 5), min(width, 5)
+    hot = draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+    boxes = list(_hot_boxes(np.array(hot, dtype=bool).reshape(rows, cols)))
+    boxes = draw(
+        st.sampled_from([boxes, boxes + boxes[-1:], boxes[::-1], boxes + [(rows, rows, 0, cols)]])
+        | st.lists(st.tuples(_corner, _corner, _corner, _corner), max_size=4)
+    )
+    count = draw(st.just(len(boxes)) | _size)
+    area = sum(max(r1 - r0, 0) * max(c1 - c0, 0) for r0, r1, c0, c1 in boxes)
+    cells = draw(st.just(min(area, 64)) | st.integers(0, 64))
+    return (
+        struct.pack("<I", count)
+        + np.array(boxes, dtype="<u4").tobytes()
+        + np.arange(cells, dtype="<f4").tobytes()
+    )
+
+
 @st.composite
 def _ktm_files(draw):
     width, height = draw(_size), draw(_size)
-    names = draw(st.lists(_channel_name, max_size=6))
+    # a valid channel set, so that channel data is reached, or any names
+    valid = [name.encode() for name in _CHANNEL_NAMES[:5]]
+    names = draw(st.sampled_from([valid, [b"prob:k"]]) | st.lists(_channel_name, max_size=6))
     count = draw(st.just(len(names)) | _size)  # wrong channel counts too
-    data = b"KTMB" + struct.pack("<IIII", draw(st.sampled_from([1, 2])), width, height, count)
+    version = draw(st.sampled_from([1, 2, 3]))
+    data = b"KTMB" + struct.pack("<IIII", version, width, height, count)
     for name in names:
         data += struct.pack("<H", len(name)) + name
-    cells = min(len(names) * width * height, 512)
-    data += np.arange(cells, dtype="<f4").tobytes() + draw(st.binary(max_size=8))
-    return _cut(draw, data)
+    if version == 2:
+        for _ in range(draw(st.just(min(count, 6)) | st.integers(0, 6))):
+            data += draw(_ktm_v2_channel(width, height))
+    else:
+        cells = min(len(names) * width * height, 512)
+        data += np.arange(cells, dtype="<f4").tobytes()
+    return _cut(draw, data + draw(st.binary(max_size=8)))
 
 
 _text_size = st.one_of(st.integers(-2, 4), st.integers(5, 10**15), st.sampled_from([10**9, 10**15]))
