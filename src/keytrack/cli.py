@@ -14,7 +14,7 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import click
 import numpy as np
@@ -34,19 +34,26 @@ def _load_spec(path: Optional[str]) -> SkeletonSpec:
     return io.load_skeleton(path)
 
 
+def _check_categories(
+    path: str, spec: SkeletonSpec, poses: Iterable[tuple[int, str, Pose]]
+) -> None:
+    """Reject a keypoint category the skeleton lacks, naming file, frame and pose."""
+    known = set(spec.categories)
+    for frame_index, label, pose in poses:
+        for category in pose.coords:
+            if category not in known:
+                raise ValueError(
+                    f"{path}: frame {frame_index} {label} has unknown category {category!r}"
+                )
+
+
 def _load_detections(
     path: str, spec: SkeletonSpec
 ) -> tuple[io.StreamHeader, dict[int, list[Pose]], dict[int, str]]:
     """``io.load_detections``, rejecting a keypoint category the skeleton lacks."""
     header, frames, regimes = io.load_detections(path)
-    known = set(spec.categories)
-    for frame_index, poses in frames.items():
-        for n, pose in enumerate(poses):
-            for category in pose.coords:
-                if category not in known:
-                    raise ValueError(
-                        f"{path}: frame {frame_index} pose {n} has unknown category {category!r}"
-                    )
+    poses = ((f, f"pose {n}", pose) for f, frame in frames.items() for n, pose in enumerate(frame))
+    _check_categories(path, spec, poses)
     return header, frames, regimes
 
 
@@ -189,35 +196,6 @@ def track(detections_path: str, out_path: str, skeleton_path: Optional[str], r_s
 # evaluate
 
 
-def _aggregate_pr(totals: dict[str, list[float]], report: metrics.PRReport) -> None:
-    for cat, pr in report.per_category.items():
-        bucket = totals.setdefault(cat, [0.0, 0.0, 0.0])
-        bucket[0] += pr.tp
-        bucket[1] += pr.fp
-        bucket[2] += pr.fn
-
-
-def _pr_section(totals: dict[str, list[float]]) -> dict:
-    def ratio(num: float, denom: float) -> Optional[float]:
-        return num / denom if denom > 0 else None
-
-    section = {}
-    grand = [0.0, 0.0, 0.0]
-    for cat, (tp, fp, fn) in sorted(totals.items()):
-        section[cat] = {"tp": tp, "fp": fp, "fn": fn, "precision": ratio(tp, tp + fp), "recall": ratio(tp, tp + fn)}
-        grand[0] += tp
-        grand[1] += fp
-        grand[2] += fn
-    section["overall"] = {
-        "tp": grand[0],
-        "fp": grand[1],
-        "fn": grand[2],
-        "precision": ratio(grand[0], grand[0] + grand[1]),
-        "recall": ratio(grand[0], grand[0] + grand[2]),
-    }
-    return section
-
-
 @cli.command()
 @click.option("--truth", "truth_path", required=True, type=click.Path(exists=True, dir_okay=False), help="Ground-truth pose JSONL.")
 @click.option("--poses", "poses_path", default=None, type=click.Path(exists=True, dir_okay=False), help="Predicted pose JSONL.")
@@ -243,23 +221,36 @@ def evaluate(truth_path: str, poses_path: Optional[str], tracks_path: Optional[s
         report, _ = metrics.evaluate_poses(gt_frames, pred_frames, spec, pair_gate, coord_scale)
     else:
         _, outputs = io.load_tracks(tracks_path)
+        poses = (
+            (out.frame_index, f"tracklet {record.tracklet_id}", pose)
+            for out in outputs
+            for record in out.records
+            for pose in (record.observed, record.prior, record.posterior)
+            if pose is not None
+        )
+        _check_categories(tracks_path, spec, poses)
         report, _ = metrics.evaluate_tracks(gt_frames, outputs, spec, pair_gate, coord_scale)
     result = report.to_dict()
 
     if truth_maps is not None:
-        totals: dict[str, list[float]] = {}
-        pred_by_index = dict(_map_files(pred_maps))
-        for frame_index, truth_file in _map_files(truth_maps):
-            if frame_index not in pred_by_index:
-                raise ValueError(f"no predicted maps for frame {frame_index}")
+        truth_files = dict(_map_files(truth_maps))
+        pred_files = dict(_map_files(pred_maps))
+        truth_only = sorted(truth_files.keys() - pred_files.keys())
+        pred_only = sorted(pred_files.keys() - truth_files.keys())
+        if truth_only or pred_only:
+            raise ValueError(
+                f"map directories cover different frames: truth maps only {truth_only[:5]}, "
+                f"predicted maps only {pred_only[:5]}"
+            )
+        total = metrics.PRReport()
+        for frame_index, truth_file in truth_files.items():
             gt_stack = maps.load_maps(str(truth_file))
-            pred_stack = maps.load_maps(str(pred_by_index[frame_index]))
+            pred_stack = maps.load_maps(str(pred_files[frame_index]))
             candidates = maps.decode_candidates(pred_stack.prob)
-            frame_pr = metrics.precision_recall(
+            total += metrics.precision_recall(
                 gt_frames.get(frame_index, []), candidates, gt_stack.prob, pred_stack.prob, prob_cutoff
             )
-            _aggregate_pr(totals, frame_pr)
-        result["precision_recall"] = _pr_section(totals)
+        result["precision_recall"] = total.to_dict()
 
     text = json.dumps(result, indent=2)
     if out_path is None:

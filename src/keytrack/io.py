@@ -376,6 +376,7 @@ def save_tracks(path: str, header: StreamHeader, outputs: Sequence[TrackOutput])
 
 def load_tracks(path: str) -> tuple[StreamHeader, list[TrackOutput]]:
     outputs: list[TrackOutput] = []
+    seen: set[int] = set()
     with open(path, "r", encoding="utf-8") as handle:
         header = _read_header(handle, path, TRACKS_FORMAT)
         for line_no, line in enumerate(handle, start=2):
@@ -384,6 +385,9 @@ def load_tracks(path: str) -> tuple[StreamHeader, list[TrackOutput]]:
             where = f"{path} line {line_no}"
             data = _json_record(line, where)
             frame_index, tracklets = _frame_fields(data, "tracklets", where)
+            if frame_index in seen:
+                raise ValueError(f"{where}: duplicate frame {frame_index}")
+            seen.add(frame_index)
             records = []
             for item in tracklets:
                 if not isinstance(item, dict):

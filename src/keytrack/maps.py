@@ -615,9 +615,7 @@ def _save_text(maps: MapStack, path: str) -> None:
         handle.write(f"{maps.width} {maps.height} {len(channels)}\n")
         for name, grid in channels:
             handle.write(name + "\n")
-            data = np.asarray(grid, dtype=np.float32)
-            for row in data:
-                handle.write(" ".join(f"{v:.9g}" for v in row) + "\n")
+            np.savetxt(handle, np.asarray(grid, dtype=np.float32), fmt="%.9g")
 
 
 def _load_text(path: str) -> MapStack:

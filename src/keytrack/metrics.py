@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .assignment import hungarian
 from .maps import CandidateKeypoint, quadratic_sample
-from .keysort import TrackOutput, psi
+from .keysort import TrackOutput, _psi_costs
 from .skeleton import Pose, SkeletonSpec, skeleton_scale
 
 log = logging.getLogger(__name__)
@@ -23,6 +23,7 @@ log = logging.getLogger(__name__)
 DEFAULT_PROB_CUTOFF = 0.5
 DEFAULT_PAIR_GATE = 50.0
 QUANTILE_PROBS = (0.05, 0.5, 0.95)
+FRAME_DIFF_KINDS = ("observed", "posterior")
 
 
 def _interpolated_prob(grid: Optional[np.ndarray], x: float, y: float) -> float:
@@ -37,9 +38,14 @@ def _interpolated_prob(grid: Optional[np.ndarray], x: float, y: float) -> float:
 
 @dataclass(frozen=True)
 class CategoryPR:
-    tp: float
-    fp: int
-    fn: int
+    """Detection counts of one category; ``tp`` counts in halves."""
+
+    tp: float = 0.0
+    fp: int = 0
+    fn: int = 0
+
+    def __add__(self, other: "CategoryPR") -> "CategoryPR":
+        return CategoryPR(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
 
     @property
     def precision(self) -> Optional[float]:
@@ -51,11 +57,27 @@ class CategoryPR:
         denom = self.tp + self.fn
         return self.tp / denom if denom > 0 else None
 
+    def to_dict(self) -> dict:
+        return {**asdict(self), "precision": self.precision, "recall": self.recall}
+
 
 @dataclass
 class PRReport:
-    per_category: dict[str, CategoryPR]
-    overall: CategoryPR
+    """Detection counts per category and overall; frames' reports add up exactly."""
+
+    per_category: dict[str, CategoryPR] = field(default_factory=dict)
+    overall: CategoryPR = CategoryPR()
+
+    def __add__(self, other: "PRReport") -> "PRReport":
+        per_category = dict(self.per_category)
+        for category, pr in other.per_category.items():
+            per_category[category] = per_category.get(category, CategoryPR()) + pr
+        return PRReport(per_category, self.overall + other.overall)
+
+    def to_dict(self) -> dict:
+        section = {cat: pr.to_dict() for cat, pr in sorted(self.per_category.items())}
+        section["overall"] = self.overall.to_dict()
+        return section
 
 
 def precision_recall(
@@ -95,11 +117,7 @@ def precision_recall(
             fp=len(cand_points) - cand_hits,
             fn=len(gt_points) - gt_hits,
         )
-    overall = CategoryPR(
-        tp=sum(c.tp for c in per_category.values()),
-        fp=sum(c.fp for c in per_category.values()),
-        fn=sum(c.fn for c in per_category.values()),
-    )
+    overall = sum(per_category.values(), CategoryPR())
     return PRReport(per_category=per_category, overall=overall)
 
 
@@ -114,31 +132,32 @@ class PairingResult:
     unpaired_pred: list[int]
 
 
+def _pose_array(poses: Sequence[Pose], categories: Sequence[str]) -> np.ndarray:
+    """(N, K, 2) coordinates over ``categories``, NaN where a keypoint is missing."""
+    missing = (math.nan, math.nan)
+    rows = [
+        [missing if (xy := pose.coords.get(cat)) is None else xy for cat in categories]
+        for pose in poses
+    ]
+    return np.array(rows, dtype=np.float64).reshape(len(poses), len(categories), 2)
+
+
 def pair_skeletons(
     gt_poses: Sequence[Pose],
     pred_poses: Sequence[Pose],
     max_distance: float = DEFAULT_PAIR_GATE,
     coord_scale: float = 1.0,
 ) -> PairingResult:
-    """Optimal one-to-one pairing by mean shared-keypoint distance.
+    """Optimal one-to-one pairing by KeySORT's mean shared-keypoint distance.
 
     Pairs whose mean distance exceeds ``max_distance`` (defined on the
     original image; ``coord_scale`` converts working coordinates) stay
     unpaired, as do poses sharing no categories.
     """
-    if not gt_poses or not pred_poses:
-        return PairingResult(
-            pairs=[],
-            unpaired_gt=list(range(len(gt_poses))),
-            unpaired_pred=list(range(len(pred_poses))),
-        )
-    cost = np.empty((len(gt_poses), len(pred_poses)))
-    for i, gt in enumerate(gt_poses):
-        for j, pred in enumerate(pred_poses):
-            distance = psi(gt, pred)
-            if distance is None:
-                distance = math.inf
-            cost[i, j] = distance * coord_scale if math.isfinite(distance) else math.inf
+    categories = list(dict.fromkeys(cat for pose in gt_poses for cat in pose.coords))
+    cost = _psi_costs(
+        _pose_array(gt_poses, categories), _pose_array(pred_poses, categories), coord_scale
+    )
     pairs = hungarian(cost, gate=max_distance)
     paired_gt = {i for i, _ in pairs}
     paired_pred = {j for _, j in pairs}
@@ -149,32 +168,36 @@ def pair_skeletons(
     )
 
 
-def recovery_rate(
+def recovery_samples(
     gt_poses: Sequence[Pose],
     pred_poses: Sequence[Pose],
     pairing: PairingResult,
     spec: SkeletonSpec,
-) -> tuple[dict[str, Optional[float]], Optional[float]]:
-    """Fraction of ground-truth keypoints recovered in paired predictions.
-
-    Unpaired ground-truth skeletons keep their keypoints in the
-    denominator.  Categories absent from the ground truth report ``None``.
-    """
-    recovered = {cat: 0 for cat in spec.categories}
-    total = {cat: 0 for cat in spec.categories}
-    pred_of_gt = {i: j for i, j in pairing.pairs}
+) -> Iterator[tuple[str, bool]]:
+    """``(category, recovered)`` per ground-truth keypoint of the skeleton, in pose order."""
+    pred_of_gt = dict(pairing.pairs)
     for i, gt in enumerate(gt_poses):
         pred = pred_poses[pred_of_gt[i]] if i in pred_of_gt else None
         for cat in spec.categories:
-            if not gt.present(cat):
-                continue
-            total[cat] += 1
-            if pred is not None and pred.present(cat):
-                recovered[cat] += 1
-    eta = {
-        cat: (recovered[cat] / total[cat] if total[cat] else None)
-        for cat in spec.categories
-    }
+            if gt.present(cat):
+                yield cat, pred is not None and pred.present(cat)
+
+
+def recovery_rate(
+    samples: Iterable[tuple[str, bool]], categories: Sequence[str]
+) -> tuple[dict[str, Optional[float]], Optional[float]]:
+    """Fraction of ``(category, recovered)`` samples recovered, per category and overall.
+
+    With :func:`recovery_samples`, unpaired ground-truth skeletons keep
+    their keypoints in the denominator.  Categories without samples report
+    ``None``.
+    """
+    recovered = dict.fromkeys(categories, 0)
+    total = dict.fromkeys(categories, 0)
+    for cat, hit in samples:
+        total[cat] += 1
+        recovered[cat] += hit
+    eta = {cat: (recovered[cat] / total[cat] if total[cat] else None) for cat in categories}
     grand_total = sum(total.values())
     overall = sum(recovered.values()) / grand_total if grand_total else None
     return eta, overall
@@ -214,13 +237,13 @@ def frame_difference(
     Computed per tracklet id present in both frames, separately for the
     observed and the posterior pose sets.
     """
-    result: dict[str, dict[str, list[float]]] = {"observed": {}, "posterior": {}}
+    result: dict[str, dict[str, list[float]]] = {kind: {} for kind in FRAME_DIFF_KINDS}
     prev_by_id = {record.tracklet_id: record for record in previous.records}
     for record in current.records:
         before = prev_by_id.get(record.tracklet_id)
         if before is None:
             continue
-        for kind in ("observed", "posterior"):
+        for kind in FRAME_DIFF_KINDS:
             pose_before: Optional[Pose] = getattr(before, kind)
             pose_after: Optional[Pose] = getattr(record, kind)
             if pose_before is None or pose_after is None:
@@ -300,7 +323,7 @@ class EvalReport:
 
 @dataclass
 class EvalSeries:
-    """Raw per-sample rows backing the report, for CSV export."""
+    """Per-sample rows in evaluation order: the table the report is reduced from."""
 
     relative_error: list[dict] = field(default_factory=list)
     frame_difference: list[dict] = field(default_factory=list)
@@ -321,10 +344,6 @@ def evaluate_poses(
 
     report = EvalReport()
     series = EvalSeries()
-    recovered_total = {cat: 0 for cat in spec.categories}
-    gt_total = {cat: 0 for cat in spec.categories}
-    error_samples: dict[str, list[float]] = {cat: [] for cat in spec.categories}
-
     for frame_index in sorted(gt_frames):
         gt_poses = gt_frames[frame_index]
         pred_poses = pred_frames.get(frame_index, [])
@@ -333,37 +352,22 @@ def evaluate_poses(
         report.paired += len(pairing.pairs)
         report.unpaired_gt += len(pairing.unpaired_gt)
         report.unpaired_pred += len(pairing.unpaired_pred)
+        series.recovery.extend(
+            {"frame": frame_index, "category": cat, "recovered": int(hit)}
+            for cat, hit in recovery_samples(gt_poses, pred_poses, pairing, spec)
+        )
+        for cat, values in relative_error(gt_poses, pred_poses, pairing, spec).items():
+            series.relative_error.extend(
+                {"frame": frame_index, "category": cat, "value": value} for value in values
+            )
 
-        pred_of_gt = {i: j for i, j in pairing.pairs}
-        for i, gt in enumerate(gt_poses):
-            pred = pred_poses[pred_of_gt[i]] if i in pred_of_gt else None
-            for cat in spec.categories:
-                if not gt.present(cat):
-                    continue
-                gt_total[cat] += 1
-                hit = pred is not None and pred.present(cat)
-                if hit:
-                    recovered_total[cat] += 1
-                series.recovery.append(
-                    {"frame": frame_index, "category": cat, "recovered": int(hit)}
-                )
-        frame_errors = relative_error(gt_poses, pred_poses, pairing, spec)
-        for cat, values in frame_errors.items():
-            error_samples[cat].extend(values)
-            for value in values:
-                series.relative_error.append(
-                    {"frame": frame_index, "category": cat, "value": value}
-                )
-
-    report.eta = {
-        cat: (recovered_total[cat] / gt_total[cat] if gt_total[cat] else None)
-        for cat in spec.categories
-    }
-    grand = sum(gt_total.values())
-    report.eta_overall = sum(recovered_total.values()) / grand if grand else None
-    report.relative_error = {
-        cat: ErrorStats.from_samples(error_samples[cat]) for cat in spec.categories
-    }
+    report.eta, report.eta_overall = recovery_rate(
+        ((row["category"], row["recovered"]) for row in series.recovery), spec.categories
+    )
+    errors: dict[str, list[float]] = {cat: [] for cat in spec.categories}
+    for row in series.relative_error:
+        errors[row["category"]].append(row["value"])
+    report.relative_error = {cat: ErrorStats.from_samples(errors[cat]) for cat in spec.categories}
     return report, series
 
 
@@ -382,27 +386,21 @@ def evaluate_tracks(
         gt_frames, pred_frames, spec, max_distance, coord_scale
     )
 
-    diff_samples: dict[str, dict[str, list[float]]] = {
-        "observed": {cat: [] for cat in spec.categories},
-        "posterior": {cat: [] for cat in spec.categories},
-    }
     ordered = sorted(outputs, key=lambda out: out.frame_index)
     for previous, current in zip(ordered, ordered[1:]):
-        frame_result = frame_difference(previous, current)
-        for kind, cats in frame_result.items():
+        for kind, cats in frame_difference(previous, current).items():
             for cat, values in cats.items():
-                diff_samples[kind][cat].extend(values)
-                for value in values:
-                    series.frame_difference.append(
-                        {
-                            "frame": current.frame_index,
-                            "kind": kind,
-                            "category": cat,
-                            "value": value,
-                        }
-                    )
+                series.frame_difference.extend(
+                    {"frame": current.frame_index, "kind": kind, "category": cat, "value": value}
+                    for value in values
+                )
+    # one pass in row order; a category outside the skeleton stays in the rows only
+    diffs = {(kind, cat): [] for kind in FRAME_DIFF_KINDS for cat in spec.categories}
+    for row in series.frame_difference:
+        if (key := (row["kind"], row["category"])) in diffs:
+            diffs[key].append(row["value"])
     report.frame_diff_quantiles = {
-        kind: {cat: quantiles(values) for cat, values in cats.items()}
-        for kind, cats in diff_samples.items()
+        kind: {cat: quantiles(diffs[kind, cat]) for cat in spec.categories}
+        for kind in FRAME_DIFF_KINDS
     }
     return report, series

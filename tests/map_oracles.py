@@ -5,7 +5,8 @@ the straightforward whole-map versions it must reproduce exactly: the
 dense decoder smooths and scans every cell, and the dense association
 encoder divides every cell by its weight sum.  The package writes only
 the boxes of nonzero cells to a ``.ktm`` file; the version 1 writer here
-stores every cell, and its files must still load.
+stores every cell, and its files must still load.  The ``.ktmt`` writer
+here formats one cell at a time, and the package's must write its bytes.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import numpy as np
 from keytrack import kernels
 from keytrack.maps import (
     SMOOTH_RADIUS,
+    _TEXT_MAGIC,
+    _TEXT_VERSION,
     CandidateKeypoint,
     EncoderParams,
     MapStack,
@@ -148,3 +151,15 @@ def save_maps_v1(maps: MapStack, path: str) -> None:
             handle.write(encoded)
         for _, grid in channels:
             handle.write(np.ascontiguousarray(grid, dtype="<f4"))
+
+
+def save_text_maps_by_cell(maps: MapStack, path: str) -> None:
+    """The ``.ktmt`` layout written one ``%.9g`` cell at a time."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(f"{_TEXT_MAGIC} {_TEXT_VERSION}\n")
+        channels = list(maps.channel_items())
+        handle.write(f"{maps.width} {maps.height} {len(channels)}\n")
+        for name, grid in channels:
+            handle.write(name + "\n")
+            for row in np.asarray(grid, dtype=np.float32):
+                handle.write(" ".join(f"{v:.9g}" for v in row) + "\n")

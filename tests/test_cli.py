@@ -55,6 +55,13 @@ def truth_file(runner, scenario_file, tmp_path):
     return path
 
 
+def exit_code_and_error(monkeypatch, capsys, *args):
+    monkeypatch.setattr(sys, "argv", ["keytrack", *args])
+    with pytest.raises(SystemExit) as exit_info:
+        cli_module.main()
+    return exit_info.value.code, capsys.readouterr().err
+
+
 class TestSimulateCommand:
     def test_writes_truth_and_detections(self, runner, scenario_file, tmp_path):
         truth_path = tmp_path / "truth.jsonl"
@@ -166,13 +173,6 @@ class TestEncodeDecode:
                 )
                 assert best < 0.75
 
-    @staticmethod
-    def exit_code_and_error(monkeypatch, capsys, *args):
-        monkeypatch.setattr(sys, "argv", ["keytrack", *args])
-        with pytest.raises(SystemExit) as exit_info:
-            cli_module.main()
-        return exit_info.value.code, capsys.readouterr().err
-
     def test_two_files_for_one_frame_exit_two(
         self, runner, spec, truth_file, tmp_path, monkeypatch, capsys
     ):
@@ -182,7 +182,7 @@ class TestEncodeDecode:
         save_maps(encode_maps([], spec, 8, 6), str(text_file), text=True)
         both = f"two map files for frame 0: {maps_dir / 'frame_000000.ktm'} and {text_file}"
         out = str(tmp_path / "o.jsonl")
-        code, err = self.exit_code_and_error(
+        code, err = exit_code_and_error(
             monkeypatch, capsys, "decode-assemble", "--maps-dir", str(maps_dir), "--out", out
         )
         assert code == 2 and both in err
@@ -191,7 +191,7 @@ class TestEncodeDecode:
         for path in maps_dir.glob("*.ktm"):
             (single / path.name).write_bytes(path.read_bytes())
         for truth_maps, pred_maps in ((maps_dir, single), (single, maps_dir)):
-            code, err = self.exit_code_and_error(
+            code, err = exit_code_and_error(
                 monkeypatch, capsys, "evaluate", "--truth", str(truth_file), "--poses", str(truth_file),
                 "--truth-maps", str(truth_maps), "--pred-maps", str(pred_maps),
             )
@@ -203,7 +203,7 @@ class TestEncodeDecode:
         save_maps(encode_maps([], spec, 320, 240), str(maps_dir / "frame_000000.ktm"))
         save_maps(encode_maps([], spec, 640, 480), str(maps_dir / "frame_000001.ktm"))
         out = str(tmp_path / "o.jsonl")
-        code, err = self.exit_code_and_error(
+        code, err = exit_code_and_error(
             monkeypatch, capsys, "decode-assemble", "--maps-dir", str(maps_dir), "--out", out
         )
         assert code == 2
@@ -304,6 +304,43 @@ class TestEvaluateCommand:
         pr = payload["precision_recall"]["overall"]
         assert pr["precision"] == 1.0
         assert pr["recall"] == 1.0
+
+    def test_predicted_map_without_truth_map_exits_two(
+        self, runner, truth_file, tmp_path, monkeypatch, capsys
+    ):
+        truth_maps = tmp_path / "maps"
+        runner.invoke(cli, ["encode", "--detections", str(truth_file), "--out-dir", str(truth_maps)])
+        pred_maps = tmp_path / "pred"
+        pred_maps.mkdir()
+        for path in truth_maps.iterdir():
+            (pred_maps / path.name).write_bytes(path.read_bytes())
+        # an extra predicted frame would hold only false positives
+        (pred_maps / "frame_000099.ktm").write_bytes((truth_maps / "frame_000003.ktm").read_bytes())
+        code, err = exit_code_and_error(
+            monkeypatch, capsys, "evaluate", "--truth", str(truth_file), "--poses", str(truth_file),
+            "--truth-maps", str(truth_maps), "--pred-maps", str(pred_maps),
+        )
+        assert code == 2
+        assert "truth maps only [], predicted maps only [99]" in err
+        code, err = exit_code_and_error(
+            monkeypatch, capsys, "evaluate", "--truth", str(truth_file), "--poses", str(truth_file),
+            "--truth-maps", str(pred_maps), "--pred-maps", str(truth_maps),
+        )
+        assert code == 2
+        assert "truth maps only [99], predicted maps only []" in err
+
+    def test_duplicate_track_frame_exits_two(
+        self, runner, truth_file, tmp_path, monkeypatch, capsys
+    ):
+        tracks_path = tmp_path / "tracks.jsonl"
+        runner.invoke(cli, ["track", "--detections", str(truth_file), "--out", str(tracks_path)])
+        lines = tracks_path.read_text().splitlines()
+        tracks_path.write_text("\n".join([*lines[:3], lines[2], *lines[3:]]) + "\n")
+        code, err = exit_code_and_error(
+            monkeypatch, capsys, "evaluate", "--truth", str(truth_file), "--tracks", str(tracks_path)
+        )
+        assert code == 2
+        assert f"{tracks_path} line 4: duplicate frame 1" in err
 
     def test_requires_exactly_one_prediction_source(self, runner, truth_file, tmp_path):
         result = runner.invoke(
@@ -458,6 +495,21 @@ class TestConsoleScript:
         assert proc.returncode == 2
         bad = tmp_path / f"{bad_side[2:]}.jsonl"
         assert f"{bad}: frame 1 pose 1 has unknown category 'horn'" in proc.stderr
+
+    def test_evaluate_tracks_unknown_category_exits_two(self, tmp_path):
+        detections = self.write_poses(tmp_path / "det.jsonl")
+        tracks = tmp_path / "tracks.jsonl"
+        assert self.run("track", "--detections", str(detections), "--out", str(tracks)).returncode == 0
+        lines = tracks.read_text().splitlines()
+        for n in (1, 2):  # frames 0 and 1
+            record = json.loads(lines[n])
+            for tracklet in record["tracklets"]:
+                tracklet["observed"]["horn"] = tracklet["posterior"]["horn"] = [60.0, 40.0]
+            lines[n] = json.dumps(record)
+        tracks.write_text("\n".join(lines) + "\n")
+        proc = self.run("evaluate", "--truth", str(detections), "--tracks", str(tracks))
+        assert proc.returncode == 2
+        assert f"{tracks}: frame 0 tracklet 1 has unknown category 'horn'" in proc.stderr
 
     def test_unknown_category_exits_two(self, tmp_path):
         detections = tmp_path / "det.jsonl"

@@ -288,6 +288,15 @@ class TestTracksStream:
         _, loaded = load_tracks(str(path))
         assert [o.frame_index for o in loaded] == [0, 1, 2, 3]
 
+    def test_duplicate_frame_rejected(self, spec, square_pose, tmp_path):
+        path = tmp_path / "tracks.jsonl"
+        save_tracks(str(path), HEADER, self.tracked_outputs(spec, square_pose))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines, lines[2]]) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_tracks(str(path))
+        assert str(info.value) == f"{path} line 6: duplicate frame 1"
+
     def test_missing_observation_rejected(self, tmp_path):
         path = tmp_path / "tracks.jsonl"
         record = {

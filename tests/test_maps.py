@@ -44,7 +44,7 @@ from kernel_oracles import (
     _gaussian_max_loop,
     _local_max_mask_loop,
 )
-from map_oracles import dense_decode_candidates, dense_encode, save_maps_v1
+from map_oracles import dense_decode_candidates, dense_encode, save_maps_v1, save_text_maps_by_cell
 
 
 class TestKernelSigma:
@@ -477,6 +477,30 @@ class TestSerialization:
         loaded = load_maps(str(path))
         self.assert_bit_equal(loaded, stack)
         assert np.signbit(loaded.prob["k"][0, 0]) and np.signbit(loaded.assoc[("k", "j")][1]).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_text_writer_matches_cell_oracle(self, spec, square_pose, tmp_path, dtype):
+        tiny = np.finfo(np.float32).smallest_subnormal
+        prob = np.random.default_rng(3).normal(0.0, 1e3, (7, 9)).astype(dtype)
+        prob[0, :6] = [-0.0, np.nan, np.inf, -np.inf, tiny, -tiny]
+        prob[1, :4] = [3e-39, 1e-45, 1.0 / 3.0, 16777217.0]
+        stacks = [
+            encode([square_pose], spec, 48, 40),
+            MapStack(width=9, height=7, prob={"k": prob}, assoc={("k", "j"): np.stack([prob] * 4)}),
+            *(
+                MapStack(
+                    width=w,
+                    height=h,
+                    prob={"k": np.zeros((h, w), dtype)},
+                    assoc={("k", "j"): np.zeros((4, h, w), dtype)},
+                )
+                for h, w in [(0, 3), (3, 0), (0, 0)]
+            ),
+        ]
+        for stack in stacks:
+            save_maps(stack, str(tmp_path / "m.ktmt"), text=True)
+            save_text_maps_by_cell(stack, str(tmp_path / "oracle.ktmt"))
+            assert (tmp_path / "m.ktmt").read_bytes() == (tmp_path / "oracle.ktmt").read_bytes()
 
     @pytest.mark.parametrize("height, width", [(0, 3), (3, 0), (0, 0)])
     def test_binary_round_trip_empty_grid(self, tmp_path, height, width):

@@ -1,14 +1,22 @@
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from keytrack.keysort import TrackletFrameRecord, TrackOutput
+from keytrack import metrics
+from keytrack.assignment import hungarian
+from keytrack.keysort import KeySortTracker, TrackletFrameRecord, TrackOutput, psi
 from keytrack.maps import CandidateKeypoint
 from keytrack.metrics import (
+    DEFAULT_PAIR_GATE,
+    FRAME_DIFF_KINDS,
     CategoryPR,
     ErrorStats,
+    PRReport,
     evaluate_poses,
     evaluate_tracks,
     frame_difference,
@@ -16,8 +24,10 @@ from keytrack.metrics import (
     precision_recall,
     quantiles,
     recovery_rate,
+    recovery_samples,
     relative_error,
 )
+from keytrack.simulate import RegimeSegment, ScenarioConfig, corrupt, generate
 from keytrack.skeleton import Pose, skeleton_scale
 
 from conftest import make_pose
@@ -97,6 +107,111 @@ class TestPrecisionRecall:
         assert report.overall.fn == 1
 
 
+def _tallied_by_cli(reports):
+    """The detection section as ``keytrack evaluate`` used to tally it:
+    running per-category sums, then an overall row over sorted categories."""
+
+    def row(tp, fp, fn):
+        precision = tp / (tp + fp) if tp + fp > 0 else None
+        recall = tp / (tp + fn) if tp + fn > 0 else None
+        return {"tp": tp, "fp": fp, "fn": fn, "precision": precision, "recall": recall}
+
+    totals = {}
+    for report in reports:
+        for cat, pr in report.per_category.items():
+            bucket = totals.setdefault(cat, [0.0, 0.0, 0.0])
+            bucket[0] += pr.tp
+            bucket[1] += pr.fp
+            bucket[2] += pr.fn
+    section = {}
+    grand = [0.0, 0.0, 0.0]
+    for cat, (tp, fp, fn) in sorted(totals.items()):
+        section[cat] = row(tp, fp, fn)
+        grand = [grand[0] + tp, grand[1] + fp, grand[2] + fn]
+    section["overall"] = row(*grand)
+    return section
+
+
+def _frame_reports():
+    counts = st.tuples(*(st.integers(0, 40) for _ in range(4)))
+    per_category = st.dictionaries(st.sampled_from(["a", "b", "c", "d"]), counts)
+
+    def report(drawn):
+        prs = {
+            cat: CategoryPR(tp=0.5 * (gt_hits + cand_hits), fp=fp, fn=fn)
+            for cat, (gt_hits, cand_hits, fp, fn) in drawn.items()
+        }
+        return PRReport(prs, sum(prs.values(), CategoryPR()))
+
+    return st.lists(per_category.map(report), max_size=6)
+
+
+class TestPRReportSum:
+    @settings(deadline=None, max_examples=200)
+    @given(reports=_frame_reports())
+    def test_sum_matches_cli_tallies(self, reports):
+        total = sum(reports, PRReport())
+        assert total.to_dict() == _tallied_by_cli(reports)
+        assert list(total.to_dict()) == list(_tallied_by_cli(reports))
+
+    def test_frames_add_per_category(self):
+        first = PRReport({"a": CategoryPR(1.5, 1, 0)}, CategoryPR(1.5, 1, 0))
+        second = PRReport({"b": CategoryPR(0.5, 0, 2)}, CategoryPR(0.5, 0, 2))
+        total = first + second + first
+        assert total.per_category == {"a": CategoryPR(3.0, 2, 0), "b": CategoryPR(0.5, 0, 2)}
+        assert total.overall == CategoryPR(3.5, 2, 2)
+
+
+_coordinate = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
+_keypoint = st.one_of(st.none(), st.tuples(_coordinate, _coordinate))
+
+
+def _pose_lists(spec):
+    # keypoints missing on either side, and categories the skeleton lacks
+    categories = st.sampled_from([*spec.categories, "horn", "hoof"])
+    pose = st.dictionaries(categories, _keypoint).map(lambda coords: Pose(coords=coords))
+    return st.lists(pose, max_size=8)
+
+
+def _scalar_psi_costs(gt_poses, pred_poses, coord_scale):
+    """The pairing cost matrix, one scalar :func:`psi` per pair of poses."""
+    cost = np.full((len(gt_poses), len(pred_poses)), np.inf)
+    for i, gt in enumerate(gt_poses):
+        for j, pred in enumerate(pred_poses):
+            distance = psi(gt, pred)
+            if distance is not None:
+                cost[i, j] = distance * coord_scale
+    return cost
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data(), coord_scale=st.sampled_from([0.5, 1.0, 2.5]))
+def test_pairing_matches_scalar_psi(spec, data, coord_scale):
+    gt_poses = data.draw(_pose_lists(spec), label="gt")
+    pred_poses = data.draw(_pose_lists(spec), label="pred")
+    expected = _scalar_psi_costs(gt_poses, pred_poses, coord_scale)
+    matrices = []
+
+    def recording_hungarian(costs, gate=None):
+        matrices.append(np.asarray(costs))
+        return hungarian(costs, gate)
+
+    with mock.patch.object(metrics, "hungarian", recording_hungarian):
+        result = pair_skeletons(gt_poses, pred_poses, coord_scale=coord_scale)
+    (cost,) = matrices
+    assert cost.shape == expected.shape
+    assert np.array_equal(np.isinf(cost), np.isinf(expected))
+    finite = np.isfinite(expected)
+    assert np.all(np.abs(cost[finite] - expected[finite]) <= 1e-9)
+    # costs, not pairs: an exact tie may resolve either way
+    oracle_pairs = hungarian(expected, gate=DEFAULT_PAIR_GATE)
+    assert len(result.pairs) == len(oracle_pairs)
+    total = sum(expected[i, j] for i, j in result.pairs)
+    assert abs(total - sum(expected[i, j] for i, j in oracle_pairs)) <= 1e-9
+    assert sorted(result.unpaired_gt + [i for i, _ in result.pairs]) == [*range(len(gt_poses))]
+    assert sorted(result.unpaired_pred + [j for _, j in result.pairs]) == [*range(len(pred_poses))]
+
+
 class TestPairing:
     def test_pairs_nearest(self, square_pose):
         near = make_pose(**{c: (x + 1.0, y) for c, (x, y) in square_pose.coords.items()})
@@ -151,14 +266,15 @@ class TestRecoveryRate:
         pred = [square_pose]
         pairing = pair_skeletons(gt, pred)
         assert pairing.pairs == [(0, 0)]
-        eta, overall = recovery_rate(gt, pred, pairing, spec)
+        eta, overall = recovery_rate(recovery_samples(gt, pred, pairing, spec), spec.categories)
         assert overall == pytest.approx(0.5)
         assert all(v == pytest.approx(0.5) for v in eta.values())
 
     def test_missing_category_in_prediction(self, spec, square_pose):
         pred = make_pose(**{**dict(square_pose.coords), "nose": None})
         pairing = pair_skeletons([square_pose], [pred])
-        eta, overall = recovery_rate([square_pose], [pred], pairing, spec)
+        samples = recovery_samples([square_pose], [pred], pairing, spec)
+        eta, overall = recovery_rate(samples, spec.categories)
         assert eta["nose"] == 0.0
         assert eta["withers"] == 1.0
         assert overall == pytest.approx(5.0 / 6.0)
@@ -166,16 +282,25 @@ class TestRecoveryRate:
     def test_absent_category_is_none(self, spec):
         gt = make_pose(withers=(5.0, 5.0), tail_implant=(1.0, 5.0))
         pairing = pair_skeletons([gt], [gt])
-        eta, overall = recovery_rate([gt], [gt], pairing, spec)
+        eta, overall = recovery_rate(recovery_samples([gt], [gt], pairing, spec), spec.categories)
         assert eta["nose"] is None
         assert eta["withers"] == 1.0
         assert overall == 1.0
 
     def test_no_ground_truth_overall_none(self, spec):
         pairing = pair_skeletons([], [])
-        eta, overall = recovery_rate([], [], pairing, spec)
+        eta, overall = recovery_rate(recovery_samples([], [], pairing, spec), spec.categories)
         assert overall is None
         assert all(v is None for v in eta.values())
+
+
+    def test_samples_per_present_keypoint_in_pose_order(self, spec, square_pose):
+        gt = [make_pose(withers=(5.0, 5.0), nose=None, horn=(1.0, 1.0)), square_pose]
+        pred = [make_pose(**{**dict(square_pose.coords), "nose": None})]
+        pairing = pair_skeletons(gt, pred)
+        assert pairing.pairs == [(1, 0)]
+        samples = list(recovery_samples(gt, pred, pairing, spec))
+        assert samples == [("withers", False)] + [(cat, cat != "nose") for cat in spec.categories]
 
 
 class TestRelativeError:
@@ -366,9 +491,47 @@ class TestEvaluateTracks:
         assert q_post[0.5] == pytest.approx(2.0)
         assert any(row["kind"] == "posterior" for row in series.frame_difference)
 
+    def test_category_outside_skeleton_left_out_of_report(self, spec, square_pose):
+        horned = make_pose(**dict(square_pose.coords), horn=(1.0, 1.0))
+        outputs = [
+            TrackOutput(frame_index=frame, records=[record_for(1, horned, horned)])
+            for frame in range(2)
+        ]
+        report, series = evaluate_tracks({0: [square_pose], 1: [square_pose]}, outputs, spec)
+        for kind in FRAME_DIFF_KINDS:
+            assert list(report.frame_diff_quantiles[kind]) == list(spec.categories)
+        assert any(row["category"] == "horn" for row in series.frame_difference)
+
     def test_category_without_samples_is_none(self, spec, square_pose):
         outputs = [
             TrackOutput(frame_index=0, records=[record_for(1, square_pose, square_pose)])
         ]
         report, _ = evaluate_tracks({0: [square_pose]}, outputs, spec)
         assert report.frame_diff_quantiles["observed"]["withers"] is None
+
+
+def test_report_reduces_series_rows(spec):
+    """Each score equals a plain per-category filter over the series rows."""
+    config = ScenarioConfig(
+        n_animals=4, seed=7, dropout=0.2, regimes=(RegimeSegment("stationary", 12),)
+    )
+    truth = generate(spec, config)
+    tracker = KeySortTracker(spec, np.ones(len(spec.categories)))
+    detections = corrupt(truth, spec, config)
+    outputs = [tracker.step(detections[f], f) for f in sorted(detections)]
+    report, series = evaluate_tracks(truth.poses_by_frame(), outputs, spec)
+    assert report.frames == 12 and len(series.recovery) > 0
+    for cat in spec.categories:
+        hits = [row["recovered"] for row in series.recovery if row["category"] == cat]
+        assert report.eta[cat] == (sum(hits) / len(hits) if hits else None)
+        errors = [row["value"] for row in series.relative_error if row["category"] == cat]
+        assert report.relative_error[cat] == ErrorStats.from_samples(errors)
+        for kind in FRAME_DIFF_KINDS:
+            diffs = [
+                row["value"]
+                for row in series.frame_difference
+                if row["kind"] == kind and row["category"] == cat
+            ]
+            assert report.frame_diff_quantiles[kind][cat] == quantiles(diffs)
+    hits = [row["recovered"] for row in series.recovery]
+    assert report.eta_overall == sum(hits) / len(hits)
