@@ -31,41 +31,47 @@ class PartialSkeleton:
 
 
 def predict_complement(
-    position: XY,
+    positions,
     maps: MapStack,
     pair: Pair,
-    reverse: bool = False,
-) -> XY:
-    """Predicted location of the connected counterpart of a candidate."""
-    dx, dy = read_offset(maps, pair, position[0], position[1], reverse=reverse)
-    return (position[0] + dx, position[1] + dy)
+    reverse=False,
+) -> np.ndarray:
+    """Predicted locations of the connected counterparts of candidates at
+    ``positions``, an array-like of shape ``(..., 2)``; ``reverse`` is as
+    in :func:`keytrack.maps.read_offset`."""
+    positions = np.asarray(positions, dtype=np.float64)
+    dx, dy = read_offset(maps, pair, positions[..., 0], positions[..., 1], reverse=reverse)
+    return np.stack([positions[..., 0] + dx, positions[..., 1] + dy], axis=-1)
 
 
 def association_penalty(
-    parent_xy: XY,
-    child_xy: XY,
-    maps: MapStack,
-    pair: Pair,
-) -> float:
-    """Mean disagreement of the two directed complement predictions."""
-    forward = predict_complement(parent_xy, maps, pair, reverse=False)
-    backward = predict_complement(child_xy, maps, pair, reverse=True)
-    d_forward = math.hypot(forward[0] - child_xy[0], forward[1] - child_xy[1])
-    d_backward = math.hypot(backward[0] - parent_xy[0], backward[1] - parent_xy[1])
-    return 0.5 * (d_forward + d_backward)
-
-
-def _penalty_matrix(
-    parents: Sequence[XY],
-    children: Sequence[CandidateKeypoint],
+    parents,
+    children,
     maps: MapStack,
     pair: Pair,
 ) -> np.ndarray:
-    matrix = np.empty((len(parents), len(children)), dtype=np.float64)
-    for i, parent_xy in enumerate(parents):
-        for j, child in enumerate(children):
-            matrix[i, j] = association_penalty(parent_xy, child.xy, maps, pair)
-    return matrix
+    """Penalties of pairing each parent with each child: the mean
+    disagreement of the two directed complement predictions.
+
+    ``parents`` and ``children`` are positions of shape ``(..., 2)``; the
+    result has shape ``parents.shape[:-1] + children.shape[:-1]`` (0-d for
+    one parent and one child).  The forward prediction depends only on the
+    parent and the backward one only on the child, so each is read once,
+    all in one read, and the pairs are formed by broadcasting.
+    """
+    parents = np.asarray(parents, dtype=np.float64)
+    children = np.asarray(children, dtype=np.float64)
+    points = np.concatenate([parents.reshape(-1, 2), children.reshape(-1, 2)])
+    split = parents.size // 2
+    predicted = predict_complement(points, maps, pair, reverse=np.arange(len(points)) >= split)
+    # parent-side arrays gain one axis per child axis
+    expand = parents.shape[:-1] + (1,) * (children.ndim - 1) + (2,)
+    forward = predicted[:split].reshape(expand)
+    backward = predicted[split:].reshape(children.shape)
+    parents = parents.reshape(expand)
+    d_forward = np.hypot(forward[..., 0] - children[..., 0], forward[..., 1] - children[..., 1])
+    d_backward = np.hypot(backward[..., 0] - parents[..., 0], backward[..., 1] - parents[..., 1])
+    return 0.5 * (d_forward + d_backward)
 
 
 def assemble(
@@ -103,7 +109,9 @@ def assemble(
         children = by_category[pair[1]]
         if not roots or not children:
             continue
-        matrix = _penalty_matrix([r.xy for r in roots], children, maps, pair)
+        matrix = association_penalty(
+            [r.xy for r in roots], [c.xy for c in children], maps, pair
+        )
         for i, j in greedy_assign(matrix, gate=gate):
             skeletons[i].coords[pair[1]] = children[j].xy
             skeletons[i].scores[pair[1]] = children[j].score
@@ -122,8 +130,8 @@ def assemble(
             holders = [s for s in survivors if pair[0] in s.coords]
             if not holders or not children:
                 continue
-            matrix = _penalty_matrix(
-                [s.coords[pair[0]] for s in holders], children, maps, pair
+            matrix = association_penalty(
+                [s.coords[pair[0]] for s in holders], [c.xy for c in children], maps, pair
             )
             for i, j in greedy_assign(matrix, gate=gate):
                 holders[i].coords[pair[1]] = children[j].xy

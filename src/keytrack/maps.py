@@ -8,12 +8,14 @@ four channels of weighted mean offsets: ``dx_ab, dy_ab, dx_ba, dy_ba``
 where ``ab`` points from parent to child.
 
 The codec only touches the regions of interest around keypoints.
-Encoding writes and normalises each splat's window, never the whole
-frame; a stack's probability channels share one array, as do its
-association channels.  Decoding smooths and scans only crops around the
-raw cells above the detection threshold: a window mean can exceed the
-threshold only if some cell in the window does, so no other cell can
-yield a candidate.
+Encoding writes each splat's window, never the whole frame.  A stack's
+probability channels share one dense array; each connection's
+association channels are stored as 32x32 tiles (:class:`AssocTiles`),
+only those holding a nonzero cell, and are read and written through the
+tiles.  Decoding smooths and scans only crops
+around the raw cells above the detection threshold: a window mean can
+exceed the threshold only if some cell in the window does, so no other
+cell can yield a candidate.
 """
 
 from __future__ import annotations
@@ -23,12 +25,14 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import BinaryIO, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import kernels
 from .skeleton import (
+    XY,
     Pair,
     Pose,
     SkeletonSpec,
@@ -83,21 +87,184 @@ class CandidateKeypoint:
         return (self.x, self.y)
 
 
+TILE = 32  # side of an association tile, in cells
+_TILE_SHIFT = 5
+_TILE_MASK = TILE - 1
+
+
+@dataclass
+class AssocTiles:
+    """One connection's four association channels, stored as 32x32 tiles.
+
+    ``slots[channel, ty, tx]`` is the index in ``tiles`` of the tile that
+    holds the channel's rows ``32*ty`` to ``32*ty + 31`` and columns
+    ``32*tx`` to ``32*tx + 31``, or -1 when every one of those cells is
+    +0.0.  Tile cells past the last row or column of the grid are zero.
+    """
+
+    height: int
+    width: int
+    slots: np.ndarray  # (4, ceil(height / 32), ceil(width / 32)) int32
+    tiles: np.ndarray  # (n, 32, 32) float32
+
+    @classmethod
+    def empty(cls, height: int, width: int) -> "AssocTiles":
+        shape = (len(ASSOC_CHANNELS), -(-height // TILE), -(-width // TILE))
+        return cls(
+            height, width, np.full(shape, -1, dtype=np.int32), np.zeros((0, TILE, TILE), np.float32)
+        )
+
+    @classmethod
+    def from_dense(cls, grids: np.ndarray) -> "AssocTiles":
+        """Tiles of a ``(4, height, width)`` array, keeping every tile with
+        a cell whose float32 bits are not all zero."""
+        grids = np.asarray(grids, dtype=np.float32)
+        _, height, width = grids.shape
+        out = cls.empty(height, width)
+        _, ny, nx = out.slots.shape
+        padded = np.zeros((len(ASSOC_CHANNELS), ny * TILE, nx * TILE), dtype=np.float32)
+        padded[:, :height, :width] = grids
+        blocks = padded.reshape(len(ASSOC_CHANNELS), ny, TILE, nx, TILE).transpose(0, 1, 3, 2, 4)
+        kept = (blocks.view(np.uint32) != 0).any(axis=(3, 4))
+        out.slots[kept] = np.arange(int(kept.sum()), dtype=np.int32)
+        out.tiles = blocks[kept]
+        return out
+
+    @classmethod
+    def from_boxes(
+        cls, height: int, width: int, channels: Sequence[Sequence[tuple]]
+    ) -> "AssocTiles":
+        """Tiles of four channels, each given as its disjoint
+        ``(top, bottom, left, right, cells)`` boxes in the order
+        ``_hot_boxes`` yields them.  Only the tiles the boxes overlap are
+        allocated, and the boxes on the same rows are copied in together."""
+        out = cls.empty(height, width)
+        bands = []
+        count = 0
+        for channel, boxes in enumerate(channels):
+            for (top, bottom), band in groupby(boxes, key=lambda box: box[:2]):
+                band = list(band)
+                used = np.zeros(out.slots.shape[2], dtype=bool)
+                for box in band:
+                    used[box[2] >> _TILE_SHIFT : ((box[3] - 1) >> _TILE_SHIFT) + 1] = True
+                tile_cols = np.flatnonzero(used)
+                tile_rows = slice(top >> _TILE_SHIFT, ((bottom - 1) >> _TILE_SHIFT) + 1)
+                rows_of_slots = out.slots[channel, tile_rows]
+                span = rows_of_slots[:, tile_cols]
+                fresh = span < 0
+                found = int(fresh.sum())
+                span[fresh] = np.arange(count, count + found)
+                rows_of_slots[:, tile_cols] = span
+                count += found
+                bands.append((span, tile_rows.start << _TILE_SHIFT, tile_cols, band))
+        out.tiles = np.zeros((count, TILE, TILE), dtype=np.float32)
+        for slots, first_row, tile_cols, band in bands:
+            # a tile row may hold cells of an earlier band, so start from the tiles
+            strip = _strip(out.tiles[slots])
+            for top, bottom, left, right, cells in band:
+                start = _strip_column(tile_cols, left)
+                strip[top - first_row : bottom - first_row, start : start + right - left] = cells
+            out.tiles[slots] = strip.reshape(len(slots), TILE, -1, TILE).transpose(0, 2, 1, 3)
+        return out
+
+    @property
+    def nbytes(self) -> int:
+        return self.slots.nbytes + self.tiles.nbytes
+
+    def dense(self) -> np.ndarray:
+        """The four channels as one ``(4, height, width)`` float32 array:
+        for ``map_loss``, the text format and tests only."""
+        _, ny, nx = self.slots.shape
+        out = np.zeros((len(ASSOC_CHANNELS), ny * TILE, nx * TILE), dtype=np.float32)
+        blocks = out.reshape(len(ASSOC_CHANNELS), ny, TILE, nx, TILE).transpose(0, 1, 3, 2, 4)
+        kept = self.slots >= 0
+        blocks[kept] = self.tiles[self.slots[kept]]
+        return out[:, : self.height, : self.width]
+
+    def gather(self, channels, rows, cols) -> np.ndarray:
+        """Cells ``[channels, rows, cols]`` of the dense channels, the
+        three integer index arrays broadcast together."""
+        slots = self.slots[channels, rows >> _TILE_SHIFT, cols >> _TILE_SHIFT]
+        if not len(self.tiles):
+            return np.zeros(slots.shape, dtype=np.float32)
+        # slot -1 reads the last tile; those cells are then set to +0.0
+        cells = self.tiles[slots, rows & _TILE_MASK, cols & _TILE_MASK]
+        cells[slots < 0] = 0.0
+        return cells
+
+    def hot_boxes(
+        self, channel: int
+    ) -> list[tuple[tuple[int, int, int, int], np.ndarray]]:
+        """``_hot_boxes`` of the channel's cells whose bits are not all
+        zero, each with its cells, found from the channel's tiles alone."""
+        tys, txs = np.nonzero(self.slots[channel] >= 0)  # tys ascending
+        hot = self.tiles[self.slots[channel, tys, txs]].view(np.uint32) != 0
+        lanes = np.arange(TILE)
+        rows = np.zeros(self.slots.shape[1] * TILE, dtype=bool)
+        rows[(tys[:, None] * TILE + lanes)[hot.any(axis=2)]] = True
+        found = []
+        for r0, r1 in _runs(rows[: self.height]):
+            # the band's tiles, in every tile column holding one on its rows,
+            # as one array
+            ty0 = r0 >> _TILE_SHIFT
+            ty1 = ((r1 - 1) >> _TILE_SHIFT) + 1
+            used = np.unique(txs[np.searchsorted(tys, ty0) : np.searchsorted(tys, ty1)])
+            slots = self.slots[channel, ty0:ty1][:, used]
+            band = self.tiles[np.maximum(slots, 0)]
+            band[slots < 0] = 0.0
+            band = _strip(band)[r0 - (ty0 << _TILE_SHIFT) : r1 - (ty0 << _TILE_SHIFT)]
+            cols = np.zeros(self.slots.shape[2] * TILE, dtype=bool)
+            cols[(used[:, None] * TILE + lanes).ravel()] = (band.view(np.uint32) != 0).any(axis=0)
+            for c0, c1 in _runs(cols[: self.width]):
+                start = _strip_column(used, c0)
+                found.append(((r0, r1, c0, c1), band[:, start : start + c1 - c0]))
+        return found
+
+
+def _strip(tiles: np.ndarray) -> np.ndarray:
+    """A ``(rows, cols, 32, 32)`` grid of tiles as one 2-D array."""
+    rows, cols = tiles.shape[:2]
+    return tiles.transpose(0, 2, 1, 3).reshape(rows * TILE, cols * TILE)
+
+
+def _strip_column(tile_cols: np.ndarray, col: int) -> int:
+    """Where image column ``col`` lies in a strip of the tile columns
+    ``tile_cols`` (ascending, holding ``col``'s)."""
+    return int(np.searchsorted(tile_cols, col >> _TILE_SHIFT)) * TILE + (col & _TILE_MASK)
+
+
 @dataclass
 class MapStack:
-    """One frame's probability and association maps."""
+    """One frame's maps: a dense grid per probability channel, and per
+    connection its four association channels as :class:`AssocTiles`.
+
+    A connection's channels may be given as a ``(4, height, width)``
+    array; they are stored as tiles.
+    """
 
     width: int
     height: int
     prob: dict[str, np.ndarray] = field(default_factory=dict)
-    assoc: dict[Pair, np.ndarray] = field(default_factory=dict)
+    assoc: dict[Pair, AssocTiles] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for pair, grids in self.assoc.items():
+            if not isinstance(grids, AssocTiles):
+                self.assoc[pair] = AssocTiles.from_dense(grids)
+
+    def channel_names(self) -> list[str]:
+        return [f"prob:{category}" for category in self.prob] + [
+            f"assoc:{connection_name(pair)}:{suffix}"
+            for pair in self.assoc
+            for suffix in ASSOC_CHANNELS
+        ]
 
     def channel_items(self) -> Iterator[tuple[str, np.ndarray]]:
-        for category, grid in self.prob.items():
-            yield f"prob:{category}", grid
-        for pair, grids in self.assoc.items():
-            for idx, suffix in enumerate(ASSOC_CHANNELS):
-                yield f"assoc:{connection_name(pair)}:{suffix}", grids[idx]
+        """Every channel as a dense grid, association channels included."""
+        grids = [*self.prob.values()]
+        for tiles in self.assoc.values():
+            grids.extend(tiles.dense())
+        return zip(self.channel_names(), grids)
 
 
 def kernel_sigma(scale: float, mean_scale: float, theta: float = DEFAULT_THETA) -> float:
@@ -163,20 +330,35 @@ def encode_assoc_maps(
     width: int,
     height: int,
     params: EncoderParams = EncoderParams(),
-) -> dict[Pair, np.ndarray]:
+) -> dict[Pair, AssocTiles]:
     """Render weighted mean offset maps, four channels per connection.
 
     An animal contributes to a connection's channels only when both
     endpoints exist; the weights are its unit-peak keypoint Gaussian
     truncated to zero at ``weight_cutoff``.  Cells never touched stay 0.
+
+    Each side of each connection (the parent's two channels, then the
+    child's) is accumulated in one padded scratch holding the weight sum
+    and the two weighted offsets.  The tiles that its splats' nonzero
+    weights reach are then copied out and zeroed in the scratch again, and
+    normalised; the tiles left with a nonzero cell are kept.
     """
-    pairs = spec.connections
-    block = np.zeros((len(pairs), 4, height, width), dtype=np.float32)
-    # per-connection weight sums on both endpoints: scratch, freed on return
-    wsums = np.zeros((len(pairs), 2, height, width), dtype=np.float32)
+    empty = AssocTiles.empty(height, width)
+    _, ny, nx = empty.slots.shape
+    scratch = np.zeros((3, ny * TILE, nx * TILE), dtype=np.float32)
+    wsum, num_x, num_y = scratch[:, :height, :width]
+    scratch_tiles = scratch.reshape(3, ny, TILE, nx, TILE)
+    planes = np.arange(3)[:, None]
     sigmas = pose_sigmas(poses, spec, params) if poses else []
-    for pair, grids, wsum in zip(pairs, block, wsums):
-        splats: list[tuple[int, float, float, float]] = []
+    # weights at most the cutoff are zeroed, so a splat's nonzero cells lie
+    # within this many sigmas of its keypoint (one cell more covers rounding)
+    # and the rest of its window stays +0.0
+    nonzero_extent = math.sqrt(-2.0 * math.log(params.weight_cutoff))
+    out: dict[Pair, AssocTiles] = {}
+    for pair in spec.connections:
+        # per animal with both endpoints in the image: each side's source
+        # keypoint and offset to the other side, and the kernel width
+        sources: list[tuple[XY, XY, float, float, float]] = []
         for index, (pose, sigma) in enumerate(zip(poses, sigmas)):
             a = pose.get(pair[0])
             b = pose.get(pair[1])
@@ -188,33 +370,38 @@ def encode_assoc_maps(
                     index, connection_name(pair), width, height,
                 )
                 continue
-            dx = b[0] - a[0]
-            dy = b[1] - a[1]
-            kernels.assoc_accumulate(
-                wsum[0], grids[0], grids[1], a[0], a[1], sigma,
-                params.kernel_extent, params.weight_cutoff, dx, dy,
-            )
-            kernels.assoc_accumulate(
-                wsum[1], grids[2], grids[3], b[0], b[1], sigma,
-                params.kernel_extent, params.weight_cutoff, -dx, -dy,
-            )
-            splats.append((0, a[0], a[1], sigma))
-            splats.append((1, b[0], b[1], sigma))
-        for side, cx, cy, sigma in splats:
-            window = kernels.splat_window(
-                (height, width), cx, cy, sigma, params.kernel_extent
-            )
-            if window is None:
-                continue
-            y0, y1, x0, x1 = window
-            weight = wsum[side, y0 : y1 + 1, x0 : x1 + 1]
-            covered = weight > 0
-            for grid in grids[2 * side : 2 * side + 2]:
-                cells = grid[y0 : y1 + 1, x0 : x1 + 1]
-                cells[covered] /= weight[covered]
-            # a cell is normalised once, even where windows overlap
-            weight[covered] = 0.0
-    return dict(zip(pairs, block))
+            sources.append((a, b, b[0] - a[0], b[1] - a[1], sigma))
+        if not sources:
+            out[pair] = AssocTiles.empty(height, width)
+            continue
+        slots = np.full_like(empty.slots, -1)
+        tiles: list[np.ndarray] = []
+        count = 0
+        for side in (0, 1):
+            touched = np.zeros((ny, nx), dtype=bool)
+            for a, b, dx, dy, sigma in sources:
+                (cx, cy), sign = (a, 1.0) if side == 0 else (b, -1.0)
+                kernels.assoc_accumulate(
+                    wsum, num_x, num_y, cx, cy, sigma,
+                    params.kernel_extent, params.weight_cutoff, sign * dx, sign * dy,
+                )
+                extent = min(params.kernel_extent, nonzero_extent + 1.0 / sigma)
+                window = kernels.splat_window((height, width), cx, cy, sigma, extent)
+                if window is not None:
+                    y0, y1, x0, x1 = (edge >> _TILE_SHIFT for edge in window)
+                    touched[y0 : y1 + 1, x0 : x1 + 1] = True
+            tys, txs = np.nonzero(touched)
+            block = scratch_tiles[planes, tys, :, txs, :]  # (3, tiles, TILE, TILE)
+            scratch_tiles[:, tys, :, txs, :] = 0.0
+            weight, offsets = block[0], block[1:]
+            # each cell a splat covered is divided once by its whole weight sum
+            np.divide(offsets, weight, out=offsets, where=weight > 0)
+            channels, kept = np.nonzero((offsets.view(np.uint32) != 0).any(axis=(2, 3)))
+            slots[2 * side + channels, tys[kept], txs[kept]] = np.arange(count, count + len(kept))
+            tiles.append(offsets[channels, kept])
+            count += len(kept)
+        out[pair] = AssocTiles(height, width, slots, np.concatenate(tiles))
+    return out
 
 
 def encode(
@@ -352,54 +539,76 @@ def decode_candidates(
 # sub-pixel map reads
 
 
-def quadratic_sample(grid: np.ndarray, x: float, y: float) -> float:
-    """Sample a map at a sub-pixel position via separable quadratic fits.
+_STEPS = np.array([-1, 0, 1])
 
-    Exact at integer positions and for affine-in-position maps away from
-    the borders.  The position must lie within the sampled grid domain
-    ``[0, width-1] x [0, height-1]``.
-    """
-    height, width = grid.shape
-    if not (0.0 <= x <= width - 1 and 0.0 <= y <= height - 1):
-        raise ValueError(f"position ({x}, {y}) outside {width}x{height} grid domain")
-    col = int(math.floor(x + 0.5))
-    row = int(math.floor(y + 0.5))
-    col = min(col, width - 1)
-    row = min(row, height - 1)
-    tx = x - col
-    ty = y - row
 
-    def axis_fit(left: float, centre: float, right: float, t: float) -> float:
+def _neighbourhoods(height: int, width: int, x, y):
+    """Rows and columns of the 3x3 cells around the positions ``(x, y)``,
+    edge-clamped, each ``(..., 3)``, and the positions' offsets from their
+    centre cells.  Every position must lie within the grid domain
+    ``[0, width-1] x [0, height-1]``."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    outside = ~((0.0 <= x) & (x <= width - 1) & (0.0 <= y) & (y <= height - 1))
+    if outside.any():
+        x, y = np.broadcast_arrays(x, y)
+        bad = outside.argmax()
+        raise ValueError(
+            f"position ({x.flat[bad]}, {y.flat[bad]}) outside {width}x{height} grid domain"
+        )
+    col = np.minimum(np.floor(x + 0.5), width - 1)
+    row = np.minimum(np.floor(y + 0.5), height - 1)
+    rows = np.minimum(np.maximum(row.astype(np.intp)[..., None] + _STEPS, 0), height - 1)
+    cols = np.minimum(np.maximum(col.astype(np.intp)[..., None] + _STEPS, 0), width - 1)
+    return rows, cols, x - col, y - row
+
+
+def _quadratic_fit(cells: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
+    """Separable quadratic fits through ``(..., 3, 3)`` cells (rows, then
+    columns) at offsets ``tx``, ``ty`` from the centre cell."""
+
+    def axis_fit(left, centre, right, t):
         return centre + 0.5 * (right - left) * t + 0.5 * (left - 2.0 * centre + right) * t * t
 
-    rows = (max(row - 1, 0), row, min(row + 1, height - 1))
-    cols = (max(col - 1, 0), col, min(col + 1, width - 1))
-    along_x = [
-        axis_fit(float(grid[r, cols[0]]), float(grid[r, cols[1]]), float(grid[r, cols[2]]), tx)
-        for r in rows
-    ]
-    return axis_fit(along_x[0], along_x[1], along_x[2], ty)
+    cells = cells.astype(np.float64)
+    along_x = axis_fit(cells[..., 0], cells[..., 1], cells[..., 2], tx[..., None])
+    return axis_fit(along_x[..., 0], along_x[..., 1], along_x[..., 2], ty)
+
+
+def quadratic_sample(grid: np.ndarray, x, y) -> np.ndarray:
+    """Sample a map at sub-pixel positions via separable quadratic fits.
+
+    Exact at integer positions and for affine-in-position maps away from
+    the borders.  ``x`` and ``y`` broadcast together; every position must
+    lie within the sampled grid domain ``[0, width-1] x [0, height-1]``.
+    """
+    grid = np.asarray(grid)
+    rows, cols, tx, ty = _neighbourhoods(*grid.shape, x, y)
+    return _quadratic_fit(grid[rows[..., :, None], cols[..., None, :]], tx, ty)
 
 
 def read_offset(
-    maps: MapStack | dict[Pair, np.ndarray],
+    maps: MapStack | dict[Pair, AssocTiles],
     pair: Pair,
-    x: float,
-    y: float,
-    reverse: bool = False,
-) -> tuple[float, float]:
-    """Interpolate a connection's offset vector at a position.
+    x,
+    y,
+    reverse=False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Interpolate a connection's offset vectors at positions ``(x, y)``.
 
-    ``reverse=False`` reads the parent-to-child channels (valid near the
-    parent keypoint); ``reverse=True`` reads child-to-parent.
+    Where ``reverse`` is false this reads the parent-to-child channels
+    (valid near the parent keypoint), where true child-to-parent; it may
+    be an array that broadcasts with the positions.  The 3x3 cells of both
+    channels around every position are read in one tile gather.
     """
     assoc = maps.assoc if isinstance(maps, MapStack) else maps
-    grids = assoc[pair]
-    base = 2 if reverse else 0
-    return (
-        quadratic_sample(grids[base], x, y),
-        quadratic_sample(grids[base + 1], x, y),
-    )
+    tiles = assoc[pair]
+    rows, cols, tx, ty = _neighbourhoods(tiles.height, tiles.width, x, y)
+    base = np.broadcast_to(2 * np.asarray(reverse, dtype=np.intp), tx.shape)
+    channels = np.stack([base, base + 1])[..., None, None]
+    cells = tiles.gather(channels, rows[..., :, None], cols[..., None, :])
+    dx, dy = _quadratic_fit(cells, tx, ty)
+    return dx, dy
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +653,9 @@ def map_loss(
 
     assoc_sq = 0.0
     assoc_cells = 0
-    for pair, truth_grids in truth.assoc.items():
-        pred_grids = predicted.assoc[pair]
+    for pair, truth_tiles in truth.assoc.items():
+        truth_grids = truth_tiles.dense()
+        pred_grids = predicted.assoc[pair].dense()
         nz = truth_grids != 0
         if not nz.any():
             continue
@@ -496,23 +706,33 @@ def _save_binary(maps: MapStack, path: str) -> None:
 
     The boxes are the ``_hot_boxes`` of the cells whose bits are not all
     zero, so -0.0, NaN and subnormals round-trip exactly and every cell
-    outside the boxes is +0.0.
+    outside the boxes is +0.0.  An association channel's boxes and cells
+    are read from its tiles.
     """
-    channels = list(maps.channel_items())
+    names = maps.channel_names()
     with open(path, "wb") as handle:
         handle.write(_BINARY_MAGIC)
-        handle.write(struct.pack("<IIII", _BINARY_VERSION, maps.width, maps.height, len(channels)))
-        for name, _ in channels:
+        handle.write(struct.pack("<IIII", _BINARY_VERSION, maps.width, maps.height, len(names)))
+        for name in names:
             encoded = name.encode("utf-8")
             handle.write(struct.pack("<H", len(encoded)))
             handle.write(encoded)
-        for _, grid in channels:
+        for grid in maps.prob.values():
             cells = np.ascontiguousarray(grid, dtype="<f4")
             boxes = list(_hot_boxes(cells.view("<u4") != 0))
-            handle.write(struct.pack("<I", len(boxes)))
-            handle.write(np.array(boxes, dtype="<u4").tobytes())
-            for r0, r1, c0, c1 in boxes:
-                handle.write(cells[r0:r1, c0:c1].tobytes())
+            _write_boxes(handle, boxes, (cells[r0:r1, c0:c1] for r0, r1, c0, c1 in boxes))
+        for tiles in maps.assoc.values():
+            for channel in range(len(ASSOC_CHANNELS)):
+                found = tiles.hot_boxes(channel)
+                _write_boxes(handle, [box for box, _ in found], (cells for _, cells in found))
+
+
+def _write_boxes(
+    handle: BinaryIO, boxes: list[tuple[int, int, int, int]], cells: Iterable[np.ndarray]
+) -> None:
+    handle.write(struct.pack("<I", len(boxes)))
+    handle.write(np.array(boxes, dtype="<u4").tobytes())
+    handle.write(b"".join(part.astype("<f4", copy=False).tobytes() for part in cells))
 
 
 def _read_exact(handle: BinaryIO, size: int, path: str, what: str) -> bytes:
@@ -541,10 +761,8 @@ def _load_binary(path: str) -> MapStack:
                 raise ValueError(f"{path}: channel name is not UTF-8") from None
         if version == 1:
             block = _read_dense_channels(handle, (count, height, width), path)
-        else:
-            block = _read_box_channels(handle.read(), (count, height, width), path)
-    # a version 2 block may be far larger than the file: never copy it
-    return _assemble_stack(names, block, path, gather=version == 1)
+            return _assemble_stack(names, block, path)
+        return _read_box_channels(handle.read(), names, width, height, path)
 
 
 def _read_dense_channels(handle: BinaryIO, shape: tuple[int, int, int], path: str) -> np.ndarray:
@@ -560,13 +778,21 @@ def _read_dense_channels(handle: BinaryIO, shape: tuple[int, int, int], path: st
     return block.astype(np.float32, copy=False)
 
 
-def _read_box_channels(data: bytes, shape: tuple[int, int, int], path: str) -> np.ndarray:
-    """Version 2 channel data, as ``_save_binary`` writes it, into one
-    zeroed block.  Every count is checked against the bytes left before
-    it is read, and the boxes must be non-empty, inside the grid and
-    disjoint in the order ``_hot_boxes`` yields them: each continues the
-    previous box's rows to its right or starts below them."""
-    count, height, width = shape
+def _read_box_channels(
+    data: bytes, names: list[str], width: int, height: int, path: str
+) -> MapStack:
+    """Version 2 channel data, as ``_save_binary`` writes it: probability
+    channels into one zeroed block, association channels straight into
+    tiles, so their memory is bounded by the boxes the file holds.
+
+    Every count is checked against the bytes left before it is read, and
+    the boxes must be non-empty, inside the grid and disjoint in the order
+    ``_hot_boxes`` yields them: each continues the previous box's rows to
+    its right or starts below them.  A connection's four association
+    channels must follow one another in ``ASSOC_CHANNELS`` order, as the
+    writer stores them.
+    """
+    count = len(names)
     if len(data) < 4 * count:  # each channel stores at least its box count
         raise ValueError(f"{path}: truncated channel data")
     if count * height * width > _MAX_BOX_BLOCK_CELLS:
@@ -574,12 +800,19 @@ def _read_box_channels(data: bytes, shape: tuple[int, int, int], path: str) -> n
             f"{path}: {count} channels of {width}x{height} exceed "
             f"{_MAX_BOX_BLOCK_CELLS} cells"
         )
+    prob, assoc = _channel_layout(names, path)
+    for pair, indices in assoc.items():
+        if indices != list(range(indices[0], indices[0] + len(ASSOC_CHANNELS))):
+            raise ValueError(
+                f"{path}: association channels for {connection_name(pair)} out of order"
+            )
     try:
-        block = np.zeros(shape, dtype=np.float32)
+        block = np.zeros((len(prob), height, width), dtype=np.float32)
     except MemoryError:
         raise ValueError(f"{path}: cannot allocate {count} channels of {width}x{height}") from None
+    channels: list[list[tuple[int, int, int, int, np.ndarray]]] = []
     pos = 0
-    for channel in block:
+    for _ in range(count):
         if len(data) - pos < 4:
             raise ValueError(f"{path}: truncated box count")
         (boxes,) = struct.unpack_from("<I", data, pos)
@@ -595,17 +828,26 @@ def _read_box_channels(data: bytes, shape: tuple[int, int, int], path: str) -> n
         same_rows = (r0[1:] == r0[:-1]) & (r1[1:] == r1[:-1]) & (c0[1:] >= c1[:-1])
         if not (same_rows | (r0[1:] >= r1[:-1])).all():
             raise ValueError(f"{path}: boxes overlap or are out of order")
-        # in bounds, disjoint and inside an allocated block: no overflow
+        # in bounds and disjoint, so the areas sum to at most the grid: no overflow
         areas = (r1 - r0) * (c1 - c0)
         if len(data) - pos < 4 * int(areas.sum()):
             raise ValueError(f"{path}: truncated box data")
+        channel = []
         for top, bottom, left, right, area in zip(
             r0.tolist(), r1.tolist(), c0.tolist(), c1.tolist(), areas.tolist()
         ):
-            cells = np.frombuffer(data, "<f4", area, pos)
-            channel[top:bottom, left:right] = cells.reshape(bottom - top, right - left)
+            cells = np.frombuffer(data, "<f4", area, pos).reshape(bottom - top, right - left)
+            channel.append((top, bottom, left, right, cells))
             pos += 4 * area
-    return block
+        channels.append(channel)
+    stack = MapStack(width=width, height=height)
+    for (category, index), grid in zip(prob.items(), block):
+        for top, bottom, left, right, cells in channels[index]:
+            grid[top:bottom, left:right] = cells
+        stack.prob[category] = grid
+    for pair, indices in assoc.items():
+        stack.assoc[pair] = AssocTiles.from_boxes(height, width, [channels[i] for i in indices])
+    return stack
 
 
 def _save_text(maps: MapStack, path: str) -> None:
@@ -650,42 +892,42 @@ def _load_text(path: str) -> MapStack:
     return _assemble_stack(names, block, path)
 
 
-def _assemble_stack(
-    names: list[str], block: np.ndarray, path: str, gather: bool = True
-) -> MapStack:
-    """A stack whose channels are views of ``block`` (channel, row, col).
-
-    A connection's four association channels stay one view when they are
-    stored consecutively in ``ASSOC_CHANNELS`` order, as ``save_maps``
-    writes them; otherwise they are gathered into a new array, or with
-    ``gather`` false the file is rejected.
-    """
-    count, height, width = block.shape
-    stack = MapStack(width=width, height=height)
-    assoc_parts: dict[Pair, dict[str, int]] = {}
+def _channel_layout(
+    names: list[str], path: str
+) -> tuple[dict[str, int], dict[Pair, list[int]]]:
+    """The index among ``names`` of each probability category's channel
+    and of each connection's four association channels, in
+    ``ASSOC_CHANNELS`` order."""
+    prob: dict[str, int] = {}
+    parts: dict[Pair, dict[str, int]] = {}
     for index, name in enumerate(names):
         kind, _, rest = name.partition(":")
         if kind == "prob":
-            stack.prob[rest] = block[index]
+            prob[rest] = index
         elif kind == "assoc":
             conn, _, suffix = rest.rpartition(":")
-            pair = parse_connection_name(conn)
-            assoc_parts.setdefault(pair, {})[suffix] = index
+            parts.setdefault(parse_connection_name(conn), {})[suffix] = index
         else:
             raise ValueError(f"{path}: unknown channel {name!r}")
-    for pair, parts in assoc_parts.items():
-        if set(parts) != set(ASSOC_CHANNELS):
+    assoc: dict[Pair, list[int]] = {}
+    for pair, found in parts.items():
+        if set(found) != set(ASSOC_CHANNELS):
             raise ValueError(
                 f"{path}: incomplete association channels for {connection_name(pair)}"
             )
-        first = parts[ASSOC_CHANNELS[0]]
-        indices = [parts[suffix] for suffix in ASSOC_CHANNELS]
-        if indices == list(range(first, first + len(ASSOC_CHANNELS))):
-            stack.assoc[pair] = block[first : first + len(ASSOC_CHANNELS)]
-        elif gather:
-            stack.assoc[pair] = block[indices]
-        else:
-            raise ValueError(
-                f"{path}: association channels for {connection_name(pair)} out of order"
-            )
-    return stack
+        assoc[pair] = [found[suffix] for suffix in ASSOC_CHANNELS]
+    return prob, assoc
+
+
+def _assemble_stack(names: list[str], block: np.ndarray, path: str) -> MapStack:
+    """A stack of the dense channels ``block`` (channel, row, col): the
+    probability channels are views of it, the association channels are
+    converted to tiles."""
+    prob, assoc = _channel_layout(names, path)
+    _, height, width = block.shape
+    return MapStack(
+        width=width,
+        height=height,
+        prob={category: block[index] for category, index in prob.items()},
+        assoc={pair: AssocTiles.from_dense(block[indices]) for pair, indices in assoc.items()},
+    )

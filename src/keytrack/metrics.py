@@ -92,9 +92,13 @@ def precision_recall(
     A ground-truth keypoint counts as found when the predicted map reads
     at least ``cutoff`` at its position; a candidate counts as true when
     the ground-truth map reads at least ``cutoff`` at its position.  The
-    true-positive count is the average of both directions.
+    true-positive count is the average of both directions.  Categories of
+    the predicted maps or candidates that the truth maps lack are scored
+    too, so each such candidate is a false positive.
     """
-    categories = list(gt_prob_maps.keys())
+    categories = list(
+        dict.fromkeys([*gt_prob_maps, *pred_prob_maps, *(c.category for c in candidates)])
+    )
     per_category: dict[str, CategoryPR] = {}
     for category in categories:
         gt_points = [

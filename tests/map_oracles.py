@@ -3,8 +3,11 @@
 The package decodes and normalises only regions of interest.  These are
 the straightforward whole-map versions it must reproduce exactly: the
 dense decoder smooths and scans every cell, and the dense association
-encoder divides every cell by its weight sum.  The package writes only
-the boxes of nonzero cells to a ``.ktm`` file; the version 1 writer here
+encoder divides every cell by its weight sum in one full-frame array per
+connection, where the package keeps only 32x32 tiles.  The package writes
+only the boxes of nonzero cells to a ``.ktm`` file, finding an association
+channel's boxes from its tiles; the dense writer here scans every cell of
+every channel and must write the same bytes.  The version 1 writer here
 stores every cell, and its files must still load.  The ``.ktmt`` writer
 here formats one cell at a time, and the package's must write its bytes.
 """
@@ -24,6 +27,7 @@ from keytrack.maps import (
     CandidateKeypoint,
     EncoderParams,
     MapStack,
+    _hot_boxes,
     _in_bounds,
     _parabola_offset,
     pose_sigmas,
@@ -151,6 +155,27 @@ def save_maps_v1(maps: MapStack, path: str) -> None:
             handle.write(encoded)
         for _, grid in channels:
             handle.write(np.ascontiguousarray(grid, dtype="<f4"))
+
+
+def save_maps_dense(maps: MapStack, path: str) -> None:
+    """The version 2 ``.ktm`` layout written from dense channels: each
+    channel's boxes are the ``_hot_boxes`` of all its cells whose bits are
+    not all zero."""
+    channels = list(maps.channel_items())
+    with open(path, "wb") as handle:
+        handle.write(b"KTMB")
+        handle.write(struct.pack("<IIII", 2, maps.width, maps.height, len(channels)))
+        for name, _ in channels:
+            encoded = name.encode("utf-8")
+            handle.write(struct.pack("<H", len(encoded)))
+            handle.write(encoded)
+        for _, grid in channels:
+            cells = np.ascontiguousarray(grid, dtype="<f4")
+            boxes = list(_hot_boxes(cells.view("<u4") != 0))
+            handle.write(struct.pack("<I", len(boxes)))
+            handle.write(np.array(boxes, dtype="<u4").tobytes())
+            for r0, r1, c0, c1 in boxes:
+                handle.write(cells[r0:r1, c0:c1].tobytes())
 
 
 def save_text_maps_by_cell(maps: MapStack, path: str) -> None:

@@ -2,15 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from keytrack import assembly
 from keytrack.assembly import (
     PartialSkeleton,
     assemble,
     association_penalty,
     predict_complement,
 )
-from keytrack.maps import CandidateKeypoint, MapStack, encode
+from keytrack.maps import CandidateKeypoint, MapStack, decode_candidates, encode
+from keytrack.simulate import (
+    RegimeSegment,
+    ScenarioConfig,
+    corrupt,
+    generate,
+    two_point_skeleton,
+)
 
+import assembly_oracle
 from conftest import make_pose
 
 
@@ -201,3 +212,84 @@ class TestAssemble:
 def test_partial_skeleton_defaults():
     empty = PartialSkeleton()
     assert empty.coords == {} and empty.scores == {}
+
+
+# ---------------------------------------------------------------------------
+# the broadcast penalty matrix against the scalar definition
+
+_coordinate = st.floats(0.0, 79.0)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    animals=st.lists(
+        st.tuples(st.tuples(_coordinate, _coordinate), st.tuples(_coordinate, _coordinate)).filter(
+            lambda p: math.dist(*p) > 1.0
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    parents=st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=5),
+    children=st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=5),
+)
+def test_penalty_matrix_matches_scalar_oracle(animals, parents, children):
+    spec = two_point_skeleton()
+    pair = spec.connections[0]
+    stack = encode([make_pose(front=a, back=b) for a, b in animals], spec, 80, 80)
+    got = association_penalty(parents, children, stack, pair)
+    want = assembly_oracle.penalty_matrix(parents, children, stack, pair)
+    assert got.shape == (len(parents), len(children))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+    grids = stack.assoc[pair].dense()
+    one = association_penalty(parents[0], children[0], stack, pair)
+    assert one.shape == ()
+    assert one == pytest.approx(
+        assembly_oracle.association_penalty(parents[0], children[0], grids), abs=1e-9
+    )
+
+
+def test_penalty_reads_positions_in_the_grid_domain_only(spec, square_pose):
+    stack = encode([square_pose], spec, 200, 200)
+    with pytest.raises(ValueError, match="outside 200x200 grid domain"):
+        association_penalty([(5.0, 5.0)], [(5.0, 5.0), (199.5, 5.0)], stack, spec.dominant[0])
+
+
+@pytest.mark.parametrize("n_animals", [3, 12, 30])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_assemble_matches_scalar_penalty_oracle(spec, monkeypatch, n_animals, seed):
+    """Skeletons, coordinates and scores equal those assembled from the
+    per-pair penalty, decoded candidates with their near-ties included."""
+    config = ScenarioConfig(
+        n_animals=n_animals, seed=seed, width=1600, height=1200,
+        regimes=(RegimeSegment("stationary", 1),),
+    )
+    poses = corrupt(generate(spec, config), spec, config)[0]
+    stack = encode(poses, spec, config.width, config.height)
+    candidates = decode_candidates(stack.prob)
+    got = assemble(candidates, stack, spec)
+    monkeypatch.setattr(assembly, "association_penalty", assembly_oracle.penalty_matrix)
+    want = assemble(candidates, stack, spec)
+    assert len(got) >= n_animals // 2
+    assert [(s.coords, s.scores) for s in got] == [(s.coords, s.scores) for s in want]
+
+
+def test_assemble_with_a_connection_without_tiles(spec):
+    """Both endpoints have candidates but no animal has both, so the
+    connection has no tiles and its offsets read as 0."""
+    poses = [
+        make_pose(withers=(100, 100), tail_implant=(40, 100), head=(122, 100), nose=None),
+        make_pose(withers=(300, 200), tail_implant=(240, 200), head=(322, 200), nose=None),
+        make_pose(withers=(200, 60), tail_implant=(140, 60), head=None, nose=(238, 60)),
+    ]
+    stack = encode(poses, spec, 400, 300)
+    assert len(stack.assoc[("head", "nose")].tiles) == 0
+    candidates = decode_candidates(stack.prob)
+    skeletons = assemble(candidates, stack, spec)
+    assert len(skeletons) == 3
+    heads = [(c.x, c.y) for c in candidates if c.category == "head"]
+    noses = [(c.x, c.y) for c in candidates if c.category == "nose"]
+    matrix = association_penalty(heads, noses, stack, ("head", "nose"))
+    # with no offsets each prediction is the candidate itself
+    np.testing.assert_allclose(
+        matrix, [[math.dist(h, n) for n in noses] for h in heads], rtol=0, atol=1e-12
+    )

@@ -11,6 +11,7 @@ from keytrack import kernels
 from keytrack.maps import (
     DEFAULT_DETECT_THRESHOLD,
     DEFAULT_NMS_RADIUS,
+    AssocTiles,
     CandidateKeypoint,
     EncoderParams,
     MapStack,
@@ -34,6 +35,7 @@ from keytrack.simulate import (
     corrupt,
     generate,
     parallel_rows_scene,
+    two_point_skeleton,
 )
 from keytrack.skeleton import Pose
 
@@ -44,7 +46,14 @@ from kernel_oracles import (
     _gaussian_max_loop,
     _local_max_mask_loop,
 )
-from map_oracles import dense_decode_candidates, dense_encode, save_maps_v1, save_text_maps_by_cell
+from map_oracles import (
+    dense_decode_candidates,
+    dense_encode,
+    dense_encode_assoc_maps,
+    save_maps_dense,
+    save_maps_v1,
+    save_text_maps_by_cell,
+)
 
 
 class TestKernelSigma:
@@ -144,7 +153,7 @@ class TestAssocEncoding:
         a = make_pose(withers=(50, 50), tail_implant=(80, 50))
         b = make_pose(withers=(50, 50), tail_implant=(100, 50))
         assoc = encode_assoc_maps([a, b], spec, 160, 100)
-        grids = assoc[("withers", "tail_implant")]
+        grids = assoc[("withers", "tail_implant")].dense()
         # equal scales (40 vs 50 differ -> use sigma-weighted expectation)
         sigmas = pose_sigmas([a, b], spec, EncoderParams())
         w = [1.0, 1.0]  # unit peaks at the exact source pixel
@@ -156,15 +165,15 @@ class TestAssocEncoding:
     def test_missing_endpoint_contributes_nothing(self, spec):
         pose = make_pose(withers=(50, 50), tail_implant=(20, 50), head=None)
         assoc = encode_assoc_maps([pose], spec, 100, 100)
-        assert assoc[("withers", "head")].max() == 0.0
-        assert assoc[("withers", "head")].min() == 0.0
+        assert assoc[("withers", "head")].dense().max() == 0.0
+        assert assoc[("withers", "head")].dense().min() == 0.0
 
     def test_cutoff_is_strict(self, spec):
         pose = make_pose(withers=(50, 50), tail_implant=(20, 50))
         params = EncoderParams(weight_cutoff=0.2, kernel_extent=10.0)
         assoc = encode_assoc_maps([pose], spec, 100, 100, params)
         sigma = pose_sigmas([pose], spec, params)[0]
-        grids = assoc[("withers", "tail_implant")]
+        grids = assoc[("withers", "tail_implant")].dense()
         # radius where the unit-peak weight crosses the cutoff
         r_cut = sigma * math.sqrt(-2.0 * math.log(0.2))
         inside = int(math.floor(r_cut))
@@ -174,7 +183,7 @@ class TestAssocEncoding:
 
     def test_uncovered_cells_zero(self, spec, square_pose):
         assoc = encode_assoc_maps([square_pose], spec, 200, 200)
-        grids = assoc[("withers", "tail_implant")]
+        grids = assoc[("withers", "tail_implant")].dense()
         assert grids[0][0, 0] == 0.0
 
     def test_training_only_connection_encoded(self, spec, square_pose):
@@ -356,7 +365,7 @@ class TestSerialization:
             )
         for pair in stack.assoc:
             np.testing.assert_allclose(
-                loaded.assoc[pair], stack.assoc[pair], rtol=1e-6, atol=1e-5
+                loaded.assoc[pair].dense(), stack.assoc[pair].dense(), rtol=1e-6, atol=1e-5
             )
 
     def test_binary_round_trip_is_exact(self, spec, square_pose, tmp_path):
@@ -397,7 +406,7 @@ class TestSerialization:
         loaded = load_maps(str(path))
         assert (loaded.width, loaded.height) == (3, 2)
         np.testing.assert_array_equal(loaded.prob["k"], prob)
-        np.testing.assert_array_equal(loaded.assoc[("k", "j")], assoc)
+        np.testing.assert_array_equal(loaded.assoc[("k", "j")].dense(), assoc)
         # the oracle writer produces exactly this layout
         save_maps_v1(loaded, str(path))
         assert path.read_bytes() == data
@@ -476,7 +485,7 @@ class TestSerialization:
         save_maps(stack, str(path))
         loaded = load_maps(str(path))
         self.assert_bit_equal(loaded, stack)
-        assert np.signbit(loaded.prob["k"][0, 0]) and np.signbit(loaded.assoc[("k", "j")][1]).all()
+        assert np.signbit(loaded.prob["k"][0, 0]) and np.signbit(loaded.assoc[("k", "j")].dense()[1]).all()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_text_writer_matches_cell_oracle(self, spec, square_pose, tmp_path, dtype):
@@ -617,7 +626,7 @@ class TestSerialization:
         for name in names:
             data += struct.pack("<H", len(name)) + name.encode("utf-8")
         path.write_bytes(data + np.arange(24, dtype="<f4").tobytes())
-        grids = load_maps(str(path)).assoc[("k", "j")]
+        grids = load_maps(str(path)).assoc[("k", "j")].dense()
         assert grids[:, 0, 0].tolist() == [6.0, 0.0, 12.0, 18.0]
 
     def test_binary_load_shares_one_block(self, spec, square_pose, tmp_path):
@@ -625,10 +634,11 @@ class TestSerialization:
         path = tmp_path / "m.ktm"
         save_maps(stack, str(path))
         loaded = load_maps(str(path))
-        grids = [*loaded.prob.values(), *loaded.assoc.values()]
+        grids = list(loaded.prob.values())
         block = grids[0].base
-        assert block is not None and block.shape == (30, 160, 200)
+        assert block is not None and block.shape == (6, 160, 200)
         assert all(grid.base is block and grid.dtype == np.float32 for grid in grids)
+        assert all(isinstance(tiles, AssocTiles) for tiles in loaded.assoc.values())
 
     def test_absurd_dimensions_rejected_before_allocating(self, tmp_path):
         path = tmp_path / "huge.ktm"
@@ -1030,9 +1040,11 @@ def test_roi_encode_bit_equal_to_dense_oracle(spec):
         for category, grid in want.prob.items():
             assert got.prob[category].dtype == grid.dtype
             assert got.prob[category].tobytes() == grid.tobytes(), category
-        for pair, grids in want.assoc.items():
-            assert got.assoc[pair].dtype == grids.dtype
-            assert got.assoc[pair].tobytes() == grids.tobytes(), pair
+        want_assoc = dense_encode_assoc_maps(poses, scene_spec, width, height, EncoderParams())
+        assert list(got.assoc) == list(want_assoc)
+        for pair, grids in want_assoc.items():
+            assert got.assoc[pair].dense().dtype == grids.dtype
+            assert got.assoc[pair].dense().tobytes() == grids.tobytes(), pair
         assert_same_candidates(
             decode_candidates(got.prob),
             dense_decode_candidates(want.prob, DEFAULT_DETECT_THRESHOLD, DEFAULT_NMS_RADIUS),
@@ -1081,3 +1093,103 @@ def test_roi_decode_box_margins(cells, nms_radius, expected_cols, transpose):
     want = dense_decode_candidates(prob, 0.5, nms_radius)
     assert [round(c.y if transpose else c.x) for c in want] == expected_cols
     assert_same_candidates(decode_candidates(prob, 0.5, nms_radius), want)
+
+
+# ---------------------------------------------------------------------------
+# association tiles
+
+
+def _two_point_poses(points):
+    return [make_pose(front=front, back=back) for front, back in points]
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    width=st.integers(1, 140),
+    height=st.integers(1, 140),
+    points=st.lists(
+        st.tuples(
+            st.tuples(st.floats(-5.0, 145.0), st.floats(-5.0, 145.0)),
+            st.tuples(st.floats(-5.0, 145.0), st.floats(-5.0, 145.0)),
+        ).filter(lambda p: math.dist(*p) > 1.0),
+        min_size=1,
+        max_size=4,
+    ),
+    weight_cutoff=st.floats(0.01, 0.95),
+    kernel_extent=st.floats(0.5, 4.0),
+)
+def test_tiled_assoc_encode_bit_equal_to_dense_oracle(
+    width, height, points, weight_cutoff, kernel_extent
+):
+    """Frames of any size, splats clipped at the border, any cutoff."""
+    spec = two_point_skeleton()
+    poses = _two_point_poses(points)
+    params = EncoderParams(weight_cutoff=weight_cutoff, kernel_extent=kernel_extent)
+    got = encode_assoc_maps(poses, spec, width, height, params)
+    want = dense_encode_assoc_maps(poses, spec, width, height, params)
+    for pair, grids in want.items():
+        tiles = got[pair]
+        assert tiles.dense().tobytes() == grids.tobytes()
+        assert AssocTiles.from_dense(grids).dense().tobytes() == grids.tobytes()
+        # every kept tile holds a cell whose bits are not all zero
+        assert (tiles.tiles.view(np.uint32) != 0).any(axis=(1, 2)).all()
+        assert tiles.nbytes == tiles.slots.nbytes + tiles.tiles.nbytes
+
+
+def test_tiled_writer_matches_dense_writer_and_formats_load_alike(spec, tmp_path):
+    scenes = _parity_scenes(spec)
+    for seed in (1, 2):
+        config = ScenarioConfig(n_animals=12, seed=seed, regimes=(RegimeSegment("stationary", 1),))
+        poses = corrupt(generate(spec, config), spec, config)[0]
+        scenes.append((spec, poses, config.width, config.height))
+    paths = {name: tmp_path / name for name in ("v2.ktm", "dense.ktm", "v1.ktm", "m.ktmt")}
+    for scene_spec, poses, width, height in scenes:
+        stack = encode(poses, scene_spec, width, height)
+        save_maps(stack, str(paths["v2.ktm"]))
+        save_maps_dense(stack, str(paths["dense.ktm"]))
+        assert paths["v2.ktm"].read_bytes() == paths["dense.ktm"].read_bytes()
+        save_maps_v1(stack, str(paths["v1.ktm"]))
+        formats = ["v2.ktm", "v1.ktm"]
+        if width * height <= 120 * 100:  # the text format takes seconds a full frame
+            save_maps(stack, str(paths["m.ktmt"]), text=True)
+            formats.append("m.ktmt")
+        for name in formats:
+            TestSerialization.assert_bit_equal(load_maps(str(paths[name])), stack)
+
+
+def test_v2_association_memory_bounded_by_boxes(tmp_path):
+    """A tiny file may declare 24 association channels on the largest grid
+    the cell cap admits; loading it allocates tiles only where its boxes are."""
+    width = 4096
+    height = (1 << 28) // (24 * width)
+    pairs = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f"), ("f", "g")]
+    channels = []
+    for index, (parent, child) in enumerate(pairs):
+        for suffix in ("dx_ab", "dy_ab", "dx_ba", "dy_ba"):
+            row = 512 * index
+            # two one-cell boxes far apart, one box across four tiles
+            boxes = [(row, row + 1, 5, 6), (row + 40, row + 41, 4000, 4001)]
+            boxes.append((row + 63, row + 65, 31, 33))
+            channels.append((f"assoc:{parent}->{child}:{suffix}", boxes, [1.5, -2.0, 1, 2, 3, 4]))
+    path = TestSerialization.v2_file(tmp_path / "m.ktm", width, height, channels)
+    assert 24 * width * height <= (1 << 28) < 24 * width * (height + 1)
+    stack = load_maps(str(path))
+    assert sum(tiles.nbytes for tiles in stack.assoc.values()) < 2e6
+    tiles = stack.assoc[("c", "d")]
+    assert len(tiles.tiles) == 4 * 6
+    cells = tiles.gather(1, np.array([1024, 1064, 1087, 1088]), np.array([5, 4000, 32, 31]))
+    assert cells.tolist() == [1.5, -2.0, 2.0, 3.0]
+
+
+def test_connection_without_tiles_reads_zero_offsets(spec):
+    """Candidates of both endpoints, but no animal has both: no tiles."""
+    poses = [
+        make_pose(withers=(100, 100), tail_implant=(40, 100), head=(122, 100), nose=None),
+        make_pose(withers=(300, 200), tail_implant=(240, 200), head=None, nose=(338, 200)),
+    ]
+    stack = encode(poses, spec, 400, 300)
+    tiles = stack.assoc[("head", "nose")]
+    assert len(tiles.tiles) == 0 and (tiles.slots == -1).all()
+    dx, dy = read_offset(stack, ("head", "nose"), [122.0, 338.0], [100.0, 200.0])
+    assert dx.tolist() == [0.0, 0.0] and dy.tolist() == [0.0, 0.0]
+    assert tiles.gather(0, np.array([5]), np.array([7])).tolist() == [0.0]

@@ -98,6 +98,15 @@ class TestPrecisionRecall:
         )
         assert report.per_category["k"].fp == 1
 
+    def test_category_missing_from_truth_maps_scores_false_positives(self):
+        candidates = [CandidateKeypoint("horn", 5.0, 5.0, 1.0)]
+        report = precision_recall(
+            [], candidates, {"k": flat_map()}, {"k": flat_map(), "horn": flat_map(value=1.0)}
+        )
+        assert report.per_category["horn"] == CategoryPR(tp=0.0, fp=1, fn=0)
+        assert report.per_category["k"] == CategoryPR()
+        assert report.overall.fp == 1
+
     def test_overall_sums_categories(self):
         gt_poses = [make_pose(a=(5.0, 5.0), b=(6.0, 6.0))]
         pred_maps = {"a": flat_map(value=1.0), "b": flat_map()}
