@@ -186,15 +186,15 @@ class TrackerModel:
 
         Walking the tree from the root, a category's offset is its detection
         minus its parent's implied position (the root plus the offsets on the
-        way), when both it and its parent are detected, and 0 otherwise.
+        way) when it is detected, so it is born where it was seen even when
+        its parent was not, and 0 otherwise.
         """
         detected = ~np.isnan(observed[..., 0])
         offsets = np.zeros_like(observed)
         offsets[:, self._root] = observed[:, self._root]
         implied = offsets.copy()
         for child, parent in self._chain:
-            both = (detected[:, child] & detected[:, parent])[:, None]
-            offset = np.where(both, observed[:, child] - implied[:, parent], 0.0)
+            offset = np.where(detected[:, child, None], observed[:, child] - implied[:, parent], 0.0)
             offsets[:, child] = offset
             implied[:, child] = implied[:, parent] + offset
         return offsets.reshape(len(observed), self.obs_dim)

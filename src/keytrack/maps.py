@@ -7,15 +7,15 @@ max-merged where they overlap.  Association maps carry, per connection,
 four channels of weighted mean offsets: ``dx_ab, dy_ab, dx_ba, dy_ba``
 where ``ab`` points from parent to child.
 
-The codec only touches the regions of interest around keypoints.
-Encoding writes each splat's window, never the whole frame.  A stack's
-probability channels share one dense array; each connection's
-association channels are stored as 32x32 tiles (:class:`AssocTiles`),
-only those holding a nonzero cell, and are read and written through the
-tiles.  Decoding smooths and scans only crops
-around the raw cells above the detection threshold: a window mean can
-exceed the threshold only if some cell in the window does, so no other
-cell can yield a candidate.
+Every channel is held as 16x16 tiles (:class:`Tiles`), only those holding
+a nonzero cell: a stack has a one-channel tile set per probability
+category and a four-channel one per connection.  Encoding renders each
+splat into a padded scratch and copies out only the tiles its window
+touched.  Decoding finds the rows holding a cell above the detection
+threshold from the tiles, and smooths and scans only crops around those
+cells: a window mean can exceed the threshold only if some cell in the
+window does, so no other cell can yield a candidate.  A ``.ktm`` file
+(version 3) stores each tile set as it is held in memory.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import BinaryIO, Iterable, Iterator, Optional, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .skeleton import (
     Pose,
     SkeletonSpec,
     connection_name,
-    connection_vector,
     parse_connection_name,
     skeleton_scale,
 )
@@ -87,45 +86,57 @@ class CandidateKeypoint:
         return (self.x, self.y)
 
 
-TILE = 32  # side of an association tile, in cells
-_TILE_SHIFT = 5
+TILE = 16  # side of a map tile, in cells
+_TILE_SHIFT = 4
 _TILE_MASK = TILE - 1
 
 
+def _tile_counts(height: int, width: int) -> tuple[int, int]:
+    return -(-height // TILE), -(-width // TILE)
+
+
+def _nonzero_bits(cells: np.ndarray) -> np.ndarray:
+    """Where the cells' bits are not all zero (so -0.0 counts, +0.0 not)."""
+    return cells.view(f"u{cells.itemsize}") != 0
+
+
 @dataclass
-class AssocTiles:
-    """One connection's four association channels, stored as 32x32 tiles.
+class Tiles:
+    """``C`` channels of a ``height x width`` grid, stored as 16x16 tiles.
 
     ``slots[channel, ty, tx]`` is the index in ``tiles`` of the tile that
-    holds the channel's rows ``32*ty`` to ``32*ty + 31`` and columns
-    ``32*tx`` to ``32*tx + 31``, or -1 when every one of those cells is
+    holds the channel's rows ``16*ty`` to ``16*ty + 15`` and columns
+    ``16*tx`` to ``16*tx + 15``, or -1 when every one of those cells is
     +0.0.  Tile cells past the last row or column of the grid are zero.
+    The package keeps the tiles in the order of their slots' flat
+    positions, which is how a ``.ktm`` file stores them.
+
+    ``np.asarray(tiles)`` gives the dense ``(C, height, width)`` channels.
     """
 
     height: int
     width: int
-    slots: np.ndarray  # (4, ceil(height / 32), ceil(width / 32)) int32
-    tiles: np.ndarray  # (n, 32, 32) float32
+    slots: np.ndarray  # (C, ceil(height / 16), ceil(width / 16)) int32
+    tiles: np.ndarray  # (n, 16, 16) float32
 
     @classmethod
-    def empty(cls, height: int, width: int) -> "AssocTiles":
-        shape = (len(ASSOC_CHANNELS), -(-height // TILE), -(-width // TILE))
-        return cls(
-            height, width, np.full(shape, -1, dtype=np.int32), np.zeros((0, TILE, TILE), np.float32)
-        )
+    def empty(cls, channels: int, height: int, width: int, dtype=np.float32) -> "Tiles":
+        shape = (channels, *_tile_counts(height, width))
+        return cls(height, width, np.full(shape, -1, dtype=np.int32), np.zeros((0, TILE, TILE), dtype))
 
     @classmethod
-    def from_dense(cls, grids: np.ndarray) -> "AssocTiles":
-        """Tiles of a ``(4, height, width)`` array, keeping every tile with
-        a cell whose float32 bits are not all zero."""
-        grids = np.asarray(grids, dtype=np.float32)
-        _, height, width = grids.shape
-        out = cls.empty(height, width)
+    def from_dense(cls, grids, dtype=np.float32) -> "Tiles":
+        """Tiles of a ``(C, height, width)`` array, keeping every tile with
+        a cell whose bits are not all zero.  ``dtype=None`` keeps the
+        array's own."""
+        grids = np.asarray(grids, dtype=dtype)
+        channels, height, width = grids.shape
+        out = cls.empty(channels, height, width, grids.dtype)
         _, ny, nx = out.slots.shape
-        padded = np.zeros((len(ASSOC_CHANNELS), ny * TILE, nx * TILE), dtype=np.float32)
+        padded = np.zeros((channels, ny * TILE, nx * TILE), dtype=grids.dtype)
         padded[:, :height, :width] = grids
-        blocks = padded.reshape(len(ASSOC_CHANNELS), ny, TILE, nx, TILE).transpose(0, 1, 3, 2, 4)
-        kept = (blocks.view(np.uint32) != 0).any(axis=(3, 4))
+        blocks = padded.reshape(channels, ny, TILE, nx, TILE).transpose(0, 1, 3, 2, 4)
+        kept = _nonzero_bits(blocks).any(axis=(3, 4))
         out.slots[kept] = np.arange(int(kept.sum()), dtype=np.int32)
         out.tiles = blocks[kept]
         return out
@@ -133,96 +144,104 @@ class AssocTiles:
     @classmethod
     def from_boxes(
         cls, height: int, width: int, channels: Sequence[Sequence[tuple]]
-    ) -> "AssocTiles":
-        """Tiles of four channels, each given as its disjoint
-        ``(top, bottom, left, right, cells)`` boxes in the order
-        ``_hot_boxes`` yields them.  Only the tiles the boxes overlap are
-        allocated, and the boxes on the same rows are copied in together."""
-        out = cls.empty(height, width)
+    ) -> "Tiles":
+        """Tiles of channels each given as its disjoint ``(top, bottom,
+        left, right, cells)`` boxes in ``.ktm`` version 2 order: a box
+        continues the previous one's rows to its right or starts below
+        them.  Only the tiles the boxes overlap are allocated, the boxes
+        on the same rows are copied in together, and tiles left with no
+        cell whose bits are not all zero are dropped."""
+        out = cls.empty(len(channels), height, width)
+        nx = out.slots.shape[2]
+        touched = np.zeros(out.slots.shape, dtype=bool)
         bands = []
-        count = 0
         for channel, boxes in enumerate(channels):
             for (top, bottom), band in groupby(boxes, key=lambda box: box[:2]):
                 band = list(band)
-                used = np.zeros(out.slots.shape[2], dtype=bool)
+                used = np.zeros(nx, dtype=bool)
                 for box in band:
                     used[box[2] >> _TILE_SHIFT : ((box[3] - 1) >> _TILE_SHIFT) + 1] = True
                 tile_cols = np.flatnonzero(used)
-                tile_rows = slice(top >> _TILE_SHIFT, ((bottom - 1) >> _TILE_SHIFT) + 1)
-                rows_of_slots = out.slots[channel, tile_rows]
-                span = rows_of_slots[:, tile_cols]
-                fresh = span < 0
-                found = int(fresh.sum())
-                span[fresh] = np.arange(count, count + found)
-                rows_of_slots[:, tile_cols] = span
-                count += found
-                bands.append((span, tile_rows.start << _TILE_SHIFT, tile_cols, band))
-        out.tiles = np.zeros((count, TILE, TILE), dtype=np.float32)
-        for slots, first_row, tile_cols, band in bands:
+                tile_rows = np.arange(top >> _TILE_SHIFT, ((bottom - 1) >> _TILE_SHIFT) + 1)
+                touched[channel, tile_rows[:, None], tile_cols] = True
+                bands.append((channel, tile_rows, tile_cols, band))
+        count = int(touched.sum())
+        out.slots[touched] = np.arange(count, dtype=np.int32)
+        tiles = np.zeros((count, TILE, TILE), dtype=np.float32)
+        for channel, tile_rows, tile_cols, band in bands:
+            slots = out.slots[channel, tile_rows[:, None], tile_cols]
+            first_row = int(tile_rows[0]) << _TILE_SHIFT
             # a tile row may hold cells of an earlier band, so start from the tiles
-            strip = _strip(out.tiles[slots])
+            strip = _strip(tiles[slots])
             for top, bottom, left, right, cells in band:
                 start = _strip_column(tile_cols, left)
                 strip[top - first_row : bottom - first_row, start : start + right - left] = cells
-            out.tiles[slots] = strip.reshape(len(slots), TILE, -1, TILE).transpose(0, 2, 1, 3)
+            tiles[slots] = strip.reshape(len(slots), TILE, -1, TILE).transpose(0, 2, 1, 3)
+        kept = _nonzero_bits(tiles).any(axis=(1, 2))
+        renumbered = np.full(count, -1, dtype=np.int32)
+        renumbered[kept] = np.arange(int(kept.sum()), dtype=np.int32)
+        out.slots[touched] = renumbered
+        out.tiles = tiles[kept]
         return out
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (len(self.slots), self.height, self.width)
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
 
     @property
     def nbytes(self) -> int:
         return self.slots.nbytes + self.tiles.nbytes
 
-    def dense(self) -> np.ndarray:
-        """The four channels as one ``(4, height, width)`` float32 array:
-        for ``map_loss``, the text format and tests only."""
-        _, ny, nx = self.slots.shape
-        out = np.zeros((len(ASSOC_CHANNELS), ny * TILE, nx * TILE), dtype=np.float32)
-        blocks = out.reshape(len(ASSOC_CHANNELS), ny, TILE, nx, TILE).transpose(0, 1, 3, 2, 4)
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The dense ``(C, height, width)`` channels: for ``map_loss``, the
+        text format and tests; the codec reads the tiles."""
+        if copy is False:
+            raise ValueError("tiles cannot be viewed as a dense array without a copy")
+        channels, ny, nx = self.slots.shape
+        out = np.zeros((channels, ny * TILE, nx * TILE), dtype=self.tiles.dtype)
+        blocks = out.reshape(channels, ny, TILE, nx, TILE).transpose(0, 1, 3, 2, 4)
         kept = self.slots >= 0
         blocks[kept] = self.tiles[self.slots[kept]]
-        return out[:, : self.height, : self.width]
+        out = out[:, : self.height, : self.width]
+        return out if dtype is None else out.astype(dtype, copy=False)
 
     def gather(self, channels, rows, cols) -> np.ndarray:
         """Cells ``[channels, rows, cols]`` of the dense channels, the
         three integer index arrays broadcast together."""
         slots = self.slots[channels, rows >> _TILE_SHIFT, cols >> _TILE_SHIFT]
         if not len(self.tiles):
-            return np.zeros(slots.shape, dtype=np.float32)
+            return np.zeros(slots.shape, dtype=self.tiles.dtype)
         # slot -1 reads the last tile; those cells are then set to +0.0
         cells = self.tiles[slots, rows & _TILE_MASK, cols & _TILE_MASK]
         cells[slots < 0] = 0.0
         return cells
 
-    def hot_boxes(
-        self, channel: int
-    ) -> list[tuple[tuple[int, int, int, int], np.ndarray]]:
-        """``_hot_boxes`` of the channel's cells whose bits are not all
-        zero, each with its cells, found from the channel's tiles alone."""
-        tys, txs = np.nonzero(self.slots[channel] >= 0)  # tys ascending
-        hot = self.tiles[self.slots[channel, tys, txs]].view(np.uint32) != 0
-        lanes = np.arange(TILE)
-        rows = np.zeros(self.slots.shape[1] * TILE, dtype=bool)
-        rows[(tys[:, None] * TILE + lanes)[hot.any(axis=2)]] = True
-        found = []
-        for r0, r1 in _runs(rows[: self.height]):
-            # the band's tiles, in every tile column holding one on its rows,
-            # as one array
-            ty0 = r0 >> _TILE_SHIFT
-            ty1 = ((r1 - 1) >> _TILE_SHIFT) + 1
-            used = np.unique(txs[np.searchsorted(tys, ty0) : np.searchsorted(tys, ty1)])
-            slots = self.slots[channel, ty0:ty1][:, used]
-            band = self.tiles[np.maximum(slots, 0)]
-            band[slots < 0] = 0.0
-            band = _strip(band)[r0 - (ty0 << _TILE_SHIFT) : r1 - (ty0 << _TILE_SHIFT)]
-            cols = np.zeros(self.slots.shape[2] * TILE, dtype=bool)
-            cols[(used[:, None] * TILE + lanes).ravel()] = (band.view(np.uint32) != 0).any(axis=0)
-            for c0, c1 in _runs(cols[: self.width]):
-                start = _strip_column(used, c0)
-                found.append(((r0, r1, c0, c1), band[:, start : start + c1 - c0]))
-        return found
+    def band(self, channel: int, first: int, last: int) -> np.ndarray:
+        """Tile rows ``first`` to ``last - 1`` of one channel as one dense
+        array of all columns, cut at the grid's last row, so that it never
+        holds more rows than the grid."""
+        nx = self.slots.shape[2]
+        rows = min(last << _TILE_SHIFT, self.height) - (first << _TILE_SHIFT)
+        out = np.zeros((rows, nx * TILE), dtype=self.tiles.dtype)
+        slots = self.slots[channel, first:last]
+        tys, txs = np.nonzero(slots >= 0)
+        cells = self.tiles[slots[tys, txs]]
+        whole = rows >> _TILE_SHIFT
+        full = tys < whole
+        out[: whole << _TILE_SHIFT].reshape(whole, TILE, nx, TILE)[tys[full], :, txs[full]] = cells[full]
+        if whole < len(slots):  # the grid's last tile row, cut short
+            cut = rows - (whole << _TILE_SHIFT)
+            part = ~full
+            out[whole << _TILE_SHIFT :].reshape(cut, nx, TILE)[:, txs[part]] = cells[part, :cut].transpose(1, 0, 2)
+        return out[:, : self.width]
 
 
 def _strip(tiles: np.ndarray) -> np.ndarray:
-    """A ``(rows, cols, 32, 32)`` grid of tiles as one 2-D array."""
+    """A ``(rows, cols, 16, 16)`` grid of tiles as one 2-D array."""
     rows, cols = tiles.shape[:2]
     return tiles.transpose(0, 2, 1, 3).reshape(rows * TILE, cols * TILE)
 
@@ -233,24 +252,34 @@ def _strip_column(tile_cols: np.ndarray, col: int) -> int:
     return int(np.searchsorted(tile_cols, col >> _TILE_SHIFT)) * TILE + (col & _TILE_MASK)
 
 
+def _tiled(grid: Tiles | np.ndarray) -> Tiles:
+    """A probability map as a one-channel tile set of its own dtype."""
+    return grid if isinstance(grid, Tiles) else Tiles.from_dense(np.asarray(grid)[None], dtype=None)
+
+
 @dataclass
 class MapStack:
-    """One frame's maps: a dense grid per probability channel, and per
-    connection its four association channels as :class:`AssocTiles`.
+    """One frame's maps: per probability category a one-channel
+    :class:`Tiles`, and per connection its four association channels as
+    a four-channel one.
 
-    A connection's channels may be given as a ``(4, height, width)``
-    array; they are stored as tiles.
+    A probability map may be given as a ``(height, width)`` array and a
+    connection's channels as a ``(4, height, width)`` array; they are
+    stored as float32 tiles.
     """
 
     width: int
     height: int
-    prob: dict[str, np.ndarray] = field(default_factory=dict)
-    assoc: dict[Pair, AssocTiles] = field(default_factory=dict)
+    prob: dict[str, Tiles] = field(default_factory=dict)
+    assoc: dict[Pair, Tiles] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for category, grid in self.prob.items():
+            if not isinstance(grid, Tiles):
+                self.prob[category] = Tiles.from_dense(np.asarray(grid)[None])
         for pair, grids in self.assoc.items():
-            if not isinstance(grids, AssocTiles):
-                self.assoc[pair] = AssocTiles.from_dense(grids)
+            if not isinstance(grids, Tiles):
+                self.assoc[pair] = Tiles.from_dense(grids)
 
     def channel_names(self) -> list[str]:
         return [f"prob:{category}" for category in self.prob] + [
@@ -259,11 +288,13 @@ class MapStack:
             for suffix in ASSOC_CHANNELS
         ]
 
+    def tile_sets(self) -> list[Tiles]:
+        """Every tile set, in the order of ``channel_names``."""
+        return [*self.prob.values(), *self.assoc.values()]
+
     def channel_items(self) -> Iterator[tuple[str, np.ndarray]]:
-        """Every channel as a dense grid, association channels included."""
-        grids = [*self.prob.values()]
-        for tiles in self.assoc.values():
-            grids.extend(tiles.dense())
+        """Every channel as a dense grid."""
+        grids = [grid for tiles in self.tile_sets() for grid in np.asarray(tiles)]
         return zip(self.channel_names(), grids)
 
 
@@ -294,21 +325,46 @@ def _in_bounds(xy: tuple[float, float], width: int, height: int) -> bool:
     return 0.0 <= xy[0] < width and 0.0 <= xy[1] < height
 
 
-def encode_prob_maps(
+def _scratch(height: int, width: int) -> np.ndarray:
+    """A zeroed padded ``(3, 16*ny, 16*nx)`` float32 scratch: the renderers
+    leave it zeroed again, so one serves every channel of a frame."""
+    ny, nx = _tile_counts(height, width)
+    return np.zeros((3, ny * TILE, nx * TILE), dtype=np.float32)
+
+
+def _touch(touched: np.ndarray, shape, cx, cy, sigma, extent) -> None:
+    """Mark the tiles a splat's window reaches."""
+    window = kernels.splat_window(shape, cx, cy, sigma, extent)
+    if window is not None:
+        y0, y1, x0, x1 = (edge >> _TILE_SHIFT for edge in window)
+        touched[y0 : y1 + 1, x0 : x1 + 1] = True
+
+
+def _take(blocks: np.ndarray, planes, touched: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The touched tiles of the scratch ``planes`` (tile rows, tile columns
+    and their cells), zeroed in the scratch."""
+    tys, txs = np.nonzero(touched)
+    cells = blocks[planes, tys, :, txs, :]
+    blocks[planes, tys, :, txs, :] = 0.0
+    return tys, txs, cells
+
+
+def _render_prob(
     poses: Sequence[Pose],
+    sigmas: Sequence[float],
     spec: SkeletonSpec,
     width: int,
     height: int,
-    params: EncoderParams = EncoderParams(),
-) -> dict[str, np.ndarray]:
-    """Render unit-peak Gaussian probability maps, one per category."""
-    block = np.zeros((len(spec.categories), height, width), dtype=np.float32)
-    maps = dict(zip(spec.categories, block))
-    if not poses:
-        return maps
-    sigmas = pose_sigmas(poses, spec, params)
-    for index, (pose, sigma) in enumerate(zip(poses, sigmas)):
-        for category in spec.categories:
+    params: EncoderParams,
+    scratch: np.ndarray,
+) -> dict[str, Tiles]:
+    ny, nx = _tile_counts(height, width)
+    blocks = scratch.reshape(3, ny, TILE, nx, TILE)
+    grid = scratch[0, :height, :width]
+    out: dict[str, Tiles] = {}
+    for category in spec.categories:
+        touched = np.zeros((ny, nx), dtype=bool)
+        for index, (pose, sigma) in enumerate(zip(poses, sigmas)):
             xy = pose.get(category)
             if xy is None:
                 continue
@@ -318,43 +374,34 @@ def encode_prob_maps(
                     index, category, xy[0], xy[1], width, height,
                 )
                 continue
-            kernels.gaussian_max(
-                maps[category], xy[0], xy[1], sigma, params.kernel_extent
-            )
-    return maps
+            kernels.gaussian_max(grid, xy[0], xy[1], sigma, params.kernel_extent)
+            _touch(touched, (height, width), xy[0], xy[1], sigma, params.kernel_extent)
+        tys, txs, cells = _take(blocks, 0, touched)
+        kept = _nonzero_bits(cells).any(axis=(1, 2))
+        slots = np.full((1, ny, nx), -1, dtype=np.int32)
+        slots[0, tys[kept], txs[kept]] = np.arange(int(kept.sum()), dtype=np.int32)
+        out[category] = Tiles(height, width, slots, cells if kept.all() else cells[kept])
+    return out
 
 
-def encode_assoc_maps(
+def _render_assoc(
     poses: Sequence[Pose],
+    sigmas: Sequence[float],
     spec: SkeletonSpec,
     width: int,
     height: int,
-    params: EncoderParams = EncoderParams(),
-) -> dict[Pair, AssocTiles]:
-    """Render weighted mean offset maps, four channels per connection.
-
-    An animal contributes to a connection's channels only when both
-    endpoints exist; the weights are its unit-peak keypoint Gaussian
-    truncated to zero at ``weight_cutoff``.  Cells never touched stay 0.
-
-    Each side of each connection (the parent's two channels, then the
-    child's) is accumulated in one padded scratch holding the weight sum
-    and the two weighted offsets.  The tiles that its splats' nonzero
-    weights reach are then copied out and zeroed in the scratch again, and
-    normalised; the tiles left with a nonzero cell are kept.
-    """
-    empty = AssocTiles.empty(height, width)
-    _, ny, nx = empty.slots.shape
-    scratch = np.zeros((3, ny * TILE, nx * TILE), dtype=np.float32)
+    params: EncoderParams,
+    scratch: np.ndarray,
+) -> dict[Pair, Tiles]:
+    ny, nx = _tile_counts(height, width)
     wsum, num_x, num_y = scratch[:, :height, :width]
-    scratch_tiles = scratch.reshape(3, ny, TILE, nx, TILE)
+    blocks = scratch.reshape(3, ny, TILE, nx, TILE)
     planes = np.arange(3)[:, None]
-    sigmas = pose_sigmas(poses, spec, params) if poses else []
     # weights at most the cutoff are zeroed, so a splat's nonzero cells lie
     # within this many sigmas of its keypoint (one cell more covers rounding)
     # and the rest of its window stays +0.0
     nonzero_extent = math.sqrt(-2.0 * math.log(params.weight_cutoff))
-    out: dict[Pair, AssocTiles] = {}
+    out: dict[Pair, Tiles] = {}
     for pair in spec.connections:
         # per animal with both endpoints in the image: each side's source
         # keypoint and offset to the other side, and the kernel width
@@ -372,9 +419,9 @@ def encode_assoc_maps(
                 continue
             sources.append((a, b, b[0] - a[0], b[1] - a[1], sigma))
         if not sources:
-            out[pair] = AssocTiles.empty(height, width)
+            out[pair] = Tiles.empty(len(ASSOC_CHANNELS), height, width)
             continue
-        slots = np.full_like(empty.slots, -1)
+        slots = np.full((len(ASSOC_CHANNELS), ny, nx), -1, dtype=np.int32)
         tiles: list[np.ndarray] = []
         count = 0
         for side in (0, 1):
@@ -386,22 +433,52 @@ def encode_assoc_maps(
                     params.kernel_extent, params.weight_cutoff, sign * dx, sign * dy,
                 )
                 extent = min(params.kernel_extent, nonzero_extent + 1.0 / sigma)
-                window = kernels.splat_window((height, width), cx, cy, sigma, extent)
-                if window is not None:
-                    y0, y1, x0, x1 = (edge >> _TILE_SHIFT for edge in window)
-                    touched[y0 : y1 + 1, x0 : x1 + 1] = True
-            tys, txs = np.nonzero(touched)
-            block = scratch_tiles[planes, tys, :, txs, :]  # (3, tiles, TILE, TILE)
-            scratch_tiles[:, tys, :, txs, :] = 0.0
+                _touch(touched, (height, width), cx, cy, sigma, extent)
+            tys, txs, block = _take(blocks, planes, touched)  # (3, tiles, 16, 16)
             weight, offsets = block[0], block[1:]
             # each cell a splat covered is divided once by its whole weight sum
             np.divide(offsets, weight, out=offsets, where=weight > 0)
-            channels, kept = np.nonzero((offsets.view(np.uint32) != 0).any(axis=(2, 3)))
+            channels, kept = np.nonzero(_nonzero_bits(offsets).any(axis=(2, 3)))
             slots[2 * side + channels, tys[kept], txs[kept]] = np.arange(count, count + len(kept))
             tiles.append(offsets[channels, kept])
             count += len(kept)
-        out[pair] = AssocTiles(height, width, slots, np.concatenate(tiles))
+        out[pair] = Tiles(height, width, slots, np.concatenate(tiles))
     return out
+
+
+def encode_prob_maps(
+    poses: Sequence[Pose],
+    spec: SkeletonSpec,
+    width: int,
+    height: int,
+    params: EncoderParams = EncoderParams(),
+) -> dict[str, Tiles]:
+    """Render unit-peak Gaussian probability maps, one tile set per category."""
+    sigmas = pose_sigmas(poses, spec, params) if poses else []
+    return _render_prob(poses, sigmas, spec, width, height, params, _scratch(height, width))
+
+
+def encode_assoc_maps(
+    poses: Sequence[Pose],
+    spec: SkeletonSpec,
+    width: int,
+    height: int,
+    params: EncoderParams = EncoderParams(),
+) -> dict[Pair, Tiles]:
+    """Render weighted mean offset maps, four channels per connection.
+
+    An animal contributes to a connection's channels only when both
+    endpoints exist; the weights are its unit-peak keypoint Gaussian
+    truncated to zero at ``weight_cutoff``.  Cells never touched stay 0.
+
+    Each side of each connection (the parent's two channels, then the
+    child's) is accumulated in one padded scratch holding the weight sum
+    and the two weighted offsets.  The tiles that its splats' nonzero
+    weights reach are then copied out and zeroed in the scratch again, and
+    normalised; the tiles left with a nonzero cell are kept.
+    """
+    sigmas = pose_sigmas(poses, spec, params) if poses else []
+    return _render_assoc(poses, sigmas, spec, width, height, params, _scratch(height, width))
 
 
 def encode(
@@ -411,12 +488,15 @@ def encode(
     height: int,
     params: EncoderParams = EncoderParams(),
 ) -> MapStack:
-    """Encode one frame's poses into a full map stack."""
+    """Encode one frame's poses into a full map stack; the probability and
+    association channels share one scratch."""
+    sigmas = pose_sigmas(poses, spec, params) if poses else []
+    scratch = _scratch(height, width)
     return MapStack(
         width=width,
         height=height,
-        prob=encode_prob_maps(poses, spec, width, height, params),
-        assoc=encode_assoc_maps(poses, spec, width, height, params),
+        prob=_render_prob(poses, sigmas, spec, width, height, params, scratch),
+        assoc=_render_assoc(poses, sigmas, spec, width, height, params, scratch),
     )
 
 
@@ -441,67 +521,87 @@ def _runs(flags: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(edges[::2], edges[1::2]))
 
 
-def _hot_boxes(hot: np.ndarray) -> Iterator[tuple[int, int, int, int]]:
-    """Half-open ``(r0, r1, c0, c1)`` boxes that together cover every True
-    cell: runs of rows holding one, then runs of columns inside each."""
-    for r0, r1 in _runs(hot.any(axis=1)):
-        for c0, c1 in _runs(hot[r0:r1].any(axis=0)):
-            yield r0, r1, c0, c1
+def _hot_bands(tiles: Tiles, threshold: float) -> Iterator[tuple[int, int, int, np.ndarray]]:
+    """Each run ``r0..r1`` of rows of the one-channel ``tiles`` holding a
+    cell above ``threshold``, found from the tiles, with a dense strip of
+    the tile rows holding rows ``r0 - (2 * SMOOTH_RADIUS + 1)`` to as far
+    below ``r1`` (within the grid) whose first row is ``top``:
+    ``(r0, r1, top, strip)``."""
+    slots = tiles.slots[0]
+    ny = slots.shape[0]
+    tys, txs = np.nonzero(slots >= 0)
+    # each tile row's 16 flags read as two 8-byte words: an elementwise OR,
+    # where any() over an axis of 16 costs a reduction per row
+    words = (tiles.tiles > threshold).view(np.uint64)
+    lanes = ((words[..., 0] | words[..., 1]) != 0)[slots[tys, txs]]  # (tiles, 16 rows)
+    hot = np.zeros(ny * TILE, dtype=bool)
+    hot[(tys[:, None] * TILE + np.arange(TILE))[lanes]] = True
+    if 0.0 > threshold:  # the cells of absent tiles, +0.0, are above it too
+        hot.reshape(ny, TILE)[(slots < 0).any(axis=1)] = True
+    halo = 2 * SMOOTH_RADIUS + 1
+    for r0, r1 in _runs(hot[: tiles.height]):
+        first = max(r0 - halo, 0) >> _TILE_SHIFT
+        last = ((min(r1 + halo, tiles.height) - 1) >> _TILE_SHIFT) + 1
+        yield r0, r1, first << _TILE_SHIFT, tiles.band(0, first, last)
 
 
 def _smoothed_maxima(
-    grid: np.ndarray, threshold: float
+    tiles: Tiles, threshold: float
 ) -> dict[tuple[int, int], tuple[float, float, float]]:
-    """Strict maxima above ``threshold`` of the smoothed grid, scanned only
-    around raw cells above it: ``(row, col) -> (score, dx, dy)``.
+    """Strict maxima above ``threshold`` of the smoothed one-channel map,
+    scanned only around raw cells above it: ``(row, col) -> (score, dx, dy)``.
 
-    A box of hot raw cells can hold a smoothed cell above threshold within
-    ``SMOOTH_RADIUS`` of itself; testing those against their neighbours
-    needs one more ring, and smoothing that ring needs ``SMOOTH_RADIUS``
-    more, so a crop grown by ``2 * SMOOTH_RADIUS + 1`` reproduces the
-    full-frame filter exactly where it is read.  Where a crop meets the
-    image border, the kernels' edge handling acts as on the full frame;
-    the cells their padding alters at other crop edges are never read.
+    The hot cells are covered by boxes: runs of rows holding one, then
+    runs of columns inside each.  A box can hold a smoothed cell above
+    threshold within ``SMOOTH_RADIUS`` of itself; testing those against
+    their neighbours needs one more ring, and smoothing that ring needs
+    ``SMOOTH_RADIUS`` more, so a crop grown by ``2 * SMOOTH_RADIUS + 1``
+    reproduces the full-frame filter exactly where it is read.  Where a
+    crop meets the image border, the kernels' edge handling acts as on the
+    full frame; the cells their padding alters at other crop edges are
+    never read.  Each run of rows is cut from one strip of the tiles.
     """
-    height, width = grid.shape
+    height, width = tiles.height, tiles.width
     found: dict[tuple[int, int], tuple[float, float, float]] = {}
 
     def grow(box: tuple[int, int, int, int], by: int) -> tuple[int, int, int, int]:
         r0, r1, c0, c1 = box
         return max(r0 - by, 0), min(r1 + by, height), max(c0 - by, 0), min(c1 + by, width)
 
-    for box in _hot_boxes(grid > threshold):
-        y0, y1, x0, x1 = grow(box, 2 * SMOOTH_RADIUS + 1)
-        smoothed = kernels.box_mean(grid[y0:y1, x0:x1], SMOOTH_RADIUS)
-        sy0, sy1, sx0, sx1 = grow(box, SMOOTH_RADIUS + 1)
-        mask = kernels.local_max_mask(
-            smoothed[sy0 - y0 : sy1 - y0, sx0 - x0 : sx1 - x0], threshold
-        )
-        ky0, ky1, kx0, kx1 = grow(box, SMOOTH_RADIUS)
-        for srow, scol in zip(*np.nonzero(mask)):
-            row = int(srow) + sy0
-            col = int(scol) + sx0
-            if not (ky0 <= row < ky1 and kx0 <= col < kx1):
-                continue
-            lrow = row - y0
-            lcol = col - x0
-            centre = float(smoothed[lrow, lcol])
-            dx = 0.0
-            dy = 0.0
-            if 0 < col < width - 1:
-                dx = _parabola_offset(
-                    float(smoothed[lrow, lcol - 1]), centre, float(smoothed[lrow, lcol + 1])
-                )
-            if 0 < row < height - 1:
-                dy = _parabola_offset(
-                    float(smoothed[lrow - 1, lcol]), centre, float(smoothed[lrow + 1, lcol])
-                )
-            found[(row, col)] = (centre, dx, dy)
+    for r0, r1, top, strip in _hot_bands(tiles, threshold):
+        for c0, c1 in _runs((strip[r0 - top : r1 - top] > threshold).any(axis=0)):
+            box = (r0, r1, c0, c1)
+            y0, y1, x0, x1 = grow(box, 2 * SMOOTH_RADIUS + 1)
+            smoothed = kernels.box_mean(strip[y0 - top : y1 - top, x0:x1], SMOOTH_RADIUS)
+            sy0, sy1, sx0, sx1 = grow(box, SMOOTH_RADIUS + 1)
+            mask = kernels.local_max_mask(
+                smoothed[sy0 - y0 : sy1 - y0, sx0 - x0 : sx1 - x0], threshold
+            )
+            ky0, ky1, kx0, kx1 = grow(box, SMOOTH_RADIUS)
+            for srow, scol in zip(*np.nonzero(mask)):
+                row = int(srow) + sy0
+                col = int(scol) + sx0
+                if not (ky0 <= row < ky1 and kx0 <= col < kx1):
+                    continue
+                lrow = row - y0
+                lcol = col - x0
+                centre = float(smoothed[lrow, lcol])
+                dx = 0.0
+                dy = 0.0
+                if 0 < col < width - 1:
+                    dx = _parabola_offset(
+                        float(smoothed[lrow, lcol - 1]), centre, float(smoothed[lrow, lcol + 1])
+                    )
+                if 0 < row < height - 1:
+                    dy = _parabola_offset(
+                        float(smoothed[lrow - 1, lcol]), centre, float(smoothed[lrow + 1, lcol])
+                    )
+                found[(row, col)] = (centre, dx, dy)
     return found
 
 
 def decode_candidates(
-    prob_maps: dict[str, np.ndarray],
+    prob_maps: dict[str, Tiles | np.ndarray],
     threshold: float = DEFAULT_DETECT_THRESHOLD,
     nms_radius: float = DEFAULT_NMS_RADIUS,
 ) -> list[CandidateKeypoint]:
@@ -515,11 +615,12 @@ def decode_candidates(
 
     Only crops around the raw cells above ``threshold`` are smoothed and
     scanned: a 5x5 mean exceeds the threshold only if a cell of its window
-    does, so the result equals that of filtering the whole map.
+    does, so the result equals that of filtering the whole map.  A map
+    given as a ``(height, width)`` array is tiled first, in its own dtype.
     """
     candidates: list[CandidateKeypoint] = []
     for category, grid in prob_maps.items():
-        found = _smoothed_maxima(np.asarray(grid), threshold)
+        found = _smoothed_maxima(_tiled(grid), threshold)
         kept: list[tuple[int, int]] = []
         for row, col in sorted(found, key=lambda cell: (-found[cell][0], cell)):
             if all(
@@ -575,20 +676,22 @@ def _quadratic_fit(cells: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> np.ndar
     return axis_fit(along_x[..., 0], along_x[..., 1], along_x[..., 2], ty)
 
 
-def quadratic_sample(grid: np.ndarray, x, y) -> np.ndarray:
-    """Sample a map at sub-pixel positions via separable quadratic fits.
+def quadratic_sample(grid: Tiles | np.ndarray, x, y) -> np.ndarray:
+    """Sample a probability map at sub-pixel positions via separable
+    quadratic fits, reading the 3x3 cells around each through the tiles.
 
     Exact at integer positions and for affine-in-position maps away from
     the borders.  ``x`` and ``y`` broadcast together; every position must
     lie within the sampled grid domain ``[0, width-1] x [0, height-1]``.
+    A map given as a ``(height, width)`` array is tiled first.
     """
-    grid = np.asarray(grid)
-    rows, cols, tx, ty = _neighbourhoods(*grid.shape, x, y)
-    return _quadratic_fit(grid[rows[..., :, None], cols[..., None, :]], tx, ty)
+    tiles = _tiled(grid)
+    rows, cols, tx, ty = _neighbourhoods(tiles.height, tiles.width, x, y)
+    return _quadratic_fit(tiles.gather(0, rows[..., :, None], cols[..., None, :]), tx, ty)
 
 
 def read_offset(
-    maps: MapStack | dict[Pair, AssocTiles],
+    maps: MapStack | dict[Pair, Tiles],
     pair: Pair,
     x,
     y,
@@ -645,8 +748,7 @@ def map_loss(
     loc_sq = 0.0
     loc_cells = 0
     for category, truth_grid in truth.prob.items():
-        pred_grid = predicted.prob[category]
-        diff = pred_grid.astype(np.float64) - truth_grid.astype(np.float64)
+        diff = np.asarray(predicted.prob[category], np.float64) - np.asarray(truth_grid, np.float64)
         loc_sq += float(np.sum(diff * diff))
         loc_cells += diff.size
     location = loc_sq / loc_cells if loc_cells else 0.0
@@ -654,14 +756,12 @@ def map_loss(
     assoc_sq = 0.0
     assoc_cells = 0
     for pair, truth_tiles in truth.assoc.items():
-        truth_grids = truth_tiles.dense()
-        pred_grids = predicted.assoc[pair].dense()
+        truth_grids = np.asarray(truth_tiles, np.float64)
+        pred_grids = np.asarray(predicted.assoc[pair], np.float64)
         nz = truth_grids != 0
         if not nz.any():
             continue
-        diff = (
-            pred_grids.astype(np.float64)[nz] - truth_grids.astype(np.float64)[nz]
-        ) / assoc_scale
+        diff = (pred_grids[nz] - truth_grids[nz]) / assoc_scale
         assoc_sq += float(np.sum(diff * diff))
         assoc_cells += int(nz.sum())
     association = assoc_sq / assoc_cells if assoc_cells else 0.0
@@ -671,16 +771,20 @@ def map_loss(
 
 
 # ---------------------------------------------------------------------------
-# serialization: a binary container of nonzero boxes and a text debugging format
+# serialization: a binary container of tile sets and a text debugging format
 
 
 _BINARY_MAGIC = b"KTMB"
 _TEXT_MAGIC = "KTMT"
-_BINARY_VERSION = 2  # version 1, which stores every cell, still loads
+# version 1 stores every cell and version 2 the boxes of nonzero cells;
+# both still load
+_BINARY_VERSION = 3
 _TEXT_VERSION = 1
-# a version 2 file need not hold the grid it declares, so the loader bounds
-# it: 2**28 cells (1 GiB of float32) hold 30 channels of a 3840x2160 frame
-_MAX_BOX_BLOCK_CELLS = 1 << 28
+# a version 2 or 3 file need not hold the grid it declares, so the loader
+# bounds it: 2**28 cells (1 GiB of float32) hold 30 channels of a 3840x2160
+# frame
+_MAX_DECLARED_CELLS = 1 << 28
+_TILE_BYTES = 4 * TILE * TILE
 
 
 def save_maps(maps: MapStack, path: str, text: bool = False) -> None:
@@ -701,13 +805,14 @@ def load_maps(path: str) -> MapStack:
 
 
 def _save_binary(maps: MapStack, path: str) -> None:
-    """Header and channel names, then per channel a box count, the
-    ``(r0, r1, c0, c1)`` boxes as ``<u4`` and each box's cells as ``<f4``.
+    """Header and channel names, then per tile set, in the order of
+    ``channel_names``: a ``<u4`` tile count ``n``, the ``n`` strictly
+    ascending flat positions of the tiles in the set's ``(C, ny, nx)``
+    slot grid as ``<u4``, and the ``n`` 16x16 tiles as ``<f4``.
 
-    The boxes are the ``_hot_boxes`` of the cells whose bits are not all
-    zero, so -0.0, NaN and subnormals round-trip exactly and every cell
-    outside the boxes is +0.0.  An association channel's boxes and cells
-    are read from its tiles.
+    The tiles are those held in memory, which keep every cell whose bits
+    are not all zero, so -0.0, NaN and subnormals round-trip exactly and
+    every cell outside them is +0.0.
     """
     names = maps.channel_names()
     with open(path, "wb") as handle:
@@ -717,22 +822,15 @@ def _save_binary(maps: MapStack, path: str) -> None:
             encoded = name.encode("utf-8")
             handle.write(struct.pack("<H", len(encoded)))
             handle.write(encoded)
-        for grid in maps.prob.values():
-            cells = np.ascontiguousarray(grid, dtype="<f4")
-            boxes = list(_hot_boxes(cells.view("<u4") != 0))
-            _write_boxes(handle, boxes, (cells[r0:r1, c0:c1] for r0, r1, c0, c1 in boxes))
-        for tiles in maps.assoc.values():
-            for channel in range(len(ASSOC_CHANNELS)):
-                found = tiles.hot_boxes(channel)
-                _write_boxes(handle, [box for box, _ in found], (cells for _, cells in found))
-
-
-def _write_boxes(
-    handle: BinaryIO, boxes: list[tuple[int, int, int, int]], cells: Iterable[np.ndarray]
-) -> None:
-    handle.write(struct.pack("<I", len(boxes)))
-    handle.write(np.array(boxes, dtype="<u4").tobytes())
-    handle.write(b"".join(part.astype("<f4", copy=False).tobytes() for part in cells))
+        for tiles in maps.tile_sets():
+            positions = np.flatnonzero(tiles.slots >= 0)
+            order = tiles.slots.reshape(-1)[positions]
+            cells = tiles.tiles
+            if (order != np.arange(len(order))).any():  # not kept in position order
+                cells = cells[order]
+            handle.write(struct.pack("<I", len(positions)))
+            handle.write(positions.astype("<u4"))
+            handle.write(np.ascontiguousarray(cells, dtype="<f4"))
 
 
 def _read_exact(handle: BinaryIO, size: int, path: str, what: str) -> bytes:
@@ -750,7 +848,7 @@ def _load_binary(path: str) -> MapStack:
         version, width, height, count = struct.unpack(
             "<IIII", _read_exact(handle, 16, path, "header")
         )
-        if version not in (1, _BINARY_VERSION):
+        if version not in (1, 2, _BINARY_VERSION):
             raise ValueError(f"{path}: unsupported version {version}")
         names = []
         for _ in range(count):
@@ -762,7 +860,20 @@ def _load_binary(path: str) -> MapStack:
         if version == 1:
             block = _read_dense_channels(handle, (count, height, width), path)
             return _assemble_stack(names, block, path)
-        return _read_box_channels(handle.read(), names, width, height, path)
+        if count * height * width > _MAX_DECLARED_CELLS:
+            raise ValueError(
+                f"{path}: {count} channels of {width}x{height} exceed "
+                f"{_MAX_DECLARED_CELLS} cells"
+            )
+        prob, assoc = _channel_layout(names, path)
+        for pair, indices in assoc.items():
+            if indices != list(range(indices[0], indices[0] + len(ASSOC_CHANNELS))):
+                raise ValueError(
+                    f"{path}: association channels for {connection_name(pair)} out of order"
+                )
+        if version == 2:
+            return _read_box_channels(handle.read(), prob, assoc, width, height, path)
+        return _read_tile_sets(handle, prob, assoc, width, height, path)
 
 
 def _read_dense_channels(handle: BinaryIO, shape: tuple[int, int, int], path: str) -> np.ndarray:
@@ -778,38 +889,77 @@ def _read_dense_channels(handle: BinaryIO, shape: tuple[int, int, int], path: st
     return block.astype(np.float32, copy=False)
 
 
-def _read_box_channels(
-    data: bytes, names: list[str], width: int, height: int, path: str
+def _read_tile_sets(
+    handle: BinaryIO,
+    prob: dict[str, int],
+    assoc: dict[Pair, list[int]],
+    width: int,
+    height: int,
+    path: str,
 ) -> MapStack:
-    """Version 2 channel data, as ``_save_binary`` writes it: probability
-    channels into one zeroed block, association channels straight into
-    tiles, so their memory is bounded by the boxes the file holds.
+    """Version 3 channel data, as ``_save_binary`` writes it: each tile
+    set's positions and tiles are read straight into their arrays.
+
+    Every tile count is checked against the bytes left before anything is
+    allocated, so the memory is bounded by the file, and the positions
+    must be strictly ascending and inside the set's slot grid.
+    """
+    sets = sorted(
+        [(index, category, 1) for category, index in prob.items()]
+        + [(indices[0], pair, len(ASSOC_CHANNELS)) for pair, indices in assoc.items()]
+    )
+    remaining = os.fstat(handle.fileno()).st_size - handle.tell()
+    if remaining < 4 * len(sets):  # each tile set stores at least its tile count
+        raise ValueError(f"{path}: truncated channel data")
+    ny, nx = _tile_counts(height, width)
+    stack = MapStack(width=width, height=height)
+    for _, key, channels in sets:
+        (count,) = struct.unpack("<I", _read_exact(handle, 4, path, "tile count"))
+        remaining -= 4
+        if remaining < count * (4 + _TILE_BYTES):
+            raise ValueError(f"{path}: truncated tiles")
+        remaining -= count * (4 + _TILE_BYTES)
+        positions = np.empty(count, dtype="<u4")
+        tiles = np.empty((count, TILE, TILE), dtype="<f4")
+        if handle.readinto(positions) != positions.nbytes or handle.readinto(tiles) != tiles.nbytes:
+            raise ValueError(f"{path}: truncated tiles")
+        cells = channels * ny * nx
+        if count and (positions[-1] >= cells or (positions[1:] <= positions[:-1]).any()):
+            raise ValueError(
+                f"{path}: tile positions outside the {channels}x{ny}x{nx} slot grid, "
+                "repeated or out of order"
+            )
+        slots = np.full(cells, -1, dtype=np.int32)
+        slots[positions] = np.arange(count, dtype=np.int32)
+        tile_set = Tiles(height, width, slots.reshape(channels, ny, nx), tiles.astype(np.float32, copy=False))
+        if channels == 1:
+            stack.prob[key] = tile_set
+        else:
+            stack.assoc[key] = tile_set
+    return stack
+
+
+def _read_box_channels(
+    data: bytes,
+    prob: dict[str, int],
+    assoc: dict[Pair, list[int]],
+    width: int,
+    height: int,
+    path: str,
+) -> MapStack:
+    """Version 2 channel data: per channel a box count, the
+    ``(r0, r1, c0, c1)`` boxes as ``<u4`` and each box's cells as ``<f4``.
+    Every channel goes straight into tiles, so the memory is bounded by
+    the boxes the file holds.
 
     Every count is checked against the bytes left before it is read, and
     the boxes must be non-empty, inside the grid and disjoint in the order
-    ``_hot_boxes`` yields them: each continues the previous box's rows to
-    its right or starts below them.  A connection's four association
-    channels must follow one another in ``ASSOC_CHANNELS`` order, as the
-    writer stores them.
+    the version 2 writer stored them: each continues the previous box's
+    rows to its right or starts below them.
     """
-    count = len(names)
+    count = len(prob) + len(ASSOC_CHANNELS) * len(assoc)
     if len(data) < 4 * count:  # each channel stores at least its box count
         raise ValueError(f"{path}: truncated channel data")
-    if count * height * width > _MAX_BOX_BLOCK_CELLS:
-        raise ValueError(
-            f"{path}: {count} channels of {width}x{height} exceed "
-            f"{_MAX_BOX_BLOCK_CELLS} cells"
-        )
-    prob, assoc = _channel_layout(names, path)
-    for pair, indices in assoc.items():
-        if indices != list(range(indices[0], indices[0] + len(ASSOC_CHANNELS))):
-            raise ValueError(
-                f"{path}: association channels for {connection_name(pair)} out of order"
-            )
-    try:
-        block = np.zeros((len(prob), height, width), dtype=np.float32)
-    except MemoryError:
-        raise ValueError(f"{path}: cannot allocate {count} channels of {width}x{height}") from None
     channels: list[list[tuple[int, int, int, int, np.ndarray]]] = []
     pos = 0
     for _ in range(count):
@@ -841,12 +991,13 @@ def _read_box_channels(
             pos += 4 * area
         channels.append(channel)
     stack = MapStack(width=width, height=height)
-    for (category, index), grid in zip(prob.items(), block):
-        for top, bottom, left, right, cells in channels[index]:
-            grid[top:bottom, left:right] = cells
-        stack.prob[category] = grid
-    for pair, indices in assoc.items():
-        stack.assoc[pair] = AssocTiles.from_boxes(height, width, [channels[i] for i in indices])
+    try:
+        for category, index in prob.items():
+            stack.prob[category] = Tiles.from_boxes(height, width, [channels[index]])
+        for pair, indices in assoc.items():
+            stack.assoc[pair] = Tiles.from_boxes(height, width, [channels[i] for i in indices])
+    except MemoryError:
+        raise ValueError(f"{path}: cannot allocate {count} channels of {width}x{height}") from None
     return stack
 
 
@@ -916,18 +1067,18 @@ def _channel_layout(
                 f"{path}: incomplete association channels for {connection_name(pair)}"
             )
         assoc[pair] = [found[suffix] for suffix in ASSOC_CHANNELS]
+    if len(prob) + len(ASSOC_CHANNELS) * len(assoc) != len(names):
+        raise ValueError(f"{path}: repeated channel name")
     return prob, assoc
 
 
 def _assemble_stack(names: list[str], block: np.ndarray, path: str) -> MapStack:
-    """A stack of the dense channels ``block`` (channel, row, col): the
-    probability channels are views of it, the association channels are
-    converted to tiles."""
+    """A stack of the dense channels ``block`` (channel, row, col), tiled."""
     prob, assoc = _channel_layout(names, path)
     _, height, width = block.shape
     return MapStack(
         width=width,
         height=height,
         prob={category: block[index] for category, index in prob.items()},
-        assoc={pair: AssocTiles.from_dense(block[indices]) for pair, indices in assoc.items()},
+        assoc={pair: block[indices] for pair, indices in assoc.items()},
     )

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .assignment import hungarian
-from .maps import CandidateKeypoint, quadratic_sample
+from .maps import CandidateKeypoint, Tiles, _tiled, quadratic_sample
 from .keysort import TrackOutput, _psi_costs
 from .skeleton import Pose, SkeletonSpec, skeleton_scale
 
@@ -26,11 +26,11 @@ QUANTILE_PROBS = (0.05, 0.5, 0.95)
 FRAME_DIFF_KINDS = ("observed", "posterior")
 
 
-def _interpolated_prob(grid: Optional[np.ndarray], x: float, y: float) -> float:
+def _interpolated_prob(grid: Optional[Tiles], x: float, y: float) -> float:
     """Sub-pixel map probability; positions off the grid read as 0."""
     if grid is None:
         return 0.0
-    height, width = grid.shape
+    height, width = grid.height, grid.width
     if not (0.0 <= x <= width - 1 and 0.0 <= y <= height - 1):
         return 0.0
     return float(quadratic_sample(grid, x, y))
@@ -83,8 +83,8 @@ class PRReport:
 def precision_recall(
     gt_poses: Sequence[Pose],
     candidates: Sequence[CandidateKeypoint],
-    gt_prob_maps: dict[str, np.ndarray],
-    pred_prob_maps: dict[str, np.ndarray],
+    gt_prob_maps: dict[str, Tiles | np.ndarray],
+    pred_prob_maps: dict[str, Tiles | np.ndarray],
     cutoff: float = DEFAULT_PROB_CUTOFF,
 ) -> PRReport:
     """Two-way probability-cutoff detection metrics.
@@ -94,8 +94,11 @@ def precision_recall(
     the ground-truth map reads at least ``cutoff`` at its position.  The
     true-positive count is the average of both directions.  Categories of
     the predicted maps or candidates that the truth maps lack are scored
-    too, so each such candidate is a false positive.
+    too, so each such candidate is a false positive.  Maps given as
+    ``(height, width)`` arrays are tiled once.
     """
+    gt_prob_maps = {category: _tiled(grid) for category, grid in gt_prob_maps.items()}
+    pred_prob_maps = {category: _tiled(grid) for category, grid in pred_prob_maps.items()}
     categories = list(
         dict.fromkeys([*gt_prob_maps, *pred_prob_maps, *(c.category for c in candidates)])
     )

@@ -60,7 +60,7 @@ def association_penalty(parent_xy: XY, child_xy: XY, grids: np.ndarray) -> float
 def penalty_matrix(
     parents: Sequence[XY], children: Sequence[XY], maps: MapStack, pair: Pair
 ) -> np.ndarray:
-    grids = maps.assoc[pair].dense()
+    grids = np.asarray(maps.assoc[pair])
     matrix = np.empty((len(parents), len(children)), dtype=np.float64)
     for i, parent_xy in enumerate(parents):
         for j, child_xy in enumerate(children):

@@ -189,10 +189,11 @@ class TrackerModel:
         return np.array(values, dtype=np.float64), mask
 
     def init_state_vector(self, pose: Pose) -> np.ndarray:
-        """First-observation state: offsets from observed parent chains.
+        """First-observation state: offsets from implied parent positions.
 
-        Offsets of keypoints that are unobserved, or whose parent is
-        unobserved, start at zero; velocities start at zero.
+        An observed keypoint's offset is measured from its parent's implied
+        position, observed or not; offsets of unobserved keypoints and all
+        velocities start at zero.
         """
         x = np.zeros(self.state_dim)
         root_xy = pose.get(self.spec.root)
@@ -205,7 +206,7 @@ class TrackerModel:
             parent = self.spec.parent_of[cat]
             xy = pose.get(cat)
             parent_xy = implied[parent]
-            if xy is not None and pose.present(parent):
+            if xy is not None:
                 delta = (xy[0] - parent_xy[0], xy[1] - parent_xy[1])
             else:
                 delta = (0.0, 0.0)

@@ -1,21 +1,22 @@
 """Full-frame reference implementations of the map codec, for parity tests.
 
-The package decodes and normalises only regions of interest.  These are
-the straightforward whole-map versions it must reproduce exactly: the
-dense decoder smooths and scans every cell, and the dense association
-encoder divides every cell by its weight sum in one full-frame array per
-connection, where the package keeps only 32x32 tiles.  The package writes
-only the boxes of nonzero cells to a ``.ktm`` file, finding an association
-channel's boxes from its tiles; the dense writer here scans every cell of
-every channel and must write the same bytes.  The version 1 writer here
-stores every cell, and its files must still load.  The ``.ktmt`` writer
-here formats one cell at a time, and the package's must write its bytes.
+The package encodes, decodes and normalises only regions of interest and
+keeps only 16x16 tiles.  These are the straightforward whole-map versions
+it must reproduce exactly: the dense encoders render every splat into
+full-frame arrays (the association encoder divides every cell by its
+weight sum), and the dense decoder smooths and scans every cell.  The
+package writes a ``.ktm`` file (version 3) from its tiles; the version 3
+writer here cuts every channel into tiles and must write the same bytes.
+The version 1 writer here stores every cell and the version 2 writer the
+boxes of nonzero cells, and their files must still load.  The ``.ktmt``
+writer here formats one cell at a time, and the package's must write its
+bytes.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -27,9 +28,9 @@ from keytrack.maps import (
     CandidateKeypoint,
     EncoderParams,
     MapStack,
-    _hot_boxes,
     _in_bounds,
     _parabola_offset,
+    _runs,
     pose_sigmas,
 )
 from keytrack.skeleton import Pair, Pose, SkeletonSpec
@@ -126,19 +127,13 @@ def dense_encode_assoc_maps(
     return out
 
 
-def dense_encode(
-    poses: Sequence[Pose],
-    spec: SkeletonSpec,
-    width: int,
-    height: int,
-    params: EncoderParams = EncoderParams(),
-) -> MapStack:
-    return MapStack(
-        width=width,
-        height=height,
-        prob=dense_encode_prob_maps(poses, spec, width, height, params),
-        assoc=dense_encode_assoc_maps(poses, spec, width, height, params),
-    )
+def _write_header(handle, maps: MapStack, version: int, names: list[str]) -> None:
+    handle.write(b"KTMB")
+    handle.write(struct.pack("<IIII", version, maps.width, maps.height, len(names)))
+    for name in names:
+        encoded = name.encode("utf-8")
+        handle.write(struct.pack("<H", len(encoded)))
+        handle.write(encoded)
 
 
 def save_maps_v1(maps: MapStack, path: str) -> None:
@@ -147,35 +142,55 @@ def save_maps_v1(maps: MapStack, path: str) -> None:
     every channel as ``<f4``."""
     channels = list(maps.channel_items())
     with open(path, "wb") as handle:
-        handle.write(b"KTMB")
-        handle.write(struct.pack("<IIII", 1, maps.width, maps.height, len(channels)))
-        for name, _ in channels:
-            encoded = name.encode("utf-8")
-            handle.write(struct.pack("<H", len(encoded)))
-            handle.write(encoded)
+        _write_header(handle, maps, 1, [name for name, _ in channels])
         for _, grid in channels:
             handle.write(np.ascontiguousarray(grid, dtype="<f4"))
 
 
-def save_maps_dense(maps: MapStack, path: str) -> None:
-    """The version 2 ``.ktm`` layout written from dense channels: each
-    channel's boxes are the ``_hot_boxes`` of all its cells whose bits are
-    not all zero."""
+def hot_boxes(hot: np.ndarray) -> Iterator[tuple[int, int, int, int]]:
+    """Half-open ``(r0, r1, c0, c1)`` boxes that together cover every True
+    cell: runs of rows holding one, then runs of columns inside each."""
+    for r0, r1 in _runs(hot.any(axis=1)):
+        for c0, c1 in _runs(hot[r0:r1].any(axis=0)):
+            yield r0, r1, c0, c1
+
+
+def save_maps_v2(maps: MapStack, path: str) -> None:
+    """The version 2 ``.ktm`` layout: per channel a box count, the
+    ``hot_boxes`` of all its cells whose bits are not all zero as ``<u4``,
+    and each box's cells as ``<f4``."""
     channels = list(maps.channel_items())
     with open(path, "wb") as handle:
-        handle.write(b"KTMB")
-        handle.write(struct.pack("<IIII", 2, maps.width, maps.height, len(channels)))
-        for name, _ in channels:
-            encoded = name.encode("utf-8")
-            handle.write(struct.pack("<H", len(encoded)))
-            handle.write(encoded)
+        _write_header(handle, maps, 2, [name for name, _ in channels])
         for _, grid in channels:
             cells = np.ascontiguousarray(grid, dtype="<f4")
-            boxes = list(_hot_boxes(cells.view("<u4") != 0))
+            boxes = list(hot_boxes(cells.view("<u4") != 0))
             handle.write(struct.pack("<I", len(boxes)))
             handle.write(np.array(boxes, dtype="<u4").tobytes())
             for r0, r1, c0, c1 in boxes:
                 handle.write(cells[r0:r1, c0:c1].tobytes())
+
+
+def save_maps_v3(maps: MapStack, path: str) -> None:
+    """The version 3 ``.ktm`` layout written from dense channels: per
+    probability channel, then per connection's four channels, the count,
+    flat positions (channel, tile row, tile column) and cells of the
+    16x16 tiles holding a cell whose bits are not all zero."""
+    channels = [grid for _, grid in maps.channel_items()]
+    groups = [1] * len(maps.prob) + [4] * len(maps.assoc)
+    with open(path, "wb") as handle:
+        _write_header(handle, maps, 3, maps.channel_names())
+        ny, nx = -(-maps.height // 16), -(-maps.width // 16)
+        start = 0
+        for size in groups:
+            padded = np.zeros((size, ny * 16, nx * 16), dtype="<f4")
+            padded[:, : maps.height, : maps.width] = channels[start : start + size]
+            start += size
+            tiles = padded.reshape(size, ny, 16, nx, 16).transpose(0, 1, 3, 2, 4).reshape(-1, 16, 16)
+            positions = np.flatnonzero((tiles.view("<u4") != 0).any(axis=(1, 2)))
+            handle.write(struct.pack("<I", len(positions)))
+            handle.write(positions.astype("<u4").tobytes())
+            handle.write(tiles[positions].tobytes())
 
 
 def save_text_maps_by_cell(maps: MapStack, path: str) -> None:

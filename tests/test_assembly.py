@@ -240,7 +240,7 @@ def test_penalty_matrix_matches_scalar_oracle(animals, parents, children):
     want = assembly_oracle.penalty_matrix(parents, children, stack, pair)
     assert got.shape == (len(parents), len(children))
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
-    grids = stack.assoc[pair].dense()
+    grids = np.asarray(stack.assoc[pair])
     one = association_penalty(parents[0], children[0], stack, pair)
     assert one.shape == ()
     assert one == pytest.approx(

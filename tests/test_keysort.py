@@ -178,12 +178,15 @@ class TestTrackerModel:
         projected = model.project(x)
         assert projected.get("nose") == pytest.approx(projected.get("head"))
 
-    def test_init_missing_parent_zeroes_child_offset(self, spec, square_pose):
+    def test_init_missing_parent_keeps_child_offset(self, spec, square_pose):
         model = keysort_oracle.build_model(spec, np.ones(6))
         x = model.init_state_vector(without(square_pose, "head"))
         assert (x[model.pos_slot["head"]], x[model.pos_slot["head"] + 1]) == (0.0, 0.0)
-        # the nose is detected but its parent is not, so its offset resets too
-        assert (x[model.pos_slot["nose"]], x[model.pos_slot["nose"] + 1]) == (0.0, 0.0)
+        # the nose is detected but its parent is not: its offset is taken
+        # from the head's implied position, the withers, so it starts where
+        # it was seen
+        assert (x[model.pos_slot["nose"]], x[model.pos_slot["nose"] + 1]) == (38.0, 0.0)
+        assert model.project(x).get("nose") == pytest.approx((138.0, 100.0))
 
     def test_init_requires_root(self, spec, square_pose):
         model = keysort_oracle.build_model(spec, np.ones(6))
@@ -267,15 +270,15 @@ class TestPerAxisModel:
         assert positions.tolist() == [[100, 100, -60, 0, 22, 0, 16, 0, -39, 14, -39, -14]]
 
     def test_birth_offset_is_taken_from_implied_parent(self):
-        # a is missing: b starts on the root, and c's offset is measured from
-        # b's implied position (the root), not from b's detection
+        # a is missing, so its implied position is the root's: b's offset is
+        # measured from there, and c's from b's detection
         model = TrackerModel(_DEEP_SPEC, np.ones(5), TrackerConfig())
         pose = make_pose(root=(10.0, 20.0), b=(30.0, 20.0), c=(35.0, 26.0), d=(0.0, 20.0))
         positions = model.birth_positions(model.observed_array([pose])).reshape(5, 2)
         offsets = dict(zip(_DEEP_SPEC.categories, positions.tolist()))
         assert offsets == {
-            "root": [10.0, 20.0], "a": [0.0, 0.0], "b": [0.0, 0.0],
-            "c": [25.0, 6.0], "d": [-10.0, 0.0],
+            "root": [10.0, 20.0], "a": [0.0, 0.0], "b": [20.0, 0.0],
+            "c": [5.0, 6.0], "d": [-10.0, 0.0],
         }
         dense = keysort_oracle.build_model(_DEEP_SPEC, np.ones(5))
         assert positions.reshape(-1).tolist() == _dense_positions(dense, pose).tolist()
@@ -293,6 +296,12 @@ class TestTrackerStepBasics:
         assert record.imputed == frozenset()
         for cat, xy in square_pose.coords.items():
             assert record.posterior.get(cat) == pytest.approx(xy, abs=1e-3)
+
+    def test_child_of_missing_parent_born_where_seen(self, tracker, square_pose):
+        out = tracker.step([without(square_pose, "head")], frame_index=0)
+        posterior = out.records[0].posterior
+        assert posterior.get("nose") == pytest.approx((138.0, 100.0), abs=1e-3)
+        assert posterior.get("head") is None
 
     def test_first_frame_posterior_restricted_to_observed(self, tracker, square_pose):
         out = tracker.step([without(square_pose, "nose")], frame_index=0)

@@ -11,11 +11,10 @@ from keytrack import kernels
 from keytrack.maps import (
     DEFAULT_DETECT_THRESHOLD,
     DEFAULT_NMS_RADIUS,
-    AssocTiles,
     CandidateKeypoint,
     EncoderParams,
     MapStack,
-    _hot_boxes,
+    Tiles,
     _parabola_offset,
     decode_candidates,
     encode,
@@ -48,12 +47,19 @@ from kernel_oracles import (
 )
 from map_oracles import (
     dense_decode_candidates,
-    dense_encode,
     dense_encode_assoc_maps,
-    save_maps_dense,
+    dense_encode_prob_maps,
+    hot_boxes,
     save_maps_v1,
+    save_maps_v2,
+    save_maps_v3,
     save_text_maps_by_cell,
 )
+
+
+def _grids(tile_sets):
+    """One-channel tile sets as dense 2-D grids."""
+    return {key: np.asarray(tiles)[0] for key, tiles in tile_sets.items()}
 
 
 class TestKernelSigma:
@@ -86,13 +92,13 @@ class TestKernelSigma:
 
 class TestProbEncoding:
     def test_unit_peak_at_keypoint(self, spec, square_pose):
-        maps = encode_prob_maps([square_pose], spec, 200, 200)
+        maps = _grids(encode_prob_maps([square_pose], spec, 200, 200))
         assert set(maps) == set(spec.categories)
         x, y = square_pose.coords["withers"]
         assert maps["withers"][int(y), int(x)] == pytest.approx(1.0)
 
     def test_gaussian_profile(self, spec, square_pose):
-        maps = encode_prob_maps([square_pose], spec, 200, 200)
+        maps = _grids(encode_prob_maps([square_pose], spec, 200, 200))
         sigma = pose_sigmas([square_pose], spec, EncoderParams())[0]
         x, y = square_pose.coords["withers"]
         for d in (1, 3, 5):
@@ -104,7 +110,7 @@ class TestProbEncoding:
     def test_overlapping_kernels_max_merged(self, spec):
         near = make_pose(withers=(50, 50), tail_implant=(10, 50))
         far = make_pose(withers=(56, 50), tail_implant=(96, 50))
-        maps = encode_prob_maps([near, far], spec, 120, 100)
+        maps = _grids(encode_prob_maps([near, far], spec, 120, 100))
         sigma_near, sigma_far = pose_sigmas([near, far], spec, EncoderParams())
         # midpoint keeps the larger contribution instead of their sum
         merged = maps["withers"][50, 53]
@@ -117,21 +123,21 @@ class TestProbEncoding:
     def test_off_image_keypoint_skipped_with_warning(self, spec, caplog):
         pose = make_pose(withers=(50, 50), tail_implant=(-10, 50))
         with caplog.at_level(logging.WARNING, logger="keytrack.maps"):
-            maps = encode_prob_maps([pose], spec, 100, 100)
+            maps = _grids(encode_prob_maps([pose], spec, 100, 100))
         assert "outside" in caplog.text
         assert maps["tail_implant"].max() == 0.0
         assert maps["withers"].max() == pytest.approx(1.0)
 
     def test_kernel_support_truncated(self, spec, square_pose):
         params = EncoderParams(kernel_extent=3.0)
-        maps = encode_prob_maps([square_pose], spec, 200, 200, params)
+        maps = _grids(encode_prob_maps([square_pose], spec, 200, 200, params))
         sigma = pose_sigmas([square_pose], spec, params)[0]
         x, y = square_pose.coords["withers"]
         beyond = int(math.ceil(3.0 * sigma)) + 1
         assert maps["withers"][int(y), int(x) + beyond] == 0.0
 
     def test_empty_frame(self, spec):
-        maps = encode_prob_maps([], spec, 64, 48)
+        maps = _grids(encode_prob_maps([], spec, 64, 48))
         assert all(grid.shape == (48, 64) for grid in maps.values())
         assert all(grid.max() == 0.0 for grid in maps.values())
 
@@ -153,7 +159,7 @@ class TestAssocEncoding:
         a = make_pose(withers=(50, 50), tail_implant=(80, 50))
         b = make_pose(withers=(50, 50), tail_implant=(100, 50))
         assoc = encode_assoc_maps([a, b], spec, 160, 100)
-        grids = assoc[("withers", "tail_implant")].dense()
+        grids = np.asarray(assoc[("withers", "tail_implant")])
         # equal scales (40 vs 50 differ -> use sigma-weighted expectation)
         sigmas = pose_sigmas([a, b], spec, EncoderParams())
         w = [1.0, 1.0]  # unit peaks at the exact source pixel
@@ -165,15 +171,15 @@ class TestAssocEncoding:
     def test_missing_endpoint_contributes_nothing(self, spec):
         pose = make_pose(withers=(50, 50), tail_implant=(20, 50), head=None)
         assoc = encode_assoc_maps([pose], spec, 100, 100)
-        assert assoc[("withers", "head")].dense().max() == 0.0
-        assert assoc[("withers", "head")].dense().min() == 0.0
+        assert np.asarray(assoc[("withers", "head")]).max() == 0.0
+        assert np.asarray(assoc[("withers", "head")]).min() == 0.0
 
     def test_cutoff_is_strict(self, spec):
         pose = make_pose(withers=(50, 50), tail_implant=(20, 50))
         params = EncoderParams(weight_cutoff=0.2, kernel_extent=10.0)
         assoc = encode_assoc_maps([pose], spec, 100, 100, params)
         sigma = pose_sigmas([pose], spec, params)[0]
-        grids = assoc[("withers", "tail_implant")].dense()
+        grids = np.asarray(assoc[("withers", "tail_implant")])
         # radius where the unit-peak weight crosses the cutoff
         r_cut = sigma * math.sqrt(-2.0 * math.log(0.2))
         inside = int(math.floor(r_cut))
@@ -183,7 +189,7 @@ class TestAssocEncoding:
 
     def test_uncovered_cells_zero(self, spec, square_pose):
         assoc = encode_assoc_maps([square_pose], spec, 200, 200)
-        grids = assoc[("withers", "tail_implant")].dense()
+        grids = np.asarray(assoc[("withers", "tail_implant")])
         assert grids[0][0, 0] == 0.0
 
     def test_training_only_connection_encoded(self, spec, square_pose):
@@ -365,7 +371,7 @@ class TestSerialization:
             )
         for pair in stack.assoc:
             np.testing.assert_allclose(
-                loaded.assoc[pair].dense(), stack.assoc[pair].dense(), rtol=1e-6, atol=1e-5
+                loaded.assoc[pair], stack.assoc[pair], rtol=1e-6, atol=1e-5
             )
 
     def test_binary_round_trip_is_exact(self, spec, square_pose, tmp_path):
@@ -405,15 +411,17 @@ class TestSerialization:
         path.write_bytes(data)
         loaded = load_maps(str(path))
         assert (loaded.width, loaded.height) == (3, 2)
-        np.testing.assert_array_equal(loaded.prob["k"], prob)
-        np.testing.assert_array_equal(loaded.assoc[("k", "j")].dense(), assoc)
+        np.testing.assert_array_equal(loaded.prob["k"], prob[None])
+        np.testing.assert_array_equal(loaded.assoc[("k", "j")], assoc)
         # the oracle writer produces exactly this layout
         save_maps_v1(loaded, str(path))
         assert path.read_bytes() == data
 
     def test_binary_v2_byte_layout(self, tmp_path):
+        """The version 2 writer kept for tests stores these bytes, which
+        load to the stack they came from."""
         path = tmp_path / "m.ktm"
-        save_maps(_sparse_stack(), str(path))
+        save_maps_v2(_sparse_stack(), str(path))
         names = ["prob:k", "prob:z", *_CHANNEL_NAMES[1:5]]
         expected = b"KTMB" + struct.pack("<IIII", 2, 6, 5, len(names))
         for name in names:
@@ -430,6 +438,30 @@ class TestSerialization:
         expected += struct.pack("<I", 1) + struct.pack("<4I", 2, 3, 0, 1) + struct.pack("<f", 1e-40)
         expected += struct.pack("<II", 0, 0)
         assert path.read_bytes() == expected
+        self.assert_bit_equal(load_maps(str(path)), _sparse_stack())
+
+    def test_binary_v3_byte_layout(self, tmp_path):
+        path = tmp_path / "m.ktm"
+        save_maps(_sparse_stack(), str(path))
+        names = ["prob:k", "prob:z", *_CHANNEL_NAMES[1:5]]
+        expected = b"KTMB" + struct.pack("<IIII", 3, 6, 5, len(names))
+        for name in names:
+            expected += struct.pack("<H", len(name)) + name.encode("utf-8")
+
+        def tile(*cells):
+            grid = np.zeros((16, 16), dtype="<f4")
+            for row, col, value in cells:
+                grid[row, col] = value
+            return grid.tobytes()
+
+        # the 6x5 grid is one tile per channel; -0.0 keeps its tile
+        expected += struct.pack("<II", 1, 0)
+        expected += tile((0, 1, 1.0), (1, 1, -0.0), (0, 3, 2.0), (1, 4, 3.0), (3, 0, 4.0), (4, 0, 5.0))
+        expected += struct.pack("<I", 0)  # prob:z is all zero
+        # the connection's tiles at flat positions (channel, 0, 0): dx_ab, dy_ab
+        expected += struct.pack("<3I", 2, 0, 1) + tile((4, 5, -7.5)) + tile((2, 0, 1e-40))
+        assert path.read_bytes() == expected
+        self.assert_bit_equal(load_maps(str(path)), _sparse_stack())
 
     @staticmethod
     def assert_bit_equal(loaded: MapStack, stack: MapStack) -> None:
@@ -456,14 +488,14 @@ class TestSerialization:
 
     def test_v1_files_load_to_the_same_stack(self, spec, tmp_path):
         v1 = tmp_path / "v1.ktm"
-        v2 = tmp_path / "v2.ktm"
+        v3 = tmp_path / "v3.ktm"
         for scene_spec, poses, width, height in _parity_scenes(spec):
             stack = encode(poses, scene_spec, width, height)
             save_maps_v1(stack, str(v1))
-            save_maps(stack, str(v2))
-            assert v2.stat().st_size < v1.stat().st_size
+            save_maps(stack, str(v3))
+            assert v3.stat().st_size < v1.stat().st_size
             self.assert_bit_equal(load_maps(str(v1)), stack)
-            self.assert_bit_equal(load_maps(str(v2)), load_maps(str(v1)))
+            self.assert_bit_equal(load_maps(str(v3)), load_maps(str(v1)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_binary_round_trip_keeps_special_values(self, tmp_path, dtype):
@@ -485,7 +517,8 @@ class TestSerialization:
         save_maps(stack, str(path))
         loaded = load_maps(str(path))
         self.assert_bit_equal(loaded, stack)
-        assert np.signbit(loaded.prob["k"][0, 0]) and np.signbit(loaded.assoc[("k", "j")].dense()[1]).all()
+        assert np.signbit(np.asarray(loaded.prob["k"])[0, 0, 0])
+        assert np.signbit(np.asarray(loaded.assoc[("k", "j")])[1]).all()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_text_writer_matches_cell_oracle(self, spec, square_pose, tmp_path, dtype):
@@ -560,7 +593,7 @@ class TestSerialization:
         # touching boxes are disjoint, and a band may continue to the right
         boxes = [(0, 1, 0, 1), (0, 1, 1, 3), (1, 2, 0, 3)]
         path = self.v2_file(tmp_path / "m.ktm", 3, 2, [("prob:k", boxes, [1, 2, 3, 4, 5, 6])])
-        np.testing.assert_array_equal(load_maps(str(path)).prob["k"], [[1, 2, 3], [4, 5, 6]])
+        np.testing.assert_array_equal(load_maps(str(path)).prob["k"], [[[1, 2, 3], [4, 5, 6]]])
 
     @pytest.mark.parametrize(
         "tail, message",
@@ -598,9 +631,9 @@ class TestSerialization:
         assert str(path) in str(error.value)
 
     def test_v2_declared_grid_bound(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("keytrack.maps._MAX_BOX_BLOCK_CELLS", 12)
+        monkeypatch.setattr("keytrack.maps._MAX_DECLARED_CELLS", 12)
         path = self.v2_file(tmp_path / "m.ktm", 3, 2, [("prob:k", [], []), ("prob:j", [], [])])
-        assert load_maps(str(path)).prob["k"].shape == (2, 3)
+        assert load_maps(str(path)).prob["k"].shape == (1, 2, 3)
         path = self.v2_file(tmp_path / "m.ktm", 13, 1, [("prob:k", [], [])])
         with pytest.raises(ValueError, match="1 channels of 13x1 exceed 12 cells"):
             load_maps(str(path))
@@ -626,19 +659,125 @@ class TestSerialization:
         for name in names:
             data += struct.pack("<H", len(name)) + name.encode("utf-8")
         path.write_bytes(data + np.arange(24, dtype="<f4").tobytes())
-        grids = load_maps(str(path)).assoc[("k", "j")].dense()
+        grids = np.asarray(load_maps(str(path)).assoc[("k", "j")])
         assert grids[:, 0, 0].tolist() == [6.0, 0.0, 12.0, 18.0]
 
-    def test_binary_load_shares_one_block(self, spec, square_pose, tmp_path):
+    @staticmethod
+    def v3_file(path, width, height, names, tile_sets):
+        """Write a version 3 file of channel ``names`` and ``(count,
+        positions, tiles)`` tile sets; ``tiles`` tiles of cells follow the
+        positions, whatever the count says."""
+        data = b"KTMB" + struct.pack("<IIII", 3, width, height, len(names))
+        for name in names:
+            data += struct.pack("<H", len(name)) + name.encode("utf-8")
+        for count, positions, tiles in tile_sets:
+            data += struct.pack("<I", count) + np.array(positions, dtype="<u4").tobytes()
+            data += np.arange(1, 1 + tiles * 256, dtype="<f4").tobytes()
+        path.write_bytes(data)
+        return path
+
+    @pytest.mark.parametrize(
+        "count, positions, tiles, message",
+        [
+            (1, [6], 1, "outside the 1x2x3 slot grid, repeated or out of order"),
+            (2, [1, 1], 2, "outside the 1x2x3 slot grid, repeated or out of order"),
+            (2, [2, 1], 2, "outside the 1x2x3 slot grid, repeated or out of order"),
+            (3, [0, 1, 2], 2, "truncated tiles"),
+            (2**32 - 1, [0], 1, "truncated tiles"),
+        ],
+    )
+    def test_bad_v3_tiles_rejected(self, tmp_path, count, positions, tiles, message):
+        path = self.v3_file(tmp_path / "m.ktm", 40, 20, ["prob:k"], [(count, positions, tiles)])
+        with pytest.raises(ValueError, match=message) as error:
+            load_maps(str(path))
+        assert str(path) in str(error.value)
+
+    def test_v3_tile_counts_checked_against_bytes_left(self, tmp_path):
+        path = self.v3_file(tmp_path / "m.ktm", 40, 20, ["prob:k", "prob:z"], [(1, [5], 1)])
+        with pytest.raises(ValueError, match="truncated tile count") as error:
+            load_maps(str(path))
+        assert str(path) in str(error.value)
+        path = self.v3_file(tmp_path / "m.ktm", 40, 20, ["prob:k", "prob:z"], [])
+        with pytest.raises(ValueError, match="truncated channel data"):
+            load_maps(str(path))
+        path = self.v3_file(tmp_path / "m.ktm", 40, 20, ["prob:k", "prob:z"], [(1, [5], 1), (0, [], 0)])
+        loaded = load_maps(str(path))
+        assert np.asarray(loaded.prob["k"])[0, 16, 32:35].tolist() == [1.0, 2.0, 3.0]
+        assert not np.asarray(loaded.prob["z"]).any()
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (
+                ["assoc:k->j:dy_ab", "assoc:k->j:dx_ab", "assoc:k->j:dx_ba", "assoc:k->j:dy_ba"],
+                "association channels for k->j out of order",
+            ),
+            (
+                ["assoc:k->j:dx_ab", "prob:k", "assoc:k->j:dy_ab", "assoc:k->j:dx_ba", "assoc:k->j:dy_ba"],
+                "association channels for k->j out of order",
+            ),
+            (["assoc:k->j:dx_ab", "assoc:k->j:dy_ab", "assoc:k->j:dx_ba"], "incomplete association channels"),
+            (["prob:k", "prob:k"], "repeated channel name"),
+            (["other:k"], "unknown channel"),
+        ],
+    )
+    def test_v3_bad_channel_layout_rejected(self, tmp_path, names, message):
+        path = self.v3_file(tmp_path / "m.ktm", 3, 2, names, [(0, [], 0)] * len(names))
+        with pytest.raises(ValueError, match=message) as error:
+            load_maps(str(path))
+        assert str(path) in str(error.value)
+
+    def test_v3_huge_declared_grid_rejected(self, tmp_path):
+        path = self.v3_file(tmp_path / "m.ktm", 40000, 40000, ["prob:k"], [(0, [], 0)])
+        with pytest.raises(ValueError, match="1 channels of 40000x40000 exceed") as error:
+            load_maps(str(path))
+        assert str(path) in str(error.value)
+
+    def test_v2_probability_memory_bounded_by_boxes(self, tmp_path):
+        """A tiny file may declare 24 probability channels on the largest
+        grid the cell cap admits; loading it allocates tiles only where its
+        40 one-cell boxes per channel are."""
+        width = 4096
+        height = (1 << 28) // (24 * width)
+        rows = range(0, 40 * 67, 67)
+        channels = [
+            (f"prob:k{index}", [(row, row + 1, (101 * row) % width, (101 * row) % width + 1) for row in rows], [0.5] * 40)
+            for index in range(24)
+        ]
+        path = self.v2_file(tmp_path / "m.ktm", width, height, channels)
+        stack = load_maps(str(path))
+        tiles = list(stack.prob.values())
+        assert [len(t.tiles) for t in tiles] == [40] * 24
+        assert sum(t.tiles.nbytes for t in tiles) < 2e6
+        # the slot index is 4 bytes per 16x16 tile of the declared grid
+        assert sum(t.slots.nbytes for t in tiles) == 24 * 4 * math.ceil(height / 16) * (width // 16)
+        col = (101 * 67) % width
+        cells = tiles[1].gather(0, np.array([67, 67]), np.array([col, col + 1]))
+        assert cells.tolist() == [0.5, 0.0]
+
+    def test_v2_file_loads_to_the_encoded_tiles(self, spec, tmp_path):
+        """A version 2 file keeps only the tiles holding a nonzero cell."""
+        config = ScenarioConfig(n_animals=12, seed=1, regimes=(RegimeSegment("stationary", 1),))
+        poses = corrupt(generate(spec, config), spec, config)[0]
+        stack = encode(poses, spec, config.width, config.height)
+        path = tmp_path / "m.ktm"
+        save_maps_v2(stack, str(path))
+        loaded = load_maps(str(path))
+        assert sum(t.nbytes for t in loaded.tile_sets()) == sum(t.nbytes for t in stack.tile_sets())
+        for got, want in zip(loaded.tile_sets(), stack.tile_sets()):
+            assert got.slots.tobytes() == want.slots.tobytes()
+            assert got.tiles.tobytes() == want.tiles.tobytes()
+
+    def test_binary_load_keeps_the_encoded_tiles(self, spec, square_pose, tmp_path):
         stack = encode([square_pose], spec, 200, 160)
         path = tmp_path / "m.ktm"
         save_maps(stack, str(path))
         loaded = load_maps(str(path))
-        grids = list(loaded.prob.values())
-        block = grids[0].base
-        assert block is not None and block.shape == (6, 160, 200)
-        assert all(grid.base is block and grid.dtype == np.float32 for grid in grids)
-        assert all(isinstance(tiles, AssocTiles) for tiles in loaded.assoc.values())
+        for got, want in zip(loaded.tile_sets(), stack.tile_sets()):
+            assert isinstance(got, Tiles) and got.tiles.dtype == np.float32
+            assert got.slots.tobytes() == want.slots.tobytes()
+            assert got.tiles.tobytes() == want.tiles.tobytes()
+        assert [len(tiles.slots) for tiles in loaded.tile_sets()] == [1] * 6 + [4] * 6
 
     def test_absurd_dimensions_rejected_before_allocating(self, tmp_path):
         path = tmp_path / "huge.ktm"
@@ -670,7 +809,7 @@ class TestSerialization:
         stack = MapStack(width=3, height=0, prob={"k": np.zeros((0, 3), np.float32)})
         path = tmp_path / ("m.ktmt" if text else "m.ktm")
         save_maps(stack, str(path), text=text)
-        assert load_maps(str(path)).prob["k"].shape == (0, 3)
+        assert load_maps(str(path)).prob["k"].shape == (1, 0, 3)
 
     def test_negative_text_dimensions_rejected(self, tmp_path):
         path = tmp_path / "m.ktmt"
@@ -734,7 +873,7 @@ def _ktm_v2_channel(draw, width: int, height: int) -> bytes:
     and box data of the right size, cut short or too long."""
     rows, cols = min(height, 5), min(width, 5)
     hot = draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
-    boxes = list(_hot_boxes(np.array(hot, dtype=bool).reshape(rows, cols)))
+    boxes = list(hot_boxes(np.array(hot, dtype=bool).reshape(rows, cols)))
     boxes = draw(
         st.sampled_from([boxes, boxes + boxes[-1:], boxes[::-1], boxes + [(rows, rows, 0, cols)]])
         | st.lists(st.tuples(_corner, _corner, _corner, _corner), max_size=4)
@@ -750,19 +889,43 @@ def _ktm_v2_channel(draw, width: int, height: int) -> bytes:
 
 
 @st.composite
+def _ktm_v3_tile_set(draw, width: int, height: int) -> bytes:
+    """One version 3 tile set: ascending positions inside a small grid's
+    slots (one or four channels), or those repeated or reversed, or random
+    ones; a right or absurd tile count; and tile data of the right size,
+    cut short or too long."""
+    slots = 4 * min(-(-height // 16), 2) * min(-(-width // 16), 2)
+    positions = sorted(draw(st.sets(st.integers(0, max(slots - 1, 0)), max_size=3)))
+    positions = draw(
+        st.sampled_from([positions, positions + positions[-1:], positions[::-1]])
+        | st.lists(_corner, max_size=3)
+    )
+    count = draw(st.just(len(positions)) | _size)
+    tiles = draw(st.just(len(positions)) | st.integers(0, 3))
+    return (
+        struct.pack("<I", count)
+        + np.array(positions, dtype="<u4").tobytes()
+        + np.arange(256 * tiles, dtype="<f4").tobytes()
+    )
+
+
+@st.composite
 def _ktm_files(draw):
     width, height = draw(_size), draw(_size)
     # a valid channel set, so that channel data is reached, or any names
     valid = [name.encode() for name in _CHANNEL_NAMES[:5]]
     names = draw(st.sampled_from([valid, [b"prob:k"]]) | st.lists(_channel_name, max_size=6))
     count = draw(st.just(len(names)) | _size)  # wrong channel counts too
-    version = draw(st.sampled_from([1, 2, 3]))
+    version = draw(st.sampled_from([1, 2, 3, 4]))
     data = b"KTMB" + struct.pack("<IIII", version, width, height, count)
     for name in names:
         data += struct.pack("<H", len(name)) + name
     if version == 2:
         for _ in range(draw(st.just(min(count, 6)) | st.integers(0, 6))):
             data += draw(_ktm_v2_channel(width, height))
+    elif version == 3:
+        for _ in range(draw(st.integers(0, 3))):
+            data += draw(_ktm_v3_tile_set(width, height))
     else:
         cells = min(len(names) * width * height, 512)
         data += np.arange(cells, dtype="<f4").tobytes()
@@ -811,14 +974,18 @@ def test_fuzzed_ktmt_loads_or_raises_value_error(tmp_path_factory, data):
 
 @settings(deadline=None, max_examples=300)
 @given(
-    text=st.booleans(),
+    writer=st.sampled_from(["v3", "v2", "text"]),
     flip=st.none() | st.tuples(st.integers(0, 2**16), st.integers(0, 255)),
     cut=st.none() | st.integers(0, 2**16),
 )
-def test_damaged_map_file_loads_or_raises_value_error(tmp_path_factory, text, flip, cut):
-    """A valid file with one byte overwritten and/or cut short at any byte."""
+def test_damaged_map_file_loads_or_raises_value_error(tmp_path_factory, writer, flip, cut):
+    """A valid file of each format with one byte overwritten and/or cut
+    short at any byte."""
     path = tmp_path_factory.mktemp("fuzz") / "m.ktm"
-    save_maps(_small_stack(), str(path), text=text)
+    if writer == "v2":
+        save_maps_v2(_small_stack(), str(path))
+    else:
+        save_maps(_small_stack(), str(path), text=writer == "text")
     data = bytearray(path.read_bytes())
     if flip is not None:
         data[flip[0] % len(data)] = flip[1]
@@ -1034,20 +1201,19 @@ def _parity_scenes(spec):
 def test_roi_encode_bit_equal_to_dense_oracle(spec):
     for scene_spec, poses, width, height in _parity_scenes(spec):
         got = encode(poses, scene_spec, width, height)
-        want = dense_encode(poses, scene_spec, width, height)
-        assert list(got.prob) == list(want.prob)
-        assert list(got.assoc) == list(want.assoc)
-        for category, grid in want.prob.items():
-            assert got.prob[category].dtype == grid.dtype
-            assert got.prob[category].tobytes() == grid.tobytes(), category
+        want = dense_encode_prob_maps(poses, scene_spec, width, height, EncoderParams())
+        assert list(got.prob) == list(want)
+        for category, grid in want.items():
+            assert np.asarray(got.prob[category]).dtype == grid.dtype
+            assert np.asarray(got.prob[category]).tobytes() == grid.tobytes(), category
         want_assoc = dense_encode_assoc_maps(poses, scene_spec, width, height, EncoderParams())
         assert list(got.assoc) == list(want_assoc)
         for pair, grids in want_assoc.items():
-            assert got.assoc[pair].dense().dtype == grids.dtype
-            assert got.assoc[pair].dense().tobytes() == grids.tobytes(), pair
+            assert np.asarray(got.assoc[pair]).dtype == grids.dtype
+            assert np.asarray(got.assoc[pair]).tobytes() == grids.tobytes(), pair
         assert_same_candidates(
             decode_candidates(got.prob),
-            dense_decode_candidates(want.prob, DEFAULT_DETECT_THRESHOLD, DEFAULT_NMS_RADIUS),
+            dense_decode_candidates(want, DEFAULT_DETECT_THRESHOLD, DEFAULT_NMS_RADIUS),
         )
 
 
@@ -1129,11 +1295,46 @@ def test_tiled_assoc_encode_bit_equal_to_dense_oracle(
     want = dense_encode_assoc_maps(poses, spec, width, height, params)
     for pair, grids in want.items():
         tiles = got[pair]
-        assert tiles.dense().tobytes() == grids.tobytes()
-        assert AssocTiles.from_dense(grids).dense().tobytes() == grids.tobytes()
+        assert np.asarray(tiles).tobytes() == grids.tobytes()
+        assert np.asarray(Tiles.from_dense(grids)).tobytes() == grids.tobytes()
         # every kept tile holds a cell whose bits are not all zero
         assert (tiles.tiles.view(np.uint32) != 0).any(axis=(1, 2)).all()
         assert tiles.nbytes == tiles.slots.nbytes + tiles.tiles.nbytes
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    width=st.integers(1, 140),
+    height=st.integers(1, 140),
+    points=st.lists(
+        st.tuples(
+            st.tuples(st.floats(-5.0, 145.0), st.floats(-5.0, 145.0)),
+            st.tuples(st.floats(-5.0, 145.0), st.floats(-5.0, 145.0)),
+        ).filter(lambda p: math.dist(*p) > 1.0),
+        min_size=1,
+        max_size=4,
+    ),
+    kernel_extent=st.floats(0.5, 4.0),
+)
+def test_tiled_prob_encode_bit_equal_to_dense_oracle(width, height, points, kernel_extent):
+    """Frames of any size, splats clipped at the border; each channel also
+    counts as the dense grid does where the benchmark counts it."""
+    spec = two_point_skeleton()
+    poses = _two_point_poses(points)
+    params = EncoderParams(kernel_extent=kernel_extent)
+    got = encode_prob_maps(poses, spec, width, height, params)
+    want = dense_encode_prob_maps(poses, spec, width, height, params)
+    assert list(got) == list(want)
+    for category, grid in want.items():
+        tiles = got[category]
+        assert np.asarray(tiles).tobytes() == grid[None].tobytes()
+        assert tiles.shape == (1, height, width) and tiles.size == grid.size
+        assert np.count_nonzero(tiles) == np.count_nonzero(grid)
+        assert tiles.nbytes == tiles.slots.nbytes + tiles.tiles.nbytes
+        assert (tiles.tiles.view(np.uint32) != 0).any(axis=(1, 2)).all()
+    assert_same_candidates(
+        decode_candidates(got), dense_decode_candidates(want, DEFAULT_DETECT_THRESHOLD, DEFAULT_NMS_RADIUS)
+    )
 
 
 def test_tiled_writer_matches_dense_writer_and_formats_load_alike(spec, tmp_path):
@@ -1142,14 +1343,15 @@ def test_tiled_writer_matches_dense_writer_and_formats_load_alike(spec, tmp_path
         config = ScenarioConfig(n_animals=12, seed=seed, regimes=(RegimeSegment("stationary", 1),))
         poses = corrupt(generate(spec, config), spec, config)[0]
         scenes.append((spec, poses, config.width, config.height))
-    paths = {name: tmp_path / name for name in ("v2.ktm", "dense.ktm", "v1.ktm", "m.ktmt")}
+    paths = {name: tmp_path / name for name in ("v3.ktm", "dense.ktm", "v2.ktm", "v1.ktm", "m.ktmt")}
     for scene_spec, poses, width, height in scenes:
         stack = encode(poses, scene_spec, width, height)
-        save_maps(stack, str(paths["v2.ktm"]))
-        save_maps_dense(stack, str(paths["dense.ktm"]))
-        assert paths["v2.ktm"].read_bytes() == paths["dense.ktm"].read_bytes()
+        save_maps(stack, str(paths["v3.ktm"]))
+        save_maps_v3(stack, str(paths["dense.ktm"]))
+        assert paths["v3.ktm"].read_bytes() == paths["dense.ktm"].read_bytes()
+        save_maps_v2(stack, str(paths["v2.ktm"]))
         save_maps_v1(stack, str(paths["v1.ktm"]))
-        formats = ["v2.ktm", "v1.ktm"]
+        formats = ["v3.ktm", "v2.ktm", "v1.ktm"]
         if width * height <= 120 * 100:  # the text format takes seconds a full frame
             save_maps(stack, str(paths["m.ktmt"]), text=True)
             formats.append("m.ktmt")
@@ -1174,7 +1376,9 @@ def test_v2_association_memory_bounded_by_boxes(tmp_path):
     path = TestSerialization.v2_file(tmp_path / "m.ktm", width, height, channels)
     assert 24 * width * height <= (1 << 28) < 24 * width * (height + 1)
     stack = load_maps(str(path))
-    assert sum(tiles.nbytes for tiles in stack.assoc.values()) < 2e6
+    assert sum(tiles.tiles.nbytes for tiles in stack.assoc.values()) < 2e6
+    # the slot index is 4 bytes per 16x16 tile of the declared grid
+    assert sum(tiles.slots.nbytes for tiles in stack.assoc.values()) == 24 * 4 * 171 * 256
     tiles = stack.assoc[("c", "d")]
     assert len(tiles.tiles) == 4 * 6
     cells = tiles.gather(1, np.array([1024, 1064, 1087, 1088]), np.array([5, 4000, 32, 31]))
