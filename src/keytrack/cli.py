@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, assembly, io, maps, metrics, simulate
 from .keysort import KeySortTracker, TrackerConfig
-from .skeleton import Pose, SkeletonSpec, is_valid_pose
+from .skeleton import Pose, SkeletonSpec, connection_name, is_valid_pose
 
 log = logging.getLogger("keytrack")
 
@@ -122,6 +122,19 @@ def _map_files(maps_dir: str) -> list[tuple[int, Path]]:
     return sorted(found.items())
 
 
+def _check_maps_fit(path: Path, stack: maps.MapStack, spec: SkeletonSpec) -> None:
+    """Reject, naming the file, maps with a probability channel of a
+    category the skeleton lacks, or without the channels of one of its
+    categories or of a connection it assembles."""
+    unknown = [category for category in stack.prob if category not in spec.categories]
+    if unknown:
+        raise ValueError(f"{path}: probability maps of {unknown} not in skeleton {spec.name!r}")
+    missing = [f"prob:{category}" for category in spec.categories if category not in stack.prob]
+    missing += [f"assoc:{connection_name(pair)}" for pair in spec.tree_connections if pair not in stack.assoc]
+    if missing:
+        raise ValueError(f"{path}: no {', '.join(missing)} maps for skeleton {spec.name!r}")
+
+
 @cli.command("decode-assemble")
 @click.option("--maps-dir", required=True, type=click.Path(exists=True, file_okay=False), help="Directory of per-frame map files.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False), help="Output pose JSONL.")
@@ -143,6 +156,7 @@ def decode_assemble(maps_dir: str, out_path: str, skeleton_path: Optional[str], 
                 f"{path}: {stack.width}x{stack.height} maps, but earlier frames are "
                 f"{header.width}x{header.height}"
             )
+        _check_maps_fit(path, stack, spec)
         candidates = maps.decode_candidates(stack.prob, threshold, nms_radius)
         skeletons = assembly.assemble(candidates, stack, spec, gate_fraction=gate_fraction)
         frames[frame_index] = [

@@ -25,7 +25,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
@@ -102,27 +101,27 @@ def _nonzero_bits(cells: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Tiles:
-    """``C`` channels of a ``height x width`` grid, stored as 16x16 tiles.
+    """``channels`` channels of a ``height x width`` grid, stored as 16x16
+    tiles.
 
-    ``slots[channel, ty, tx]`` is the index in ``tiles`` of the tile that
-    holds the channel's rows ``16*ty`` to ``16*ty + 15`` and columns
-    ``16*tx`` to ``16*tx + 15``, or -1 when every one of those cells is
-    +0.0.  Tile cells past the last row or column of the grid are zero.
-    The package keeps the tiles in the order of their slots' flat
-    positions, which is how a ``.ktm`` file stores them.
+    ``positions`` holds, strictly ascending, where each of ``tiles`` lies
+    in the slot grid, one slot per place a tile can take, of shape
+    ``(channels, ceil(height / 16), ceil(width / 16))``, as a flat index:
+    position ``(channel * ny + ty) * nx + tx`` holds the channel's rows
+    ``16*ty`` to ``16*ty + 15`` and columns ``16*tx`` to ``16*tx + 15``.
+    Every cell outside the tiles is +0.0,
+    and so are the tile cells past the grid's last row or column; the
+    package keeps only tiles holding a cell whose bits are not all zero.
+    A ``.ktm`` file stores the two arrays as they are.
 
-    ``np.asarray(tiles)`` gives the dense ``(C, height, width)`` channels.
+    ``np.asarray(tiles)`` gives the dense ``(channels, height, width)`` array.
     """
 
+    channels: int
     height: int
     width: int
-    slots: np.ndarray  # (C, ceil(height / 16), ceil(width / 16)) int32
-    tiles: np.ndarray  # (n, 16, 16) float32
-
-    @classmethod
-    def empty(cls, channels: int, height: int, width: int, dtype=np.float32) -> "Tiles":
-        shape = (channels, *_tile_counts(height, width))
-        return cls(height, width, np.full(shape, -1, dtype=np.int32), np.zeros((0, TILE, TILE), dtype))
+    positions: np.ndarray = field(default_factory=lambda: np.zeros(0, np.uint32))  # (n,) uint32
+    tiles: np.ndarray = field(default_factory=lambda: np.zeros((0, TILE, TILE), np.float32))
 
     @classmethod
     def from_dense(cls, grids, dtype=np.float32) -> "Tiles":
@@ -131,62 +130,45 @@ class Tiles:
         array's own."""
         grids = np.asarray(grids, dtype=dtype)
         channels, height, width = grids.shape
-        out = cls.empty(channels, height, width, grids.dtype)
-        _, ny, nx = out.slots.shape
+        ny, nx = _tile_counts(height, width)
         padded = np.zeros((channels, ny * TILE, nx * TILE), dtype=grids.dtype)
         padded[:, :height, :width] = grids
         blocks = padded.reshape(channels, ny, TILE, nx, TILE).transpose(0, 1, 3, 2, 4)
         kept = _nonzero_bits(blocks).any(axis=(3, 4))
-        out.slots[kept] = np.arange(int(kept.sum()), dtype=np.int32)
-        out.tiles = blocks[kept]
-        return out
+        return cls(channels, height, width, _positions(np.flatnonzero(kept)), blocks[kept])
 
     @classmethod
     def from_boxes(
         cls, height: int, width: int, channels: Sequence[Sequence[tuple]]
     ) -> "Tiles":
         """Tiles of channels each given as its disjoint ``(top, bottom,
-        left, right, cells)`` boxes in ``.ktm`` version 2 order: a box
-        continues the previous one's rows to its right or starts below
-        them.  Only the tiles the boxes overlap are allocated, the boxes
-        on the same rows are copied in together, and tiles left with no
-        cell whose bits are not all zero are dropped."""
-        out = cls.empty(len(channels), height, width)
-        nx = out.slots.shape[2]
-        touched = np.zeros(out.slots.shape, dtype=bool)
-        bands = []
+        left, right, cells)`` boxes.  Each box is cut into the tiles it
+        overlaps; as the boxes are disjoint, a cell is nonzero in at most
+        one box's tile at its position, so OR-ing the bits of the tiles at
+        one position merges them exactly."""
+        ny, nx = _tile_counts(height, width)
+        positions, tiles = [], []
         for channel, boxes in enumerate(channels):
-            for (top, bottom), band in groupby(boxes, key=lambda box: box[:2]):
-                band = list(band)
-                used = np.zeros(nx, dtype=bool)
-                for box in band:
-                    used[box[2] >> _TILE_SHIFT : ((box[3] - 1) >> _TILE_SHIFT) + 1] = True
-                tile_cols = np.flatnonzero(used)
-                tile_rows = np.arange(top >> _TILE_SHIFT, ((bottom - 1) >> _TILE_SHIFT) + 1)
-                touched[channel, tile_rows[:, None], tile_cols] = True
-                bands.append((channel, tile_rows, tile_cols, band))
-        count = int(touched.sum())
-        out.slots[touched] = np.arange(count, dtype=np.int32)
-        tiles = np.zeros((count, TILE, TILE), dtype=np.float32)
-        for channel, tile_rows, tile_cols, band in bands:
-            slots = out.slots[channel, tile_rows[:, None], tile_cols]
-            first_row = int(tile_rows[0]) << _TILE_SHIFT
-            # a tile row may hold cells of an earlier band, so start from the tiles
-            strip = _strip(tiles[slots])
-            for top, bottom, left, right, cells in band:
-                start = _strip_column(tile_cols, left)
-                strip[top - first_row : bottom - first_row, start : start + right - left] = cells
-            tiles[slots] = strip.reshape(len(slots), TILE, -1, TILE).transpose(0, 2, 1, 3)
-        kept = _nonzero_bits(tiles).any(axis=(1, 2))
-        renumbered = np.full(count, -1, dtype=np.int32)
-        renumbered[kept] = np.arange(int(kept.sum()), dtype=np.int32)
-        out.slots[touched] = renumbered
-        out.tiles = tiles[kept]
-        return out
+            for top, bottom, left, right, cells in boxes:
+                y0, x0 = top & ~_TILE_MASK, left & ~_TILE_MASK
+                aligned = np.zeros((1, bottom - y0, right - x0), dtype=np.float32)
+                aligned[0, top - y0 :, left - x0 :] = cells
+                cut = cls.from_dense(aligned)
+                ty, tx = np.divmod(cut.positions, _tile_counts(bottom - y0, right - x0)[1])
+                positions.append((channel * ny + (y0 >> _TILE_SHIFT) + ty) * nx + (x0 >> _TILE_SHIFT) + tx)
+                tiles.append(cut.tiles)
+        if not tiles:
+            return cls(len(channels), height, width)
+        positions = np.concatenate(positions)
+        order = np.argsort(positions)
+        positions = positions[order]
+        starts = np.flatnonzero(np.r_[True, positions[1:] != positions[:-1]])
+        bits = np.bitwise_or.reduceat(np.concatenate(tiles).view(np.uint32)[order], starts)
+        return cls(len(channels), height, width, _positions(positions[starts]), bits.view(np.float32))
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        return (len(self.slots), self.height, self.width)
+        return (self.channels, self.height, self.width)
 
     @property
     def size(self) -> int:
@@ -194,62 +176,61 @@ class Tiles:
 
     @property
     def nbytes(self) -> int:
-        return self.slots.nbytes + self.tiles.nbytes
+        return self.positions.nbytes + self.tiles.nbytes
+
+    def _grid(self) -> tuple[int, int, int]:
+        return (self.channels, *_tile_counts(self.height, self.width))
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """The dense ``(C, height, width)`` channels: for ``map_loss``, the
         text format and tests; the codec reads the tiles."""
         if copy is False:
             raise ValueError("tiles cannot be viewed as a dense array without a copy")
-        channels, ny, nx = self.slots.shape
+        channels, ny, nx = self._grid()
         out = np.zeros((channels, ny * TILE, nx * TILE), dtype=self.tiles.dtype)
         blocks = out.reshape(channels, ny, TILE, nx, TILE).transpose(0, 1, 3, 2, 4)
-        kept = self.slots >= 0
-        blocks[kept] = self.tiles[self.slots[kept]]
+        blocks[np.unravel_index(self.positions, (channels, ny, nx))] = self.tiles
         out = out[:, : self.height, : self.width]
         return out if dtype is None else out.astype(dtype, copy=False)
 
     def gather(self, channels, rows, cols) -> np.ndarray:
         """Cells ``[channels, rows, cols]`` of the dense channels, the
         three integer index arrays broadcast together."""
-        slots = self.slots[channels, rows >> _TILE_SHIFT, cols >> _TILE_SHIFT]
+        _, ny, nx = self._grid()
+        wanted = (channels * ny + (rows >> _TILE_SHIFT)) * nx + (cols >> _TILE_SHIFT)
         if not len(self.tiles):
-            return np.zeros(slots.shape, dtype=self.tiles.dtype)
-        # slot -1 reads the last tile; those cells are then set to +0.0
-        cells = self.tiles[slots, rows & _TILE_MASK, cols & _TILE_MASK]
-        cells[slots < 0] = 0.0
+            return np.zeros(np.shape(wanted), dtype=self.tiles.dtype)
+        # a position not held reads some tile; those cells are then set to +0.0
+        index = np.minimum(np.searchsorted(self.positions, wanted), len(self.tiles) - 1)
+        cells = self.tiles[index, rows & _TILE_MASK, cols & _TILE_MASK]
+        cells[self.positions[index] != wanted] = 0.0
         return cells
 
     def band(self, channel: int, first: int, last: int) -> np.ndarray:
         """Tile rows ``first`` to ``last - 1`` of one channel as one dense
         array of all columns, cut at the grid's last row, so that it never
-        holds more rows than the grid."""
-        nx = self.slots.shape[2]
+        holds more rows than the grid.  Their tiles are one run of
+        ``positions``."""
+        _, ny, nx = self._grid()
         rows = min(last << _TILE_SHIFT, self.height) - (first << _TILE_SHIFT)
         out = np.zeros((rows, nx * TILE), dtype=self.tiles.dtype)
-        slots = self.slots[channel, first:last]
-        tys, txs = np.nonzero(slots >= 0)
-        cells = self.tiles[slots[tys, txs]]
+        base = (channel * ny + first) * nx
+        start, stop = np.searchsorted(self.positions, [base, base + (last - first) * nx])
+        tys, txs = np.divmod(self.positions[start:stop] - base, nx)
+        cells = self.tiles[start:stop]
         whole = rows >> _TILE_SHIFT
         full = tys < whole
         out[: whole << _TILE_SHIFT].reshape(whole, TILE, nx, TILE)[tys[full], :, txs[full]] = cells[full]
-        if whole < len(slots):  # the grid's last tile row, cut short
+        if whole < last - first:  # the grid's last tile row, cut short
             cut = rows - (whole << _TILE_SHIFT)
             part = ~full
             out[whole << _TILE_SHIFT :].reshape(cut, nx, TILE)[:, txs[part]] = cells[part, :cut].transpose(1, 0, 2)
         return out[:, : self.width]
 
 
-def _strip(tiles: np.ndarray) -> np.ndarray:
-    """A ``(rows, cols, 16, 16)`` grid of tiles as one 2-D array."""
-    rows, cols = tiles.shape[:2]
-    return tiles.transpose(0, 2, 1, 3).reshape(rows * TILE, cols * TILE)
-
-
-def _strip_column(tile_cols: np.ndarray, col: int) -> int:
-    """Where image column ``col`` lies in a strip of the tile columns
-    ``tile_cols`` (ascending, holding ``col``'s)."""
-    return int(np.searchsorted(tile_cols, col >> _TILE_SHIFT)) * TILE + (col & _TILE_MASK)
+def _positions(flat) -> np.ndarray:
+    """Flat tile positions in the dtype a tile set and a ``.ktm`` file keep."""
+    return np.asarray(flat, dtype=np.uint32)
 
 
 def _tiled(grid: Tiles | np.ndarray) -> Tiles:
@@ -358,6 +339,7 @@ def _render_prob(
     params: EncoderParams,
     scratch: np.ndarray,
 ) -> dict[str, Tiles]:
+    """Unit-peak Gaussian probability maps, one tile set per category."""
     ny, nx = _tile_counts(height, width)
     blocks = scratch.reshape(3, ny, TILE, nx, TILE)
     grid = scratch[0, :height, :width]
@@ -378,9 +360,8 @@ def _render_prob(
             _touch(touched, (height, width), xy[0], xy[1], sigma, params.kernel_extent)
         tys, txs, cells = _take(blocks, 0, touched)
         kept = _nonzero_bits(cells).any(axis=(1, 2))
-        slots = np.full((1, ny, nx), -1, dtype=np.int32)
-        slots[0, tys[kept], txs[kept]] = np.arange(int(kept.sum()), dtype=np.int32)
-        out[category] = Tiles(height, width, slots, cells if kept.all() else cells[kept])
+        positions = _positions(tys[kept] * nx + txs[kept])
+        out[category] = Tiles(1, height, width, positions, cells if kept.all() else cells[kept])
     return out
 
 
@@ -393,6 +374,18 @@ def _render_assoc(
     params: EncoderParams,
     scratch: np.ndarray,
 ) -> dict[Pair, Tiles]:
+    """Weighted mean offset maps, four channels per connection.
+
+    An animal contributes to a connection's channels only when both
+    endpoints exist; the weights are its unit-peak keypoint Gaussian
+    truncated to zero at ``weight_cutoff``.  Cells never touched stay 0.
+
+    Each side of each connection (the parent's two channels, then the
+    child's) is accumulated in one padded scratch holding the weight sum
+    and the two weighted offsets.  The tiles that its splats' nonzero
+    weights reach are then copied out and zeroed in the scratch again, and
+    normalised; the tiles left with a nonzero cell are kept.
+    """
     ny, nx = _tile_counts(height, width)
     wsum, num_x, num_y = scratch[:, :height, :width]
     blocks = scratch.reshape(3, ny, TILE, nx, TILE)
@@ -419,11 +412,10 @@ def _render_assoc(
                 continue
             sources.append((a, b, b[0] - a[0], b[1] - a[1], sigma))
         if not sources:
-            out[pair] = Tiles.empty(len(ASSOC_CHANNELS), height, width)
+            out[pair] = Tiles(len(ASSOC_CHANNELS), height, width)
             continue
-        slots = np.full((len(ASSOC_CHANNELS), ny, nx), -1, dtype=np.int32)
+        positions: list[np.ndarray] = []
         tiles: list[np.ndarray] = []
-        count = 0
         for side in (0, 1):
             touched = np.zeros((ny, nx), dtype=bool)
             for a, b, dx, dy, sigma in sources:
@@ -438,47 +430,14 @@ def _render_assoc(
             weight, offsets = block[0], block[1:]
             # each cell a splat covered is divided once by its whole weight sum
             np.divide(offsets, weight, out=offsets, where=weight > 0)
+            # by channel, then tile: the side's channels in position order
             channels, kept = np.nonzero(_nonzero_bits(offsets).any(axis=(2, 3)))
-            slots[2 * side + channels, tys[kept], txs[kept]] = np.arange(count, count + len(kept))
+            positions.append(((2 * side + channels) * ny + tys[kept]) * nx + txs[kept])
             tiles.append(offsets[channels, kept])
-            count += len(kept)
-        out[pair] = Tiles(height, width, slots, np.concatenate(tiles))
+        out[pair] = Tiles(
+            len(ASSOC_CHANNELS), height, width, _positions(np.concatenate(positions)), np.concatenate(tiles)
+        )
     return out
-
-
-def encode_prob_maps(
-    poses: Sequence[Pose],
-    spec: SkeletonSpec,
-    width: int,
-    height: int,
-    params: EncoderParams = EncoderParams(),
-) -> dict[str, Tiles]:
-    """Render unit-peak Gaussian probability maps, one tile set per category."""
-    sigmas = pose_sigmas(poses, spec, params) if poses else []
-    return _render_prob(poses, sigmas, spec, width, height, params, _scratch(height, width))
-
-
-def encode_assoc_maps(
-    poses: Sequence[Pose],
-    spec: SkeletonSpec,
-    width: int,
-    height: int,
-    params: EncoderParams = EncoderParams(),
-) -> dict[Pair, Tiles]:
-    """Render weighted mean offset maps, four channels per connection.
-
-    An animal contributes to a connection's channels only when both
-    endpoints exist; the weights are its unit-peak keypoint Gaussian
-    truncated to zero at ``weight_cutoff``.  Cells never touched stay 0.
-
-    Each side of each connection (the parent's two channels, then the
-    child's) is accumulated in one padded scratch holding the weight sum
-    and the two weighted offsets.  The tiles that its splats' nonzero
-    weights reach are then copied out and zeroed in the scratch again, and
-    normalised; the tiles left with a nonzero cell are kept.
-    """
-    sigmas = pose_sigmas(poses, spec, params) if poses else []
-    return _render_assoc(poses, sigmas, spec, width, height, params, _scratch(height, width))
 
 
 def encode(
@@ -488,8 +447,9 @@ def encode(
     height: int,
     params: EncoderParams = EncoderParams(),
 ) -> MapStack:
-    """Encode one frame's poses into a full map stack; the probability and
-    association channels share one scratch."""
+    """Encode one frame's poses into a full map stack: unit-peak Gaussian
+    probability maps, one tile set per category, and weighted mean offset
+    maps, four channels per connection, rendered through one scratch."""
     sigmas = pose_sigmas(poses, spec, params) if poses else []
     scratch = _scratch(height, width)
     return MapStack(
@@ -527,17 +487,16 @@ def _hot_bands(tiles: Tiles, threshold: float) -> Iterator[tuple[int, int, int, 
     the tile rows holding rows ``r0 - (2 * SMOOTH_RADIUS + 1)`` to as far
     below ``r1`` (within the grid) whose first row is ``top``:
     ``(r0, r1, top, strip)``."""
-    slots = tiles.slots[0]
-    ny = slots.shape[0]
-    tys, txs = np.nonzero(slots >= 0)
+    _, ny, nx = tiles._grid()
+    tys = tiles.positions // nx
     # each tile row's 16 flags read as two 8-byte words: an elementwise OR,
     # where any() over an axis of 16 costs a reduction per row
     words = (tiles.tiles > threshold).view(np.uint64)
-    lanes = ((words[..., 0] | words[..., 1]) != 0)[slots[tys, txs]]  # (tiles, 16 rows)
+    lanes = (words[..., 0] | words[..., 1]) != 0  # (tiles, 16 rows)
     hot = np.zeros(ny * TILE, dtype=bool)
     hot[(tys[:, None] * TILE + np.arange(TILE))[lanes]] = True
     if 0.0 > threshold:  # the cells of absent tiles, +0.0, are above it too
-        hot.reshape(ny, TILE)[(slots < 0).any(axis=1)] = True
+        hot.reshape(ny, TILE)[np.bincount(tys, minlength=ny) < nx] = True
     halo = 2 * SMOOTH_RADIUS + 1
     for r0, r1 in _runs(hot[: tiles.height]):
         first = max(r0 - halo, 0) >> _TILE_SHIFT
@@ -795,25 +754,26 @@ def save_maps(maps: MapStack, path: str, text: bool = False) -> None:
 
 
 def load_maps(path: str) -> MapStack:
+    """A ``.ktm`` file of any version or a ``.ktmt`` text file; every
+    ``ValueError`` it raises names the file."""
     with open(path, "rb") as handle:
-        magic = handle.read(4)
-    if magic == _BINARY_MAGIC:
-        return _load_binary(path)
-    if magic == _TEXT_MAGIC.encode("ascii"):
-        return _load_text(path)
-    raise ValueError(f"{path}: not a map stack file")
+        try:
+            magic = handle.read(4)
+            if magic == _BINARY_MAGIC:
+                return _load_binary(handle)
+            if magic == _TEXT_MAGIC.encode("ascii"):
+                handle.seek(0)
+                return _load_text(handle)
+            raise ValueError("not a map stack file")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _save_binary(maps: MapStack, path: str) -> None:
     """Header and channel names, then per tile set, in the order of
-    ``channel_names``: a ``<u4`` tile count ``n``, the ``n`` strictly
-    ascending flat positions of the tiles in the set's ``(C, ny, nx)``
-    slot grid as ``<u4``, and the ``n`` 16x16 tiles as ``<f4``.
-
-    The tiles are those held in memory, which keep every cell whose bits
-    are not all zero, so -0.0, NaN and subnormals round-trip exactly and
-    every cell outside them is +0.0.
-    """
+    ``channel_names``: a ``<u4`` tile count ``n``, its ``n`` positions as
+    ``<u4`` and its ``n`` 16x16 tiles as ``<f4``, as the tile set holds
+    them, so -0.0, NaN and subnormals round-trip exactly."""
     names = maps.channel_names()
     with open(path, "wb") as handle:
         handle.write(_BINARY_MAGIC)
@@ -823,69 +783,59 @@ def _save_binary(maps: MapStack, path: str) -> None:
             handle.write(struct.pack("<H", len(encoded)))
             handle.write(encoded)
         for tiles in maps.tile_sets():
-            positions = np.flatnonzero(tiles.slots >= 0)
-            order = tiles.slots.reshape(-1)[positions]
-            cells = tiles.tiles
-            if (order != np.arange(len(order))).any():  # not kept in position order
-                cells = cells[order]
-            handle.write(struct.pack("<I", len(positions)))
-            handle.write(positions.astype("<u4"))
-            handle.write(np.ascontiguousarray(cells, dtype="<f4"))
+            handle.write(struct.pack("<I", len(tiles.positions)))
+            handle.write(tiles.positions.astype("<u4", copy=False))
+            handle.write(np.ascontiguousarray(tiles.tiles, dtype="<f4"))
 
 
-def _read_exact(handle: BinaryIO, size: int, path: str, what: str) -> bytes:
+def _read_exact(handle: BinaryIO, size: int, what: str) -> bytes:
     data = handle.read(size)
     if len(data) != size:
-        raise ValueError(f"{path}: truncated {what}")
+        raise ValueError(f"truncated {what}")
     return data
 
 
-def _load_binary(path: str) -> MapStack:
-    with open(path, "rb") as handle:
-        magic = handle.read(4)
-        if magic != _BINARY_MAGIC:
-            raise ValueError(f"{path}: bad magic")
-        version, width, height, count = struct.unpack(
-            "<IIII", _read_exact(handle, 16, path, "header")
-        )
-        if version not in (1, 2, _BINARY_VERSION):
-            raise ValueError(f"{path}: unsupported version {version}")
-        names = []
-        for _ in range(count):
-            (length,) = struct.unpack("<H", _read_exact(handle, 2, path, "channel name"))
-            try:
-                names.append(_read_exact(handle, length, path, "channel name").decode("utf-8"))
-            except UnicodeDecodeError:
-                raise ValueError(f"{path}: channel name is not UTF-8") from None
-        if version == 1:
-            block = _read_dense_channels(handle, (count, height, width), path)
-            return _assemble_stack(names, block, path)
-        if count * height * width > _MAX_DECLARED_CELLS:
-            raise ValueError(
-                f"{path}: {count} channels of {width}x{height} exceed "
-                f"{_MAX_DECLARED_CELLS} cells"
-            )
-        prob, assoc = _channel_layout(names, path)
-        for pair, indices in assoc.items():
-            if indices != list(range(indices[0], indices[0] + len(ASSOC_CHANNELS))):
-                raise ValueError(
-                    f"{path}: association channels for {connection_name(pair)} out of order"
-                )
-        if version == 2:
-            return _read_box_channels(handle.read(), prob, assoc, width, height, path)
-        return _read_tile_sets(handle, prob, assoc, width, height, path)
+def _utf8(data: bytes, what: str) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"{what} is not UTF-8") from None
 
 
-def _read_dense_channels(handle: BinaryIO, shape: tuple[int, int, int], path: str) -> np.ndarray:
+def _bytes_left(handle: BinaryIO) -> int:
+    return os.fstat(handle.fileno()).st_size - handle.tell()
+
+
+def _load_binary(handle: BinaryIO) -> MapStack:
+    version, width, height, count = struct.unpack("<IIII", _read_exact(handle, 16, "header"))
+    if version not in (1, 2, _BINARY_VERSION):
+        raise ValueError(f"unsupported version {version}")
+    names = []
+    for _ in range(count):
+        (length,) = struct.unpack("<H", _read_exact(handle, 2, "channel name"))
+        names.append(_utf8(_read_exact(handle, length, "channel name"), "channel name"))
+    if version == 1:
+        return _assemble_stack(names, _read_dense_channels(handle, (count, height, width)))
+    if count * height * width > _MAX_DECLARED_CELLS:
+        raise ValueError(f"{count} channels of {width}x{height} exceed {_MAX_DECLARED_CELLS} cells")
+    prob, assoc = _channel_layout(names)
+    for pair, indices in assoc.items():
+        if indices != list(range(indices[0], indices[0] + len(ASSOC_CHANNELS))):
+            raise ValueError(f"association channels for {connection_name(pair)} out of order")
+    if version == 2:
+        return _read_box_channels(handle.read(), prob, assoc, width, height)
+    return _read_tile_sets(handle, prob, assoc, width, height)
+
+
+def _read_dense_channels(handle: BinaryIO, shape: tuple[int, int, int]) -> np.ndarray:
     """Version 1 channel data: every cell of every channel as ``<f4``."""
     # checked before allocating, so a bad header cannot ask for more
     # memory than the file holds
-    remaining = os.fstat(handle.fileno()).st_size - handle.tell()
-    if remaining < 4 * math.prod(shape):
-        raise ValueError(f"{path}: truncated channel data")
+    if _bytes_left(handle) < 4 * math.prod(shape):
+        raise ValueError("truncated channel data")
     block = np.empty(shape, dtype="<f4")
     if handle.readinto(block) != block.nbytes:
-        raise ValueError(f"{path}: truncated channel data")
+        raise ValueError("truncated channel data")
     return block.astype(np.float32, copy=False)
 
 
@@ -895,10 +845,9 @@ def _read_tile_sets(
     assoc: dict[Pair, list[int]],
     width: int,
     height: int,
-    path: str,
 ) -> MapStack:
     """Version 3 channel data, as ``_save_binary`` writes it: each tile
-    set's positions and tiles are read straight into their arrays.
+    set's positions and tiles are read straight into the arrays it keeps.
 
     Every tile count is checked against the bytes left before anything is
     allocated, so the memory is bounded by the file, and the positions
@@ -908,34 +857,29 @@ def _read_tile_sets(
         [(index, category, 1) for category, index in prob.items()]
         + [(indices[0], pair, len(ASSOC_CHANNELS)) for pair, indices in assoc.items()]
     )
-    remaining = os.fstat(handle.fileno()).st_size - handle.tell()
+    remaining = _bytes_left(handle)
     if remaining < 4 * len(sets):  # each tile set stores at least its tile count
-        raise ValueError(f"{path}: truncated channel data")
-    ny, nx = _tile_counts(height, width)
+        raise ValueError("truncated channel data")
     stack = MapStack(width=width, height=height)
     for _, key, channels in sets:
-        (count,) = struct.unpack("<I", _read_exact(handle, 4, path, "tile count"))
-        remaining -= 4
-        if remaining < count * (4 + _TILE_BYTES):
-            raise ValueError(f"{path}: truncated tiles")
-        remaining -= count * (4 + _TILE_BYTES)
+        (count,) = struct.unpack("<I", _read_exact(handle, 4, "tile count"))
+        remaining -= 4 + count * (4 + _TILE_BYTES)
+        if remaining < 0:
+            raise ValueError("truncated tiles")
         positions = np.empty(count, dtype="<u4")
-        tiles = np.empty((count, TILE, TILE), dtype="<f4")
-        if handle.readinto(positions) != positions.nbytes or handle.readinto(tiles) != tiles.nbytes:
-            raise ValueError(f"{path}: truncated tiles")
-        cells = channels * ny * nx
-        if count and (positions[-1] >= cells or (positions[1:] <= positions[:-1]).any()):
+        cells = np.empty((count, TILE, TILE), dtype="<f4")
+        if handle.readinto(positions) != positions.nbytes or handle.readinto(cells) != cells.nbytes:
+            raise ValueError("truncated tiles")
+        tiles = Tiles(channels, height, width, _positions(positions), cells.astype(np.float32, copy=False))
+        grid = tiles._grid()
+        if count and (positions[-1] >= math.prod(grid) or (positions[1:] <= positions[:-1]).any()):
             raise ValueError(
-                f"{path}: tile positions outside the {channels}x{ny}x{nx} slot grid, "
-                "repeated or out of order"
+                "tile positions outside the {}x{}x{} slot grid, repeated or out of order".format(*grid)
             )
-        slots = np.full(cells, -1, dtype=np.int32)
-        slots[positions] = np.arange(count, dtype=np.int32)
-        tile_set = Tiles(height, width, slots.reshape(channels, ny, nx), tiles.astype(np.float32, copy=False))
         if channels == 1:
-            stack.prob[key] = tile_set
+            stack.prob[key] = tiles
         else:
-            stack.assoc[key] = tile_set
+            stack.assoc[key] = tiles
     return stack
 
 
@@ -945,12 +889,11 @@ def _read_box_channels(
     assoc: dict[Pair, list[int]],
     width: int,
     height: int,
-    path: str,
 ) -> MapStack:
     """Version 2 channel data: per channel a box count, the
     ``(r0, r1, c0, c1)`` boxes as ``<u4`` and each box's cells as ``<f4``.
-    Every channel goes straight into tiles, so the memory is bounded by
-    the boxes the file holds.
+    Every box is cut straight into tiles, so the memory is bounded by the
+    boxes the file holds.
 
     Every count is checked against the bytes left before it is read, and
     the boxes must be non-empty, inside the grid and disjoint in the order
@@ -959,29 +902,29 @@ def _read_box_channels(
     """
     count = len(prob) + len(ASSOC_CHANNELS) * len(assoc)
     if len(data) < 4 * count:  # each channel stores at least its box count
-        raise ValueError(f"{path}: truncated channel data")
+        raise ValueError("truncated channel data")
     channels: list[list[tuple[int, int, int, int, np.ndarray]]] = []
     pos = 0
     for _ in range(count):
         if len(data) - pos < 4:
-            raise ValueError(f"{path}: truncated box count")
+            raise ValueError("truncated box count")
         (boxes,) = struct.unpack_from("<I", data, pos)
         pos += 4
         if len(data) - pos < 16 * boxes:
-            raise ValueError(f"{path}: truncated boxes")
+            raise ValueError("truncated boxes")
         r0, r1, c0, c1 = (
             np.frombuffer(data, "<u4", 4 * boxes, pos).reshape(boxes, 4).T.astype(np.int64)
         )
         pos += 16 * boxes
         if not ((r0 < r1) & (r1 <= height) & (c0 < c1) & (c1 <= width)).all():
-            raise ValueError(f"{path}: box empty or outside the {width}x{height} grid")
+            raise ValueError(f"box empty or outside the {width}x{height} grid")
         same_rows = (r0[1:] == r0[:-1]) & (r1[1:] == r1[:-1]) & (c0[1:] >= c1[:-1])
         if not (same_rows | (r0[1:] >= r1[:-1])).all():
-            raise ValueError(f"{path}: boxes overlap or are out of order")
+            raise ValueError("boxes overlap or are out of order")
         # in bounds and disjoint, so the areas sum to at most the grid: no overflow
         areas = (r1 - r0) * (c1 - c0)
         if len(data) - pos < 4 * int(areas.sum()):
-            raise ValueError(f"{path}: truncated box data")
+            raise ValueError("truncated box data")
         channel = []
         for top, bottom, left, right, area in zip(
             r0.tolist(), r1.tolist(), c0.tolist(), c1.tolist(), areas.tolist()
@@ -997,7 +940,7 @@ def _read_box_channels(
         for pair, indices in assoc.items():
             stack.assoc[pair] = Tiles.from_boxes(height, width, [channels[i] for i in indices])
     except MemoryError:
-        raise ValueError(f"{path}: cannot allocate {count} channels of {width}x{height}") from None
+        raise ValueError(f"cannot allocate {count} channels of {width}x{height}") from None
     return stack
 
 
@@ -1011,41 +954,39 @@ def _save_text(maps: MapStack, path: str) -> None:
             np.savetxt(handle, np.asarray(grid, dtype=np.float32), fmt="%.9g")
 
 
-def _load_text(path: str) -> MapStack:
-    with open(path, "rb") as handle:
+def _load_text(handle: BinaryIO) -> MapStack:
+    def line() -> str:
+        return _utf8(handle.readline(), "line")
 
-        def line() -> str:
-            return handle.readline().decode("utf-8")
-
-        header = line().split()
-        if len(header) != 2 or header[0] != _TEXT_MAGIC:
-            raise ValueError(f"{path}: bad text header")
-        if int(header[1]) != _TEXT_VERSION:
-            raise ValueError(f"{path}: unsupported version {header[1]}")
-        width, height, count = (int(tok) for tok in line().split())
-        if min(width, height, count) < 0:
-            raise ValueError(f"{path}: negative size {width} x {height} x {count}")
-        # each channel is a name line and ``height`` lines of ``width``
-        # values, each line at least one byte per value and never empty, so
-        # a header that asks for more than the file holds is rejected here
-        remaining = os.fstat(handle.fileno()).st_size - handle.tell()
-        if remaining < count * (1 + height * max(width, 1)):
-            raise ValueError(f"{path}: truncated channel data")
-        names = []
-        grids = []
-        for _ in range(count):
-            names.append(line().strip())
-            rows = [np.array(line().split(), dtype=np.float32) for _ in range(height)]
-            if any(row.shape != (width,) for row in rows):
-                raise ValueError(f"{path}: channel shape mismatch")
-            grids.append(np.array(rows, dtype=np.float32).reshape(height, width))
+    header = line().split()
+    if len(header) != 2 or header[0] != _TEXT_MAGIC:
+        raise ValueError("bad text header")
+    if header[1] != str(_TEXT_VERSION):
+        raise ValueError(f"unsupported version {header[1]}")
+    sizes = line().split()
+    if len(sizes) != 3:
+        raise ValueError("size line is not width, height and channel count")
+    width, height, count = (int(tok) for tok in sizes)
+    if min(width, height, count) < 0:
+        raise ValueError(f"negative size {width} x {height} x {count}")
+    # each channel is a name line and ``height`` lines of ``width``
+    # values, each line at least one byte per value and never empty, so
+    # a header that asks for more than the file holds is rejected here
+    if _bytes_left(handle) < count * (1 + height * max(width, 1)):
+        raise ValueError("truncated channel data")
+    names = []
+    grids = []
+    for _ in range(count):
+        names.append(line().strip())
+        rows = [np.array(line().split(), dtype=np.float32) for _ in range(height)]
+        if any(row.shape != (width,) for row in rows):
+            raise ValueError("channel shape mismatch")
+        grids.append(np.array(rows, dtype=np.float32).reshape(height, width))
     block = np.array(grids, dtype=np.float32).reshape(count, height, width)
-    return _assemble_stack(names, block, path)
+    return _assemble_stack(names, block)
 
 
-def _channel_layout(
-    names: list[str], path: str
-) -> tuple[dict[str, int], dict[Pair, list[int]]]:
+def _channel_layout(names: list[str]) -> tuple[dict[str, int], dict[Pair, list[int]]]:
     """The index among ``names`` of each probability category's channel
     and of each connection's four association channels, in
     ``ASSOC_CHANNELS`` order."""
@@ -1059,22 +1000,20 @@ def _channel_layout(
             conn, _, suffix = rest.rpartition(":")
             parts.setdefault(parse_connection_name(conn), {})[suffix] = index
         else:
-            raise ValueError(f"{path}: unknown channel {name!r}")
+            raise ValueError(f"unknown channel {name!r}")
     assoc: dict[Pair, list[int]] = {}
     for pair, found in parts.items():
         if set(found) != set(ASSOC_CHANNELS):
-            raise ValueError(
-                f"{path}: incomplete association channels for {connection_name(pair)}"
-            )
+            raise ValueError(f"incomplete association channels for {connection_name(pair)}")
         assoc[pair] = [found[suffix] for suffix in ASSOC_CHANNELS]
     if len(prob) + len(ASSOC_CHANNELS) * len(assoc) != len(names):
-        raise ValueError(f"{path}: repeated channel name")
+        raise ValueError("repeated channel name")
     return prob, assoc
 
 
-def _assemble_stack(names: list[str], block: np.ndarray, path: str) -> MapStack:
+def _assemble_stack(names: list[str], block: np.ndarray) -> MapStack:
     """A stack of the dense channels ``block`` (channel, row, col), tiled."""
-    prob, assoc = _channel_layout(names, path)
+    prob, assoc = _channel_layout(names)
     _, height, width = block.shape
     return MapStack(
         width=width,

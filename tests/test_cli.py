@@ -18,7 +18,8 @@ from keytrack.io import (
     save_scenario,
 )
 from keytrack.maps import encode as encode_maps, save_maps
-from keytrack.simulate import RegimeSegment, ScenarioConfig
+from keytrack.simulate import RegimeSegment, ScenarioConfig, two_point_skeleton
+from keytrack.skeleton import Pose
 
 
 @pytest.fixture()
@@ -53,6 +54,23 @@ def truth_file(runner, scenario_file, tmp_path):
     )
     assert result.exit_code == 0, result.output
     return path
+
+
+def _two_point_maps(spec, pose):
+    front_back = Pose(coords={"front": (100.0, 100.0), "back": (160.0, 100.0)})
+    return encode_maps([front_back], two_point_skeleton(), 320, 240)
+
+
+def _maps_without_head_nose(spec, pose):
+    stack = encode_maps([pose], spec, 320, 240)
+    del stack.assoc[("head", "nose")]
+    return stack
+
+
+def _empty_maps_without_withers(spec, pose):
+    stack = encode_maps([], spec, 320, 240)
+    del stack.prob["withers"]
+    return stack
 
 
 def exit_code_and_error(monkeypatch, capsys, *args):
@@ -210,6 +228,30 @@ class TestEncodeDecode:
         second = maps_dir / "frame_000001.ktm"
         assert f"{second}: 640x480 maps, but earlier frames are 320x240" in err
         assert not (tmp_path / "o.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "make_maps, message",
+        [
+            (_two_point_maps, "probability maps of ['front', 'back'] not in skeleton 'cattle-dorsal'"),
+            (_maps_without_head_nose, "no assoc:head->nose maps for skeleton 'cattle-dorsal'"),
+            (_empty_maps_without_withers, "no prob:withers maps for skeleton 'cattle-dorsal'"),
+        ],
+        ids=["another-skeleton", "no-connection", "no-category"],
+    )
+    def test_maps_that_do_not_fit_the_skeleton_exit_two(
+        self, spec, square_pose, tmp_path, monkeypatch, capsys, make_maps, message
+    ):
+        maps_dir = tmp_path / "maps"
+        maps_dir.mkdir()
+        path = maps_dir / "frame_000000.ktm"
+        save_maps(make_maps(spec, square_pose), str(path))
+        out = tmp_path / "o.jsonl"
+        code, err = exit_code_and_error(
+            monkeypatch, capsys, "decode-assemble", "--maps-dir", str(maps_dir), "--out", str(out)
+        )
+        assert code == 2
+        assert f"error: {path}: {message}" in err
+        assert not out.exists()
 
     def test_decode_empty_dir_fails(self, runner, tmp_path):
         empty = tmp_path / "empty"

@@ -18,8 +18,6 @@ from keytrack.maps import (
     _parabola_offset,
     decode_candidates,
     encode,
-    encode_assoc_maps,
-    encode_prob_maps,
     kernel_sigma,
     load_maps,
     map_loss,
@@ -92,13 +90,13 @@ class TestKernelSigma:
 
 class TestProbEncoding:
     def test_unit_peak_at_keypoint(self, spec, square_pose):
-        maps = _grids(encode_prob_maps([square_pose], spec, 200, 200))
+        maps = _grids(encode([square_pose], spec, 200, 200).prob)
         assert set(maps) == set(spec.categories)
         x, y = square_pose.coords["withers"]
         assert maps["withers"][int(y), int(x)] == pytest.approx(1.0)
 
     def test_gaussian_profile(self, spec, square_pose):
-        maps = _grids(encode_prob_maps([square_pose], spec, 200, 200))
+        maps = _grids(encode([square_pose], spec, 200, 200).prob)
         sigma = pose_sigmas([square_pose], spec, EncoderParams())[0]
         x, y = square_pose.coords["withers"]
         for d in (1, 3, 5):
@@ -110,7 +108,7 @@ class TestProbEncoding:
     def test_overlapping_kernels_max_merged(self, spec):
         near = make_pose(withers=(50, 50), tail_implant=(10, 50))
         far = make_pose(withers=(56, 50), tail_implant=(96, 50))
-        maps = _grids(encode_prob_maps([near, far], spec, 120, 100))
+        maps = _grids(encode([near, far], spec, 120, 100).prob)
         sigma_near, sigma_far = pose_sigmas([near, far], spec, EncoderParams())
         # midpoint keeps the larger contribution instead of their sum
         merged = maps["withers"][50, 53]
@@ -123,21 +121,21 @@ class TestProbEncoding:
     def test_off_image_keypoint_skipped_with_warning(self, spec, caplog):
         pose = make_pose(withers=(50, 50), tail_implant=(-10, 50))
         with caplog.at_level(logging.WARNING, logger="keytrack.maps"):
-            maps = _grids(encode_prob_maps([pose], spec, 100, 100))
+            maps = _grids(encode([pose], spec, 100, 100).prob)
         assert "outside" in caplog.text
         assert maps["tail_implant"].max() == 0.0
         assert maps["withers"].max() == pytest.approx(1.0)
 
     def test_kernel_support_truncated(self, spec, square_pose):
         params = EncoderParams(kernel_extent=3.0)
-        maps = _grids(encode_prob_maps([square_pose], spec, 200, 200, params))
+        maps = _grids(encode([square_pose], spec, 200, 200, params).prob)
         sigma = pose_sigmas([square_pose], spec, params)[0]
         x, y = square_pose.coords["withers"]
         beyond = int(math.ceil(3.0 * sigma)) + 1
         assert maps["withers"][int(y), int(x) + beyond] == 0.0
 
     def test_empty_frame(self, spec):
-        maps = _grids(encode_prob_maps([], spec, 64, 48))
+        maps = _grids(encode([], spec, 64, 48).prob)
         assert all(grid.shape == (48, 64) for grid in maps.values())
         assert all(grid.max() == 0.0 for grid in maps.values())
 
@@ -158,7 +156,7 @@ class TestAssocEncoding:
         # kernel widths: offsets (30,0) and (50,0) average to 40
         a = make_pose(withers=(50, 50), tail_implant=(80, 50))
         b = make_pose(withers=(50, 50), tail_implant=(100, 50))
-        assoc = encode_assoc_maps([a, b], spec, 160, 100)
+        assoc = encode([a, b], spec, 160, 100).assoc
         grids = np.asarray(assoc[("withers", "tail_implant")])
         # equal scales (40 vs 50 differ -> use sigma-weighted expectation)
         sigmas = pose_sigmas([a, b], spec, EncoderParams())
@@ -170,14 +168,14 @@ class TestAssocEncoding:
 
     def test_missing_endpoint_contributes_nothing(self, spec):
         pose = make_pose(withers=(50, 50), tail_implant=(20, 50), head=None)
-        assoc = encode_assoc_maps([pose], spec, 100, 100)
+        assoc = encode([pose], spec, 100, 100).assoc
         assert np.asarray(assoc[("withers", "head")]).max() == 0.0
         assert np.asarray(assoc[("withers", "head")]).min() == 0.0
 
     def test_cutoff_is_strict(self, spec):
         pose = make_pose(withers=(50, 50), tail_implant=(20, 50))
         params = EncoderParams(weight_cutoff=0.2, kernel_extent=10.0)
-        assoc = encode_assoc_maps([pose], spec, 100, 100, params)
+        assoc = encode([pose], spec, 100, 100, params).assoc
         sigma = pose_sigmas([pose], spec, params)[0]
         grids = np.asarray(assoc[("withers", "tail_implant")])
         # radius where the unit-peak weight crosses the cutoff
@@ -188,12 +186,12 @@ class TestAssocEncoding:
         assert grids[0][50, 50 + outside] == 0.0
 
     def test_uncovered_cells_zero(self, spec, square_pose):
-        assoc = encode_assoc_maps([square_pose], spec, 200, 200)
+        assoc = encode([square_pose], spec, 200, 200).assoc
         grids = np.asarray(assoc[("withers", "tail_implant")])
         assert grids[0][0, 0] == 0.0
 
     def test_training_only_connection_encoded(self, spec, square_pose):
-        assoc = encode_assoc_maps([square_pose], spec, 200, 200)
+        assoc = encode([square_pose], spec, 200, 200).assoc
         assert ("right_hip", "left_hip") in assoc
         x, y = square_pose.coords["right_hip"]
         dx, dy = read_offset(assoc, ("right_hip", "left_hip"), x, y)
@@ -219,7 +217,7 @@ class TestParabola:
 class TestDecode:
     def test_single_keypoint_recovered_subpixel(self, spec):
         pose = make_pose(withers=(73.4, 41.7), tail_implant=(23.4, 41.7))
-        maps = encode_prob_maps([pose], spec, 128, 96)
+        maps = encode([pose], spec, 128, 96).prob
         found = [
             c for c in decode_candidates(maps) if c.category == "withers"
         ]
@@ -355,6 +353,11 @@ class TestLoss:
             map_loss(a, b)
 
 
+def _one_channel_v3_file(name: bytes) -> bytes:
+    """A version 3 file of one 1x1 channel named ``name``, without tiles."""
+    return b"KTMB" + struct.pack("<IIIIH", 3, 1, 1, 1, len(name)) + name + struct.pack("<I", 0)
+
+
 class TestSerialization:
     @pytest.mark.parametrize("text", [False, True])
     def test_round_trip(self, spec, square_pose, tmp_path, text):
@@ -387,6 +390,26 @@ class TestSerialization:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError, match="not a map stack"):
             load_maps(str(path))
+
+    @pytest.mark.parametrize(
+        "name, data, message",
+        [
+            ("m.ktmt", b"KTMT 1\n3 2\n", "size line is not width, height and channel count"),
+            ("m.ktmt", b"KTMT 1\n2 1 1\nprob:k\nabc 1\n", "could not convert string to float: 'abc'"),
+            ("m.ktmt", b"KTMT 1\n1 1 1\n\xffk\n0\n", "line is not UTF-8"),
+            ("m.ktm", _one_channel_v3_file(b"\xffk"), "channel name is not UTF-8"),
+            ("m.ktmt", b"KTMT x\n1 1 1\nprob:k\n0\n", "unsupported version x"),
+            ("m.ktmt", b"KTMT 1\n1 1 1\nassoc:foo:dx_ab\n0\n", "malformed connection name: 'foo'"),
+            ("m.ktm", _one_channel_v3_file(b"assoc:foo:dx_ab"), "malformed connection name: 'foo'"),
+        ],
+        ids=["sizes", "cell", "text-name", "binary-name", "version", "text-connection", "binary-connection"],
+    )
+    def test_load_errors_name_the_file(self, tmp_path, name, data, message):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as error:
+            load_maps(str(path))
+        assert str(error.value) == f"{path}: {message}"
 
     def test_truncated_binary_rejected(self, spec, square_pose, tmp_path):
         stack = encode([square_pose], spec, 32, 32)
@@ -748,9 +771,7 @@ class TestSerialization:
         stack = load_maps(str(path))
         tiles = list(stack.prob.values())
         assert [len(t.tiles) for t in tiles] == [40] * 24
-        assert sum(t.tiles.nbytes for t in tiles) < 2e6
-        # the slot index is 4 bytes per 16x16 tile of the declared grid
-        assert sum(t.slots.nbytes for t in tiles) == 24 * 4 * math.ceil(height / 16) * (width // 16)
+        assert sum(t.nbytes for t in stack.tile_sets()) < 2e6
         col = (101 * 67) % width
         cells = tiles[1].gather(0, np.array([67, 67]), np.array([col, col + 1]))
         assert cells.tolist() == [0.5, 0.0]
@@ -765,7 +786,8 @@ class TestSerialization:
         loaded = load_maps(str(path))
         assert sum(t.nbytes for t in loaded.tile_sets()) == sum(t.nbytes for t in stack.tile_sets())
         for got, want in zip(loaded.tile_sets(), stack.tile_sets()):
-            assert got.slots.tobytes() == want.slots.tobytes()
+            assert got.shape == want.shape
+            assert got.positions.tobytes() == want.positions.tobytes()
             assert got.tiles.tobytes() == want.tiles.tobytes()
 
     def test_binary_load_keeps_the_encoded_tiles(self, spec, square_pose, tmp_path):
@@ -775,9 +797,10 @@ class TestSerialization:
         loaded = load_maps(str(path))
         for got, want in zip(loaded.tile_sets(), stack.tile_sets()):
             assert isinstance(got, Tiles) and got.tiles.dtype == np.float32
-            assert got.slots.tobytes() == want.slots.tobytes()
+            assert got.shape == want.shape
+            assert got.positions.tobytes() == want.positions.tobytes()
             assert got.tiles.tobytes() == want.tiles.tobytes()
-        assert [len(tiles.slots) for tiles in loaded.tile_sets()] == [1] * 6 + [4] * 6
+        assert [tiles.channels for tiles in loaded.tile_sets()] == [1] * 6 + [4] * 6
 
     def test_absurd_dimensions_rejected_before_allocating(self, tmp_path):
         path = tmp_path / "huge.ktm"
@@ -891,11 +914,11 @@ def _ktm_v2_channel(draw, width: int, height: int) -> bytes:
 @st.composite
 def _ktm_v3_tile_set(draw, width: int, height: int) -> bytes:
     """One version 3 tile set: ascending positions inside a small grid's
-    slots (one or four channels), or those repeated or reversed, or random
+    tiles (one or four channels), or those repeated or reversed, or random
     ones; a right or absurd tile count; and tile data of the right size,
     cut short or too long."""
-    slots = 4 * min(-(-height // 16), 2) * min(-(-width // 16), 2)
-    positions = sorted(draw(st.sets(st.integers(0, max(slots - 1, 0)), max_size=3)))
+    grid = 4 * min(-(-height // 16), 2) * min(-(-width // 16), 2)
+    positions = sorted(draw(st.sets(st.integers(0, max(grid - 1, 0)), max_size=3)))
     positions = draw(
         st.sampled_from([positions, positions + positions[-1:], positions[::-1]])
         | st.lists(_corner, max_size=3)
@@ -1114,7 +1137,7 @@ class TestKernelImplementations:
 )
 def test_decode_recovers_position_property(spec, x, y):
     pose = Pose(coords={"withers": (x, y), "tail_implant": (x - 40.0, y)})
-    maps = encode_prob_maps([pose], spec, 140, 64)
+    maps = encode([pose], spec, 140, 64).prob
     found = [c for c in decode_candidates(maps) if c.category == "withers"]
     assert len(found) == 1
     assert math.hypot(found[0].x - x, found[0].y - y) < 0.4
@@ -1291,7 +1314,7 @@ def test_tiled_assoc_encode_bit_equal_to_dense_oracle(
     spec = two_point_skeleton()
     poses = _two_point_poses(points)
     params = EncoderParams(weight_cutoff=weight_cutoff, kernel_extent=kernel_extent)
-    got = encode_assoc_maps(poses, spec, width, height, params)
+    got = encode(poses, spec, width, height, params).assoc
     want = dense_encode_assoc_maps(poses, spec, width, height, params)
     for pair, grids in want.items():
         tiles = got[pair]
@@ -1299,7 +1322,8 @@ def test_tiled_assoc_encode_bit_equal_to_dense_oracle(
         assert np.asarray(Tiles.from_dense(grids)).tobytes() == grids.tobytes()
         # every kept tile holds a cell whose bits are not all zero
         assert (tiles.tiles.view(np.uint32) != 0).any(axis=(1, 2)).all()
-        assert tiles.nbytes == tiles.slots.nbytes + tiles.tiles.nbytes
+        assert tiles.nbytes == tiles.positions.nbytes + tiles.tiles.nbytes
+        assert (tiles.positions[1:] > tiles.positions[:-1]).all()
 
 
 @settings(deadline=None, max_examples=120)
@@ -1322,7 +1346,7 @@ def test_tiled_prob_encode_bit_equal_to_dense_oracle(width, height, points, kern
     spec = two_point_skeleton()
     poses = _two_point_poses(points)
     params = EncoderParams(kernel_extent=kernel_extent)
-    got = encode_prob_maps(poses, spec, width, height, params)
+    got = encode(poses, spec, width, height, params).prob
     want = dense_encode_prob_maps(poses, spec, width, height, params)
     assert list(got) == list(want)
     for category, grid in want.items():
@@ -1330,7 +1354,8 @@ def test_tiled_prob_encode_bit_equal_to_dense_oracle(width, height, points, kern
         assert np.asarray(tiles).tobytes() == grid[None].tobytes()
         assert tiles.shape == (1, height, width) and tiles.size == grid.size
         assert np.count_nonzero(tiles) == np.count_nonzero(grid)
-        assert tiles.nbytes == tiles.slots.nbytes + tiles.tiles.nbytes
+        assert tiles.nbytes == tiles.positions.nbytes + tiles.tiles.nbytes
+        assert (tiles.positions[1:] > tiles.positions[:-1]).all()
         assert (tiles.tiles.view(np.uint32) != 0).any(axis=(1, 2)).all()
     assert_same_candidates(
         decode_candidates(got), dense_decode_candidates(want, DEFAULT_DETECT_THRESHOLD, DEFAULT_NMS_RADIUS)
@@ -1376,9 +1401,7 @@ def test_v2_association_memory_bounded_by_boxes(tmp_path):
     path = TestSerialization.v2_file(tmp_path / "m.ktm", width, height, channels)
     assert 24 * width * height <= (1 << 28) < 24 * width * (height + 1)
     stack = load_maps(str(path))
-    assert sum(tiles.tiles.nbytes for tiles in stack.assoc.values()) < 2e6
-    # the slot index is 4 bytes per 16x16 tile of the declared grid
-    assert sum(tiles.slots.nbytes for tiles in stack.assoc.values()) == 24 * 4 * 171 * 256
+    assert sum(tiles.nbytes for tiles in stack.tile_sets()) < 2e6
     tiles = stack.assoc[("c", "d")]
     assert len(tiles.tiles) == 4 * 6
     cells = tiles.gather(1, np.array([1024, 1064, 1087, 1088]), np.array([5, 4000, 32, 31]))
@@ -1393,7 +1416,7 @@ def test_connection_without_tiles_reads_zero_offsets(spec):
     ]
     stack = encode(poses, spec, 400, 300)
     tiles = stack.assoc[("head", "nose")]
-    assert len(tiles.tiles) == 0 and (tiles.slots == -1).all()
+    assert len(tiles.tiles) == 0 and len(tiles.positions) == 0
     dx, dy = read_offset(stack, ("head", "nose"), [122.0, 338.0], [100.0, 200.0])
     assert dx.tolist() == [0.0, 0.0] and dy.tolist() == [0.0, 0.0]
     assert tiles.gather(0, np.array([5]), np.array([7])).tolist() == [0.0]
