@@ -4,7 +4,7 @@ Association maps predict, from each candidate, where its connected
 counterpart should be; the penalty of pairing two candidates is the mean
 disagreement of the two directed predictions.  Dominant connections are
 matched first against the shared root pool, then the remaining connections
-by increasing order, pruning unmatched candidates after each stage.
+in the skeleton's tree order, pruning unmatched candidates after each stage.
 """
 
 from __future__ import annotations
@@ -78,17 +78,18 @@ def assemble(
     candidates: Sequence[CandidateKeypoint],
     maps: MapStack,
     spec: SkeletonSpec,
-    image_diagonal: float | None = None,
     gate_fraction: float = DEFAULT_GATE_FRACTION,
 ) -> list[PartialSkeleton]:
     """Assemble candidates into skeletons anchored at root candidates.
 
+    A pairing is kept when its penalty is within ``gate_fraction`` times
+    the diagonal of the maps, and ``gate_fraction`` must be positive.
     Returns only skeletons that kept the root plus at least one dominant
     connection.  Training-only connections are never used.
     """
-    if image_diagonal is None:
-        image_diagonal = math.hypot(maps.width, maps.height)
-    gate = gate_fraction * image_diagonal
+    if not gate_fraction > 0:
+        raise ValueError(f"gate_fraction must be positive, got {gate_fraction}")
+    gate = gate_fraction * math.hypot(maps.width, maps.height)
 
     by_category: dict[str, list[CandidateKeypoint]] = {c: [] for c in spec.categories}
     for cand in candidates:
@@ -96,45 +97,34 @@ def assemble(
             raise ValueError(f"candidate category {cand.category!r} not in skeleton")
         by_category[cand.category].append(cand)
 
-    roots = by_category[spec.root]
-    skeletons: list[PartialSkeleton] = [
-        PartialSkeleton(coords={spec.root: r.xy}, scores={spec.root: r.score})
-        for r in roots
-    ]
+    def attach(pair: Pair, holders: list[PartialSkeleton]) -> list[int]:
+        """Match the child candidates of ``pair`` to the ``holders`` of its
+        parent; returns the indices of the holders that got one."""
+        children = by_category[pair[1]]
+        if not holders or not children:
+            return []
+        matrix = association_penalty(
+            [s.coords[pair[0]] for s in holders], [c.xy for c in children], maps, pair
+        )
+        matches = greedy_assign(matrix, gate=gate)
+        for i, j in matches:
+            holders[i].coords[pair[1]] = children[j].xy
+            holders[i].scores[pair[1]] = children[j].score
+        return [i for i, _ in matches]
 
+    skeletons = [
+        PartialSkeleton(coords={spec.root: r.xy}, scores={spec.root: r.score})
+        for r in by_category[spec.root]
+    ]
     # stage 1: dominant connections, each an independent bipartite problem
     # over the full root pool
-    matched_roots: set[int] = set()
-    for pair in spec.dominant:
-        children = by_category[pair[1]]
-        if not roots or not children:
-            continue
-        matrix = association_penalty(
-            [r.xy for r in roots], [c.xy for c in children], maps, pair
-        )
-        for i, j in greedy_assign(matrix, gate=gate):
-            skeletons[i].coords[pair[1]] = children[j].xy
-            skeletons[i].scores[pair[1]] = children[j].score
-            matched_roots.add(i)
+    matched = {i for pair in spec.dominant for i in attach(pair, skeletons)}
+    survivors = [skeletons[i] for i in sorted(matched)]
 
-    survivors = [skeletons[i] for i in sorted(matched_roots)]
-
-    # stage 2 onwards: remaining connections by increasing order, spec
-    # declaration order within an order; unmatched candidates simply drop out
-    dominant = set(spec.dominant)
-    for order in range(1, spec.max_order + 1):
-        for pair in spec.connections_of_order(order):
-            if pair in dominant:
-                continue
-            children = by_category[pair[1]]
-            holders = [s for s in survivors if pair[0] in s.coords]
-            if not holders or not children:
-                continue
-            matrix = association_penalty(
-                [s.coords[pair[0]] for s in holders], [c.xy for c in children], maps, pair
-            )
-            for i, j in greedy_assign(matrix, gate=gate):
-                holders[i].coords[pair[1]] = children[j].xy
-                holders[i].scores[pair[1]] = children[j].score
+    # stage 2: the remaining connections in tree order, so a parent is
+    # attached before its children; unmatched candidates simply drop out
+    for pair in spec.tree_order:
+        if pair not in spec.dominant:
+            attach(pair, [s for s in survivors if pair[0] in s.coords])
 
     return survivors

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Optional, Sequence, TextIO
 
@@ -65,38 +65,84 @@ def skeleton_to_dict(spec: SkeletonSpec) -> dict:
     }
 
 
-def skeleton_from_dict(data: dict) -> SkeletonSpec:
-    if data.get("format", SKELETON_FORMAT) != SKELETON_FORMAT:
-        raise ValueError(f"not a skeleton config: format {data.get('format')!r}")
+def _mapping(data, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """``data`` if it is a mapping with every key of ``required`` and no key
+    outside ``required`` and ``optional``; errors name ``where``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a mapping, got {data!r}")
+    for key in data:
+        if key not in required and key not in optional:
+            raise ValueError(f"{where}: unknown key {key!r}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{where}: missing field {key!r}")
+    return data
+
+
+def _typed(value, kind, where: str, what: str):
+    """``value`` if it is a ``kind`` and not a bool; errors name ``where``."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{where} must be {what}, got {value!r}")
+    return value
+
+
+def _number(value, where: str) -> float:
+    value = float(_typed(value, (int, float), where, "a number"))
+    if not math.isfinite(value):
+        raise ValueError(f"{where} must be finite, got {value}")
+    return value
+
+
+def _pair(value, where: str) -> XY:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{where} must be a list of two numbers, got {value!r}")
+    return _number(value[0], where), _number(value[1], where)
+
+
+def _load_yaml(path: str, parse):
+    """``parse`` of the YAML document at ``path``; every error names the file."""
     try:
-        connections: list[Pair] = []
-        training: set[Pair] = set()
-        for entry in data["connections"]:
-            pair = (str(entry["parent"]), str(entry["child"]))
-            connections.append(pair)
-            if entry.get("training_only"):
-                training.add(pair)
-        spec = SkeletonSpec(
-            name=str(data.get("name", "unnamed")),
-            categories=tuple(str(c) for c in data["categories"]),
-            root=str(data["root"]),
-            connections=tuple(connections),
-            dominant=tuple(parse_connection_name(d) for d in data["dominant"]),
-            betas={parse_connection_name(k): float(v) for k, v in data["betas"].items()},
-            reference=parse_connection_name(data["reference"]),
-            training_only=frozenset(training),
-        )
-    except KeyError as exc:
-        raise ValueError(f"skeleton config missing field {exc}") from exc
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse(yaml.safe_load(handle))
+    except (ValueError, OverflowError, yaml.YAMLError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def skeleton_from_dict(data: dict) -> SkeletonSpec:
+    if isinstance(data, dict) and data.get("format", SKELETON_FORMAT) != SKELETON_FORMAT:
+        raise ValueError(f"not a skeleton config: format {data.get('format')!r}")
+    required = ("categories", "root", "connections", "dominant", "reference", "betas")
+    _mapping(data, "skeleton config", required, ("format", "version", "name"))
+    connections: list[Pair] = []
+    training: set[Pair] = set()
+    for n, entry in enumerate(_typed(data["connections"], list, "connections", "a list")):
+        where = f"connections[{n}]"
+        _mapping(entry, where, ("parent", "child"), ("training_only",))
+        pair = (str(entry["parent"]), str(entry["child"]))
+        connections.append(pair)
+        if entry.get("training_only"):
+            training.add(pair)
+    spec = SkeletonSpec(
+        name=str(data.get("name", "unnamed")),
+        categories=tuple(str(c) for c in _typed(data["categories"], list, "categories", "a list")),
+        root=str(data["root"]),
+        connections=tuple(connections),
+        dominant=tuple(
+            parse_connection_name(str(d)) for d in _typed(data["dominant"], list, "dominant", "a list")
+        ),
+        betas={
+            parse_connection_name(str(k)): _number(v, f"betas[{k!r}]")
+            for k, v in _typed(data["betas"], dict, "betas", "a mapping").items()
+        },
+        reference=parse_connection_name(str(data["reference"])),
+        training_only=frozenset(training),
+    )
     return require_valid_spec(spec)
 
 
 def load_skeleton(path: str) -> SkeletonSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        data = yaml.safe_load(handle)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: skeleton config must be a mapping")
-    return skeleton_from_dict(data)
+    """The skeleton config at ``path``; every error names the file."""
+    return _load_yaml(path, skeleton_from_dict)
 
 
 def save_skeleton(spec: SkeletonSpec, path: str) -> None:
@@ -142,48 +188,48 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
-    if data.get("format", SCENARIO_FORMAT) != SCENARIO_FORMAT:
+    if isinstance(data, dict) and data.get("format", SCENARIO_FORMAT) != SCENARIO_FORMAT:
         raise ValueError(f"not a scenario config: format {data.get('format')!r}")
+    _mapping(data, "scenario config", (), ("format", "version", *(f.name for f in fields(ScenarioConfig))))
     kwargs: dict = {}
-    for key in (
-        "seed",
-        "n_animals",
-        "width",
-        "height",
-        "offset_jitter",
-        "margin",
-        "min_separation",
-        "detection_noise",
-        "dropout",
-    ):
+    for key in ("seed", "n_animals", "width", "height"):
         if key in data:
-            kwargs[key] = data[key]
+            kwargs[key] = _typed(data[key], int, key, "an integer")
+    for key in ("offset_jitter", "margin", "min_separation"):
+        if key in data:
+            kwargs[key] = _number(data[key], key)
+    for key in ("detection_noise", "dropout"):
+        if isinstance(data.get(key), dict):
+            kwargs[key] = {str(c): _number(v, f"{key}[{c!r}]") for c, v in data[key].items()}
+        elif key in data:
+            kwargs[key] = _number(data[key], key)
     if "regimes" in data:
-        kwargs["regimes"] = tuple(
-            RegimeSegment(
-                mode=str(seg["mode"]),
-                frames=int(seg["frames"]),
-                velocity=tuple(seg.get("velocity", (0.0, 0.0))),
-                process_noise=float(seg.get("process_noise", 0.0)),
+        regimes = []
+        for n, seg in enumerate(_typed(data["regimes"], list, "regimes", "a list")):
+            where = f"regimes[{n}]"
+            _mapping(seg, where, ("mode", "frames"), ("velocity", "process_noise"))
+            regimes.append(
+                RegimeSegment(
+                    mode=str(seg["mode"]),
+                    frames=_typed(seg["frames"], int, f"{where}.frames", "an integer"),
+                    velocity=_pair(seg.get("velocity", [0.0, 0.0]), f"{where}.velocity"),
+                    process_noise=_number(seg.get("process_noise", 0.0), f"{where}.process_noise"),
+                )
             )
-            for seg in data["regimes"]
-        )
+        kwargs["regimes"] = tuple(regimes)
     if "template" in data:
         kwargs["template"] = {
-            parse_connection_name(k): (float(v[0]), float(v[1]))
-            for k, v in data["template"].items()
+            parse_connection_name(str(k)): _pair(v, f"template[{k!r}]")
+            for k, v in _typed(data["template"], dict, "template", "a mapping").items()
         }
     if "scale_range" in data:
-        kwargs["scale_range"] = tuple(data["scale_range"])
+        kwargs["scale_range"] = _pair(data["scale_range"], "scale_range")
     return ScenarioConfig(**kwargs)
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        data = yaml.safe_load(handle)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: scenario config must be a mapping")
-    return scenario_from_dict(data)
+    """The scenario config at ``path``; every error names the file."""
+    return _load_yaml(path, scenario_from_dict)
 
 
 def save_scenario(config: ScenarioConfig, path: str) -> None:
@@ -243,16 +289,14 @@ def _read_header(handle: TextIO, path: str, expected_format: str) -> StreamHeade
         )
     if data.get("version") != FORMAT_VERSION:
         raise ValueError(f"{path} line 1: unsupported version {data.get('version')!r}")
-    try:
-        return StreamHeader(
-            skeleton=str(data["skeleton"]),
-            width=int(data["width"]),
-            height=int(data["height"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path} line 1: header missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{path} line 1: header width and height must be integers") from None
+    for name in ("skeleton", "width", "height"):
+        if name not in data:
+            raise ValueError(f"{path} line 1: header missing field {name!r}")
+    for name in ("width", "height"):
+        value = data[name]
+        if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+            raise ValueError(f"{path} line 1: header {name} must be a positive integer, got {value!r}")
+    return StreamHeader(skeleton=str(data["skeleton"]), width=data["width"], height=data["height"])
 
 
 def _json_record(line: str, where: str) -> dict:
@@ -270,9 +314,8 @@ def _frame_fields(data: dict, key: str, where: str) -> tuple[int, list]:
     for name in ("frame_index", key):
         if name not in data:
             raise ValueError(f"{where}: missing field {name!r}")
-    frame_index, items = data["frame_index"], data[key]
-    if isinstance(frame_index, bool) or not isinstance(frame_index, int):
-        raise ValueError(f"{where}: frame_index must be an integer, got {frame_index!r}")
+    frame_index = _typed(data["frame_index"], int, f"{where}: frame_index", "an integer")
+    items = data[key]
     if not isinstance(items, list):
         raise ValueError(f"{where}: {key} must be a list, got {type(items).__name__}")
     return frame_index, items
@@ -282,9 +325,7 @@ def _number_or_null(item: dict, key: str, where: str) -> Optional[float]:
     value = item.get(key)
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{where}: {key} must be a number or null, got {value!r}")
-    return float(value)
+    return float(_typed(value, (int, float), f"{where}: {key}", "a number or null"))
 
 
 def _header_json(header: StreamHeader, fmt: str) -> str:
@@ -402,8 +443,7 @@ def load_tracks(path: str) -> tuple[StreamHeader, list[TrackOutput]]:
                     raise ValueError(f"{where}: tracklet record without observation")
                 if posterior is None:
                     raise ValueError(f"{where}: tracklet record without posterior")
-                if isinstance(tracklet_id, bool) or not isinstance(tracklet_id, int):
-                    raise ValueError(f"{where}: tracklet id must be an integer, got {tracklet_id!r}")
+                _typed(tracklet_id, int, f"{where}: tracklet id", "an integer")
                 imputed = item.get("imputed", [])
                 if not isinstance(imputed, list) or not all(isinstance(c, str) for c in imputed):
                     raise ValueError(f"{where}: imputed must be a list of category names")

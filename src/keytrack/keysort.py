@@ -53,20 +53,21 @@ class TrackerConfig:
     coord_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.gate_px <= 0:
-            raise ValueError("gate_px must be positive")
+        # written as "not ... > 0" so that NaN fails too
+        if not self.gate_px > 0:
+            raise ValueError(f"gate_px must be positive, got {self.gate_px}")
         if self.max_missed < 0 or self.maturity_age < 0:
             raise ValueError("lifecycle thresholds must be non-negative")
         if not 0.0 <= self.freq_memory < 1.0:
             raise ValueError("freq_memory must be in [0, 1)")
-        if self.r_scale <= 0 or self.q_pos_factor <= 0 or self.q_vel_factor <= 0:
+        if not (self.r_scale > 0 and self.q_pos_factor > 0 and self.q_vel_factor > 0):
             raise ValueError("noise factors must be positive")
-        if self.p0_factor <= 0:
+        if not self.p0_factor > 0:
             raise ValueError("p0_factor must be positive")
         if self.sign_window < 1:
             raise ValueError("sign_window must be at least 1")
-        if self.coord_scale <= 0:
-            raise ValueError("coord_scale must be positive")
+        if not 0.0 < self.coord_scale < math.inf:
+            raise ValueError(f"coord_scale must be positive and finite, got {self.coord_scale}")
 
 
 def running_freq(previous: float, observed: bool, memory: float = 0.8) -> float:
@@ -141,8 +142,8 @@ class TrackerModel:
             raise ValueError(
                 f"r_star must have {ncat} or {2 * ncat} entries, got {r_star.shape}"
             )
-        if (r_star <= 0).any():
-            raise ValueError("r_star variances must be positive")
+        if not (np.isfinite(r_star) & (r_star > 0)).all():
+            raise ValueError("r_star variances must be positive and finite")
 
         self.r_row = r_star * config.r_scale
         sigma_bar = float(np.mean(self.r_row))
@@ -151,17 +152,13 @@ class TrackerModel:
         self.p0_pos = self.q_pos * config.p0_factor
         self.p0_vel = self.q_vel * config.p0_factor
 
-        non_root = [c for c in categories if c != spec.root]
         self._index = {cat: i for i, cat in enumerate(categories)}
         self._root = self._index[spec.root]
-        self._children = np.array([self._index[c] for c in non_root], dtype=np.intp)
-        self._parents = np.array(
-            [self._index[spec.parent_of[c]] for c in non_root], dtype=np.intp
-        )
+        # (child, parent) category indices, parents first
         self._chain = [
-            (self._index[c], self._index[spec.parent_of[c]])
-            for c in sorted(non_root, key=lambda c: spec.ranks[c])
+            (self._index[child], self._index[parent]) for parent, child in spec.tree_order
         ]
+        self._children, self._parents = np.array(self._chain, dtype=np.intp).T
 
     def absolute(self, offsets: np.ndarray) -> np.ndarray:
         """Absolute keypoint positions from (..., K, 2) state positions."""

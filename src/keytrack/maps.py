@@ -576,7 +576,12 @@ def decode_candidates(
     scanned: a 5x5 mean exceeds the threshold only if a cell of its window
     does, so the result equals that of filtering the whole map.  A map
     given as a ``(height, width)`` array is tiled first, in its own dtype.
+    ``threshold`` must be finite and ``nms_radius`` non-negative and finite.
     """
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
+    if not 0.0 <= nms_radius < math.inf:
+        raise ValueError(f"nms_radius must be non-negative and finite, got {nms_radius}")
     candidates: list[CandidateKeypoint] = []
     for category, grid in prob_maps.items():
         found = _smoothed_maxima(_tiled(grid), threshold)

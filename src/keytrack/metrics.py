@@ -95,8 +95,10 @@ def precision_recall(
     true-positive count is the average of both directions.  Categories of
     the predicted maps or candidates that the truth maps lack are scored
     too, so each such candidate is a false positive.  Maps given as
-    ``(height, width)`` arrays are tiled once.
+    ``(height, width)`` arrays are tiled once.  ``cutoff`` must be finite.
     """
+    if not math.isfinite(cutoff):
+        raise ValueError(f"cutoff must be finite, got {cutoff}")
     gt_prob_maps = {category: _tiled(grid) for category, grid in gt_prob_maps.items()}
     pred_prob_maps = {category: _tiled(grid) for category, grid in pred_prob_maps.items()}
     categories = list(
@@ -159,8 +161,13 @@ def pair_skeletons(
 
     Pairs whose mean distance exceeds ``max_distance`` (defined on the
     original image; ``coord_scale`` converts working coordinates) stay
-    unpaired, as do poses sharing no categories.
+    unpaired, as do poses sharing no categories.  ``max_distance`` must be
+    positive and ``coord_scale`` positive and finite.
     """
+    if not max_distance > 0:
+        raise ValueError(f"max_distance must be positive, got {max_distance}")
+    if not 0.0 < coord_scale < math.inf:
+        raise ValueError(f"coord_scale must be positive and finite, got {coord_scale}")
     categories = list(dict.fromkeys(cat for pose in gt_poses for cat in pose.coords))
     cost = _psi_costs(
         _pose_array(gt_poses, categories), _pose_array(pred_poses, categories), coord_scale

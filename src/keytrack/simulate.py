@@ -9,8 +9,8 @@ small per-frame offset jitter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -111,31 +111,6 @@ def _rotate(xy: XY, angle: float) -> XY:
     return (c * xy[0] - s * xy[1], s * xy[0] + c * xy[1])
 
 
-def _pose_points(
-    spec: SkeletonSpec,
-    root_xy: XY,
-    offsets: dict[Pair, XY],
-) -> dict[str, XY]:
-    coords: dict[str, XY] = {spec.root: root_xy}
-    ordered = sorted(
-        (c for c in spec.categories if c != spec.root), key=lambda c: spec.ranks[c]
-    )
-    for cat in ordered:
-        parent = spec.parent_of[cat]
-        offset = offsets[(parent, cat)]
-        base = coords[parent]
-        coords[cat] = (base[0] + offset[0], base[1] + offset[1])
-    return {c: coords[c] for c in spec.categories}
-
-
-def _template_extent(config: ScenarioConfig) -> float:
-    reach = 0.0
-    for offset in config.template.values():
-        reach = max(reach, math.hypot(offset[0], offset[1]))
-    # chains can stack (e.g. head + nose); double covers the bundled layouts
-    return 2.0 * reach * config.scale_range[1]
-
-
 def generate(spec: SkeletonSpec, config: ScenarioConfig) -> GroundTruthSequence:
     """Simulate ground-truth poses for every frame of the schedule."""
     require_valid_spec(spec)
@@ -144,7 +119,6 @@ def generate(spec: SkeletonSpec, config: ScenarioConfig) -> GroundTruthSequence:
             raise ValueError(f"template missing offset for {pair[0]}->{pair[1]}")
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
 
-    reach = _template_extent(config)
     low_x = config.margin
     high_x = config.width - 1 - config.margin
     low_y = config.margin
@@ -154,21 +128,26 @@ def generate(spec: SkeletonSpec, config: ScenarioConfig) -> GroundTruthSequence:
 
     headings = rng.uniform(0.0, 2.0 * math.pi, size=config.n_animals)
     scales = rng.uniform(*config.scale_range, size=config.n_animals)
+    # (N, P, 2): every animal's template offsets at its scale and heading
+    template = list(config.template.values())
+    turned = np.array([[_rotate((x * s, y * s), h) for x, y in template] for s, h in zip(scales, headings)])
 
-    def animal_points(index: int, root_xy: XY, jitter: bool) -> dict[str, XY]:
-        offsets: dict[Pair, XY] = {}
-        for pair, base in config.template.items():
-            scaled = (base[0] * scales[index], base[1] * scales[index])
-            rotated = _rotate(scaled, headings[index])
-            if jitter and config.offset_jitter > 0:
-                noise = rng.normal(0.0, config.offset_jitter, size=2)
-                rotated = (rotated[0] + noise[0], rotated[1] + noise[1])
-            offsets[pair] = rotated
-        return _pose_points(spec, root_xy, offsets)
+    slot = {cat: k for k, cat in enumerate(spec.categories)}
+    column = {pair: p for p, pair in enumerate(config.template)}
+    walk = [(slot[child], slot[parent], column[(parent, child)]) for parent, child in spec.tree_order]
+
+    def place(root: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """(..., K, 2) keypoints from (..., 2) root positions and (..., P, 2)
+        offsets, walking the tree in order."""
+        points = np.empty(root.shape[:-1] + (len(spec.categories), 2))
+        points[..., slot[spec.root], :] = root
+        for child, parent, p in walk:
+            points[..., child, :] = points[..., parent, :] + offsets[..., p, :]
+        return points
 
     # spawn with keypoint-level separation between animals
     roots: list[XY] = []
-    spawned_points: list[dict[str, XY]] = []
+    spawned = np.empty((0, 2))
     attempts = 0
     while len(roots) < config.n_animals:
         attempts += 1
@@ -178,44 +157,33 @@ def generate(spec: SkeletonSpec, config: ScenarioConfig) -> GroundTruthSequence:
             float(rng.uniform(low_x, high_x)),
             float(rng.uniform(low_y, high_y)),
         )
-        index = len(roots)
-        points = animal_points(index, candidate_root, jitter=False)
-        clear = True
-        for other in spawned_points:
-            for xy in points.values():
-                for oxy in other.values():
-                    if math.hypot(xy[0] - oxy[0], xy[1] - oxy[1]) < config.min_separation:
-                        clear = False
-                        break
-                if not clear:
-                    break
-            if not clear:
-                break
-        if clear:
+        points = place(np.array(candidate_root), turned[len(roots)])
+        gaps = points[:, None] - spawned[None]
+        if not (np.hypot(gaps[..., 0], gaps[..., 1]) < config.min_separation).any():
             roots.append(candidate_root)
-            spawned_points.append(points)
+            spawned = np.concatenate([spawned, points])
 
-    positions = [np.array(r, dtype=np.float64) for r in roots]
+    positions = np.array(roots)
+    offsets = turned.copy()
     frames: list[GroundTruthFrame] = []
     frame_index = 0
     for segment in config.regimes:
         velocity = np.array(segment.velocity, dtype=np.float64)
         for _ in range(segment.frames):
-            poses: list[Pose] = []
+            # per animal: its step noise, then its offset jitter
             for index in range(config.n_animals):
                 if frame_index > 0:
-                    step = velocity.copy()
+                    step = velocity
                     if segment.process_noise > 0:
-                        step += rng.normal(0.0, segment.process_noise, size=2)
-                    positions[index] = positions[index] + step
-                root_xy = (float(positions[index][0]), float(positions[index][1]))
-                points = animal_points(index, root_xy, jitter=True)
-                poses.append(
-                    Pose(
-                        coords={c: points[c] for c in spec.categories},
-                        frame_index=frame_index,
-                    )
-                )
+                        step = velocity + rng.normal(0.0, segment.process_noise, size=2)
+                    positions[index] += step
+                if config.offset_jitter > 0:
+                    jitter = rng.normal(0.0, config.offset_jitter, size=turned.shape[1:])
+                    offsets[index] = turned[index] + jitter
+            poses = [
+                Pose(coords=dict(zip(spec.categories, map(tuple, points))), frame_index=frame_index)
+                for points in place(positions, offsets).tolist()
+            ]
             frames.append(
                 GroundTruthFrame(frame_index=frame_index, regime=segment.mode, poses=poses)
             )

@@ -77,40 +77,26 @@ class SkeletonSpec:
         return {child: parent for parent, child in self.tree_connections}
 
     @cached_property
-    def ranks(self) -> dict[str, int]:
-        """Path length from the root, root itself at rank 0."""
-        ranks = {self.root: 0}
-        # tree is small; iterate until fixpoint, bail on orphans/cycles
-        pending = [c for c in self.categories if c != self.root]
-        while pending:
-            progressed = False
-            remaining = []
-            for cat in pending:
-                parent = self.parent_of.get(cat)
-                if parent in ranks:
-                    ranks[cat] = ranks[parent] + 1
-                    progressed = True
-                else:
-                    remaining.append(cat)
-            if not progressed:
-                break
-            pending = remaining
-        return ranks
-
-    def connection_order(self, pair: Pair) -> int:
-        """Order of a tree connection: rank of its child category."""
-        return self.ranks[pair[1]]
+    def tree_order(self) -> tuple[Pair, ...]:
+        """The one order every walk of the tree follows: the tree connections
+        the root reaches, by the child's depth, then by declaration order."""
+        order: list[Pair] = []
+        reached, frontier = {self.root}, {self.root}
+        while frontier:
+            step = [p for p in self.tree_connections if p[0] in frontier and p[1] not in reached]
+            frontier = {child for _, child in step}
+            reached |= frontier
+            order += step
+        return tuple(order)
 
     @cached_property
-    def max_order(self) -> int:
-        return max(self.connection_order(c) for c in self.tree_connections)
-
-    def connections_of_order(self, order: int) -> list[Pair]:
-        return [
-            c
-            for c in self.tree_connections
-            if c[1] in self.ranks and self.connection_order(c) == order
-        ]
+    def ranks(self) -> dict[str, int]:
+        """Path length from the root, root itself at rank 0; categories the
+        root does not reach are left out."""
+        ranks = {self.root: 0}
+        for parent, child in self.tree_order:
+            ranks[child] = ranks[parent] + 1
+        return ranks
 
     def validate(self) -> list[str]:
         """Return a list of structural violations; empty means well-formed."""

@@ -148,14 +148,21 @@ class TestAssemble:
         assert len(relaxed) == 1
         assert relaxed[0].coords["tail_implant"] == pytest.approx((90.0, 100.0))
 
-    def test_explicit_diagonal_overrides_map_size(self, spec, square_pose):
+    @pytest.mark.parametrize("gate_fraction", [0.0, -1.0, math.nan])
+    def test_gate_fraction_must_be_positive(self, spec, square_pose, gate_fraction):
         stack = encode([square_pose], spec, 200, 200)
+        with pytest.raises(ValueError, match="gate_fraction must be positive"):
+            assemble(candidates_from([square_pose]), stack, spec, gate_fraction=gate_fraction)
+
+    def test_gate_follows_the_map_diagonal(self, spec, square_pose):
+        # the same pose on 2000x2000 maps: the gate is 0.05 * 2828 ~ 141
+        stack = encode([square_pose], spec, 2000, 2000)
         wx, wy = square_pose.coords["withers"]
         cands = [
             CandidateKeypoint("withers", wx, wy, 1.0),
             CandidateKeypoint("tail_implant", 90.0, 100.0, 1.0),
         ]
-        widened = assemble(cands, stack, spec, image_diagonal=2000.0)
+        widened = assemble(cands, stack, spec)
         assert len(widened) == 1
 
     def test_second_order_needs_its_parent(self, spec, square_pose):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+import yaml
 from click.testing import CliRunner
 
 import keytrack
@@ -12,10 +13,12 @@ from keytrack import cli as cli_module
 from keytrack.cli import cli
 from keytrack.io import (
     StreamHeader,
+    default_skeleton,
     load_detections,
     load_tracks,
     save_detections,
     save_scenario,
+    skeleton_to_dict,
 )
 from keytrack.maps import encode as encode_maps, save_maps
 from keytrack.simulate import RegimeSegment, ScenarioConfig, two_point_skeleton
@@ -445,6 +448,109 @@ class TestKfDemoCommand:
             cli_module.main()
         assert exit_info.value.code == 2
         assert f"error: {name} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, args, message",
+    [
+        ("decode-assemble", ["--threshold", "nan"], "threshold must be finite, got nan"),
+        ("decode-assemble", ["--nms-radius", "-7"], "nms_radius must be non-negative and finite, got -7.0"),
+        ("decode-assemble", ["--gate-fraction", "-1"], "gate_fraction must be positive, got -1.0"),
+        ("evaluate", ["--pair-gate", "-1"], "max_distance must be positive, got -1.0"),
+        ("evaluate", ["--pair-gate", "nan"], "max_distance must be positive, got nan"),
+        ("evaluate", ["--coord-scale", "0"], "coord_scale must be positive and finite, got 0.0"),
+        ("evaluate", ["--coord-scale", "-1"], "coord_scale must be positive and finite, got -1.0"),
+        ("evaluate", ["--coord-scale", "nan"], "coord_scale must be positive and finite, got nan"),
+        ("evaluate", ["--prob-cutoff", "nan"], "cutoff must be finite, got nan"),
+        ("track", ["--gate", "nan"], "gate_px must be positive, got nan"),
+        ("track", ["--r-star", "nan"], "r_star variances must be positive and finite"),
+    ],
+)
+def test_out_of_range_parameter_exits_two(
+    monkeypatch, capsys, runner, truth_file, tmp_path, command, args, message
+):
+    maps_dir = tmp_path / "maps"
+    result = runner.invoke(cli, ["encode", "--detections", str(truth_file), "--out-dir", str(maps_dir)])
+    assert result.exit_code == 0, result.output
+    out = str(tmp_path / "o.jsonl")
+    inputs = {
+        "decode-assemble": ["--maps-dir", str(maps_dir), "--out", out],
+        "evaluate": ["--truth", str(truth_file), "--poses", str(truth_file),
+                     "--truth-maps", str(maps_dir), "--pred-maps", str(maps_dir)],
+        "track": ["--detections", str(truth_file), "--out", out],
+    }
+    code, err = exit_code_and_error(monkeypatch, capsys, command, *inputs[command], *args)
+    assert code == 2
+    assert f"error: {message}" in err
+
+
+def _skeleton_config(change):
+    data = skeleton_to_dict(default_skeleton())
+    change(data)
+    return data
+
+
+@pytest.mark.parametrize(
+    "option, config, message",
+    [
+        ("--scenario", {"n_animal": 5}, "scenario config: unknown key 'n_animal'"),
+        (
+            "--scenario",
+            {"regimes": [{"mode": "walking", "frames": 3, "velocty": [1, 0]}]},
+            "regimes[0]: unknown key 'velocty'",
+        ),
+        ("--scenario", {"n_animals": "3"}, "n_animals must be an integer, got '3'"),
+        (
+            "--scenario",
+            {"template": {"withers->head": [1]}},
+            "template['withers->head'] must be a list of two numbers, got [1]",
+        ),
+        ("--scenario", {"regimes": [{"mode": "walking"}]}, "regimes[0]: missing field 'frames'"),
+        ("--scenario", {"offset_jitter": math.nan}, "offset_jitter must be finite, got nan"),
+        ("--scenario", "n_animals: [3", "while parsing a flow sequence"),
+        ("--skeleton", _skeleton_config(lambda d: d.update(categories=5)), "categories must be a list, got 5"),
+        (
+            "--skeleton",
+            _skeleton_config(lambda d: d["connections"].__setitem__(0, "withers->tail_implant")),
+            "connections[0] must be a mapping, got 'withers->tail_implant'",
+        ),
+        (
+            "--skeleton",
+            _skeleton_config(lambda d: d["connections"][5].update(trainig_only=True)),
+            "connections[5]: unknown key 'trainig_only'",
+        ),
+        (
+            "--skeleton",
+            _skeleton_config(lambda d: d["betas"].update({"withers->left_hip": "x"})),
+            "betas['withers->left_hip'] must be a number, got 'x'",
+        ),
+        ("--skeleton", _skeleton_config(lambda d: d.update(rot="withers")), "skeleton config: unknown key 'rot'"),
+    ],
+    ids=[
+        "unknown-key",
+        "unknown-regime-key",
+        "string-count",
+        "short-offset",
+        "regime-without-frames",
+        "nan-jitter",
+        "not-yaml",
+        "categories-not-a-list",
+        "connection-as-string",
+        "unknown-connection-key",
+        "beta-not-a-number",
+        "unknown-skeleton-key",
+    ],
+)
+def test_bad_config_exits_two_naming_file_and_key(
+    monkeypatch, capsys, tmp_path, option, config, message
+):
+    path = tmp_path / "config.yaml"
+    path.write_text(config if isinstance(config, str) else yaml.safe_dump(config))
+    code, err = exit_code_and_error(
+        monkeypatch, capsys, "simulate", option, str(path), "--truth-out", str(tmp_path / "t.jsonl")
+    )
+    assert code == 2
+    assert f"error: {path}: {message}" in err
 
 
 class TestConsoleScript:

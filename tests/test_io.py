@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -494,6 +495,20 @@ def test_wrongly_typed_track_fields_rejected(tmp_path, field, value, message):
         handle.write(json.dumps({"frame_index": 0, "tracklets": [item]}) + "\n")
     with pytest.raises(ValueError, match=f"line 2: {message}"):
         load_tracks(str(path))
+
+
+@pytest.mark.parametrize("loader", [load_detections, load_tracks])
+@pytest.mark.parametrize(
+    "field, value",
+    [("width", -5), ("width", 0), ("height", 0), ("width", "960"), ("height", 720.5), ("width", True)],
+)
+def test_header_size_must_be_a_positive_integer(tmp_path, loader, field, value):
+    fmt = "keytrack-detections" if loader is load_detections else "keytrack-tracks"
+    header = {"format": fmt, "version": 1, "skeleton": "s", "width": 960, "height": 720, field: value}
+    path = tmp_path / "stream.jsonl"
+    path.write_text(json.dumps(header) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path} line 1: header {field} must be a positive integer")):
+        loader(str(path))
 
 
 def test_header_must_be_an_object(tmp_path):

@@ -62,6 +62,11 @@ class TestConfigValidation:
             {"p0_factor": 0.0},
             {"sign_window": 0},
             {"coord_scale": 0.0},
+            {"gate_px": math.nan},
+            {"r_scale": math.nan},
+            {"p0_factor": math.nan},
+            {"coord_scale": math.nan},
+            {"coord_scale": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -142,6 +147,13 @@ class TestTrackerModel:
         r12 = np.arange(1.0, 13.0)
         model = keysort_oracle.build_model(spec, r12)
         np.testing.assert_allclose(np.diag(model.model.R), r12 * 1e-2)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_r_star_must_be_positive_and_finite(self, spec, value):
+        r_star = np.ones(6)
+        r_star[2] = value
+        with pytest.raises(ValueError, match="r_star variances must be positive and finite"):
+            TrackerModel(spec, r_star, TrackerConfig())
 
     def test_r_star_validation(self, spec):
         with pytest.raises(ValueError, match="entries"):

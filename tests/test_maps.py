@@ -225,6 +225,27 @@ class TestDecode:
         assert found[0].x == pytest.approx(73.4, abs=0.3)
         assert found[0].y == pytest.approx(41.7, abs=0.3)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"threshold": math.nan}, "threshold must be finite"),
+            ({"threshold": math.inf}, "threshold must be finite"),
+            ({"threshold": -math.inf}, "threshold must be finite"),
+            ({"nms_radius": -7.0}, "nms_radius must be non-negative and finite"),
+            ({"nms_radius": math.nan}, "nms_radius must be non-negative and finite"),
+            ({"nms_radius": math.inf}, "nms_radius must be non-negative and finite"),
+        ],
+    )
+    def test_out_of_range_parameters_rejected(self, kwargs, message):
+        grid = np.zeros((8, 8), dtype=np.float32)
+        with pytest.raises(ValueError, match=message):
+            decode_candidates({"k": grid}, **kwargs)
+
+    def test_negative_threshold_accepted(self):
+        grid = self.blob_grid((32, 32), (10.0, 12.0, 1.0))
+        found = decode_candidates({"k": grid}, threshold=-0.5)
+        assert [(round(c.x), round(c.y)) for c in found] == [(10, 12)]
+
     def test_threshold_filters_weak_peaks(self):
         grid = np.zeros((32, 32), dtype=np.float32)
         grid[10, 10] = 0.3  # smoothed far below threshold

@@ -221,6 +221,25 @@ def test_pairing_matches_scalar_psi(spec, data, coord_scale):
     assert sorted(result.unpaired_pred + [j for _, j in result.pairs]) == [*range(len(pred_poses))]
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda pose: pair_skeletons([pose], [pose], max_distance=-1.0), "max_distance must be positive"),
+        (lambda pose: pair_skeletons([pose], [pose], max_distance=0.0), "max_distance must be positive"),
+        (lambda pose: pair_skeletons([pose], [pose], max_distance=math.nan), "max_distance must be positive"),
+        (lambda pose: pair_skeletons([pose], [pose], coord_scale=0.0), "coord_scale must be positive and finite"),
+        (lambda pose: pair_skeletons([pose], [pose], coord_scale=-1.0), "coord_scale must be positive and finite"),
+        (lambda pose: pair_skeletons([pose], [pose], coord_scale=math.nan), "coord_scale must be positive and finite"),
+        (lambda pose: pair_skeletons([pose], [pose], coord_scale=math.inf), "coord_scale must be positive and finite"),
+        (lambda pose: precision_recall([pose], [], {}, {}, cutoff=math.nan), "cutoff must be finite"),
+        (lambda pose: precision_recall([pose], [], {}, {}, cutoff=math.inf), "cutoff must be finite"),
+    ],
+)
+def test_out_of_range_parameters_rejected(square_pose, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(square_pose)
+
+
 class TestPairing:
     def test_pairs_nearest(self, square_pose):
         near = make_pose(**{c: (x + 1.0, y) for c, (x, y) in square_pose.coords.items()})

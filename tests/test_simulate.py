@@ -21,6 +21,7 @@ from keytrack.skeleton import (
     require_valid_spec,
 )
 from kalman_oracle import FilterModel, initial_state, predict, update_adaptive, update_standard
+import simulate_oracle
 
 
 def pose_array(pose):
@@ -165,6 +166,47 @@ class TestGenerate:
         assert betas[("withers", "tail_implant")] == 1.0
         # matches the bundled skeleton's configured proportion to 0.2%
         assert expected == pytest.approx(1.45, abs=0.003)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ScenarioConfig(n_animals=3, seed=5, dropout=0.1),
+            ScenarioConfig(
+                n_animals=12,
+                seed=6,
+                offset_jitter=0.0,
+                regimes=(RegimeSegment("walking", 25, velocity=(1.5, -0.5), process_noise=0.4),),
+            ),
+            ScenarioConfig(
+                n_animals=30,
+                width=4000,
+                height=4000,
+                margin=400.0,
+                min_separation=75.0,
+                seed=7,
+                dropout=0.1,
+                regimes=(
+                    RegimeSegment("stationary", 5),
+                    RegimeSegment("walking", 20, velocity=(2.0, 1.0), process_noise=0.2),
+                    RegimeSegment("abrupt_turn", 10, velocity=(-2.0, 1.0)),
+                ),
+            ),
+            # offsets declared out of tree order, plus one the tree does not use
+            ScenarioConfig(
+                n_animals=3,
+                seed=8,
+                offset_jitter=0.5,
+                template={("right_hip", "left_hip"): (0.0, 28.0), **dict(reversed(DEFAULT_TEMPLATE.items()))},
+                regimes=(RegimeSegment("walking", 15, velocity=(1.0, 1.0), process_noise=0.3),),
+            ),
+        ],
+        ids=["3-jitter", "12-walking-no-jitter", "30-arena-4000", "3-extra-offset"],
+    )
+    def test_generate_and_corrupt_equal_the_oracle(self, spec, config):
+        truth = generate(spec, config)
+        expected = simulate_oracle.generate(spec, config)
+        assert truth.frames == expected.frames
+        assert corrupt(truth, spec) == corrupt(expected, spec)
 
     def test_poses_by_frame_lookup(self, spec, quiet_scenario):
         truth = generate(spec, quiet_scenario)

@@ -44,7 +44,16 @@ class TestSpecStructure:
     def test_bundled_spec_is_valid(self, spec):
         assert validate_spec(spec) == []
 
-    def test_ranks_and_orders(self, spec):
+    def test_tree_order_and_ranks(self, spec):
+        # head->nose is declared third but is the only second-order connection
+        assert spec.connections[2] == ("head", "nose")
+        assert spec.tree_order == (
+            ("withers", "tail_implant"),
+            ("withers", "head"),
+            ("withers", "left_hip"),
+            ("withers", "right_hip"),
+            ("head", "nose"),
+        )
         assert spec.ranks == {
             "withers": 0,
             "tail_implant": 1,
@@ -53,15 +62,22 @@ class TestSpecStructure:
             "left_hip": 1,
             "right_hip": 1,
         }
-        assert spec.max_order == 2
-        assert spec.connection_order(("head", "nose")) == 2
-        assert set(spec.connections_of_order(1)) == {
-            ("withers", "tail_implant"),
-            ("withers", "head"),
-            ("withers", "left_hip"),
-            ("withers", "right_hip"),
-        }
-        assert spec.connections_of_order(2) == [("head", "nose")]
+
+    def test_cycle_off_the_root_is_unreachable(self):
+        cyclic = SkeletonSpec(
+            name="cyclic",
+            categories=("a", "b", "c", "d"),
+            root="a",
+            connections=(("a", "b"), ("c", "d"), ("d", "c")),
+            dominant=(("a", "b"),),
+            betas={("a", "b"): 1.0},
+            reference=("a", "b"),
+        )
+        assert cyclic.tree_order == (("a", "b"),)
+        assert cyclic.ranks == {"a": 0, "b": 1}
+        problems = validate_spec(cyclic)
+        assert "category 'c' is not reachable from the root" in problems
+        assert "category 'd' is not reachable from the root" in problems
 
     def test_training_only_excluded_from_tree(self, spec):
         assert ("right_hip", "left_hip") in spec.connections
