@@ -8,6 +8,7 @@ control log verbosity.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -227,6 +228,7 @@ def evaluate(truth_path: str, poses_path: Optional[str], tracks_path: Optional[s
         raise ValueError("provide exactly one of --poses or --tracks")
     if (truth_maps is None) != (pred_maps is None):
         raise ValueError("--truth-maps and --pred-maps go together")
+    metrics.check_prob_cutoff(prob_cutoff)
     spec = _load_spec(skeleton_path)
     _, gt_frames, _ = _load_detections(truth_path, spec)
 
@@ -294,16 +296,15 @@ def simulate_cmd(truth_out: Optional[str], detections_out: Optional[str], scenar
         raise ValueError("provide --truth-out and/or --detections-out")
     spec = _load_spec(skeleton_path)
     config = io.load_scenario(scenario_path) if scenario_path else simulate.ScenarioConfig()
-    if seed is not None:
-        config.seed = seed
-    if animals is not None:
-        config.n_animals = animals
-    if frames is not None:
-        config.regimes = (simulate.RegimeSegment("stationary", frames),)
-    if noise is not None:
-        config.detection_noise = noise
-    if dropout is not None:
-        config.dropout = dropout
+    overrides = {
+        "seed": seed,
+        "n_animals": animals,
+        "regimes": None if frames is None else (simulate.RegimeSegment("stationary", frames),),
+        "detection_noise": noise,
+        "dropout": dropout,
+    }
+    # rebuilt, so the overrides pass the same checks as a scenario file
+    config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
     truth = simulate.generate(spec, config)
     header = io.StreamHeader(skeleton=spec.name, width=config.width, height=config.height)

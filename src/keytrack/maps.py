@@ -9,13 +9,16 @@ where ``ab`` points from parent to child.
 
 Every channel is held as 16x16 tiles (:class:`Tiles`), only those holding
 a nonzero cell: a stack has a one-channel tile set per probability
-category and a four-channel one per connection.  Encoding renders each
-splat into a padded scratch and copies out only the tiles its window
-touched.  Decoding finds the rows holding a cell above the detection
-threshold from the tiles, and smooths and scans only crops around those
-cells: a window mean can exceed the threshold only if some cell in the
-window does, so no other cell can yield a candidate.  A ``.ktm`` file
-(version 3) stores each tile set as it is held in memory.
+category and a four-channel one per connection.  Encoding computes each
+in-image keypoint's Gaussian once: it is max-merged into a padded scratch
+for the probability map, and its association weight, cut to the box of
+its nonzero cells, is kept for the connections the keypoint ends.  Only
+the tiles the windows touched are copied out.  Decoding finds the rows
+holding a cell above the detection threshold from the tiles, and smooths
+and scans only crops around those cells: a window mean can exceed the
+threshold only if some cell in the window does, so no other cell can
+yield a candidate.  A ``.ktm`` file (version 3) stores each tile set as
+it is held in memory.
 """
 
 from __future__ import annotations
@@ -25,13 +28,12 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterator, Sequence
+from typing import BinaryIO, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import kernels
 from .skeleton import (
-    XY,
     Pair,
     Pose,
     SkeletonSpec,
@@ -157,7 +159,7 @@ class Tiles:
                 ty, tx = np.divmod(cut.positions, _tile_counts(bottom - y0, right - x0)[1])
                 positions.append((channel * ny + (y0 >> _TILE_SHIFT) + ty) * nx + (x0 >> _TILE_SHIFT) + tx)
                 tiles.append(cut.tiles)
-        if not tiles:
+        if not sum(map(len, tiles)):  # no box holds a nonzero cell
             return cls(len(channels), height, width)
         positions = np.concatenate(positions)
         order = np.argsort(positions)
@@ -313,21 +315,27 @@ def _scratch(height: int, width: int) -> np.ndarray:
     return np.zeros((3, ny * TILE, nx * TILE), dtype=np.float32)
 
 
-def _touch(touched: np.ndarray, shape, cx, cy, sigma, extent) -> None:
-    """Mark the tiles a splat's window reaches."""
-    window = kernels.splat_window(shape, cx, cy, sigma, extent)
-    if window is not None:
-        y0, y1, x0, x1 = (edge >> _TILE_SHIFT for edge in window)
-        touched[y0 : y1 + 1, x0 : x1 + 1] = True
-
-
-def _take(blocks: np.ndarray, planes, touched: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The touched tiles of the scratch ``planes`` (tile rows, tile columns
-    and their cells), zeroed in the scratch."""
+def _take(
+    blocks: np.ndarray, planes, windows: list[tuple[slice, slice]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tiles of the scratch ``planes`` that the windows of cells reach:
+    their tile rows, tile columns and cells.  The caller zeroes the windows
+    in the scratch again: they hold every cell it wrote, and clearing them
+    costs far less than scattering zeros into the tiles."""
+    touched = np.zeros(blocks.shape[1:4:2], dtype=bool)
+    for rows, cols in windows:
+        touched[
+            rows.start >> _TILE_SHIFT : ((rows.stop - 1) >> _TILE_SHIFT) + 1,
+            cols.start >> _TILE_SHIFT : ((cols.stop - 1) >> _TILE_SHIFT) + 1,
+        ] = True
     tys, txs = np.nonzero(touched)
-    cells = blocks[planes, tys, :, txs, :]
-    blocks[planes, tys, :, txs, :] = 0.0
-    return tys, txs, cells
+    return tys, txs, blocks[planes, tys, :, txs, :]
+
+
+# per (pose index, category) of an in-image keypoint whose window meets
+# the grid: the box of nonzero cells and the float32 association weight cut
+# from its Gaussian, or None when no cell passes the cutoff
+_Weights = dict[tuple[int, str], Optional[tuple[tuple[slice, slice], np.ndarray]]]
 
 
 def _render_prob(
@@ -338,14 +346,17 @@ def _render_prob(
     height: int,
     params: EncoderParams,
     scratch: np.ndarray,
-) -> dict[str, Tiles]:
-    """Unit-peak Gaussian probability maps, one tile set per category."""
+) -> tuple[dict[str, Tiles], _Weights]:
+    """Unit-peak Gaussian probability maps, one tile set per category, and
+    the association weight cut from each in-image keypoint's Gaussian, so
+    that every Gaussian is computed once."""
     ny, nx = _tile_counts(height, width)
     blocks = scratch.reshape(3, ny, TILE, nx, TILE)
     grid = scratch[0, :height, :width]
     out: dict[str, Tiles] = {}
+    weights: _Weights = {}
     for category in spec.categories:
-        touched = np.zeros((ny, nx), dtype=bool)
+        windows = []
         for index, (pose, sigma) in enumerate(zip(poses, sigmas)):
             xy = pose.get(category)
             if xy is None:
@@ -356,50 +367,53 @@ def _render_prob(
                     index, category, xy[0], xy[1], width, height,
                 )
                 continue
-            kernels.gaussian_max(grid, xy[0], xy[1], sigma, params.kernel_extent)
-            _touch(touched, (height, width), xy[0], xy[1], sigma, params.kernel_extent)
-        tys, txs, cells = _take(blocks, 0, touched)
+            splat = kernels.gaussian_max(grid, xy[0], xy[1], sigma, params.kernel_extent)
+            if splat is not None:
+                windows.append(splat[0])
+                weights[index, category] = kernels.cut_weight(*splat, params.weight_cutoff, np.float32)
+        tys, txs, cells = _take(blocks, 0, windows)
+        for window in windows:
+            grid[window] = 0.0
         kept = _nonzero_bits(cells).any(axis=(1, 2))
         positions = _positions(tys[kept] * nx + txs[kept])
         out[category] = Tiles(1, height, width, positions, cells if kept.all() else cells[kept])
-    return out
+    return out, weights
 
 
 def _render_assoc(
     poses: Sequence[Pose],
-    sigmas: Sequence[float],
     spec: SkeletonSpec,
     width: int,
     height: int,
-    params: EncoderParams,
+    weights: _Weights,
     scratch: np.ndarray,
 ) -> dict[Pair, Tiles]:
     """Weighted mean offset maps, four channels per connection.
 
     An animal contributes to a connection's channels only when both
     endpoints exist; the weights are its unit-peak keypoint Gaussian
-    truncated to zero at ``weight_cutoff``.  Cells never touched stay 0.
+    truncated to zero at ``weight_cutoff``, as ``_render_prob`` cut them.
+    Cells never touched stay 0.
 
     Each side of each connection (the parent's two channels, then the
     child's) is accumulated in one padded scratch holding the weight sum
-    and the two weighted offsets.  The tiles that its splats' nonzero
-    weights reach are then copied out and zeroed in the scratch again, and
-    normalised; the tiles left with a nonzero cell are kept.
+    and the two weighted offsets, each weight added over the box of its
+    nonzero cells only: the rest of its window would add +0.0 to the
+    weight sum and ±0.0 to the offsets, which changes no sum's bits.  The
+    tiles those boxes reach are then copied out and zeroed in the scratch
+    again, and normalised; the tiles left with a nonzero cell are kept.
     """
     ny, nx = _tile_counts(height, width)
-    wsum, num_x, num_y = scratch[:, :height, :width]
+    grids = scratch[:, :height, :width]
+    wsum, num_x, num_y = grids
     blocks = scratch.reshape(3, ny, TILE, nx, TILE)
     planes = np.arange(3)[:, None]
-    # weights at most the cutoff are zeroed, so a splat's nonzero cells lie
-    # within this many sigmas of its keypoint (one cell more covers rounding)
-    # and the rest of its window stays +0.0
-    nonzero_extent = math.sqrt(-2.0 * math.log(params.weight_cutoff))
     out: dict[Pair, Tiles] = {}
     for pair in spec.connections:
-        # per animal with both endpoints in the image: each side's source
-        # keypoint and offset to the other side, and the kernel width
-        sources: list[tuple[XY, XY, float, float, float]] = []
-        for index, (pose, sigma) in enumerate(zip(poses, sigmas)):
+        # per animal with both endpoints in the image: its index and the
+        # offset from parent to child
+        sources: list[tuple[int, float, float]] = []
+        for index, pose in enumerate(poses):
             a = pose.get(pair[0])
             b = pose.get(pair[1])
             if a is None or b is None:
@@ -410,23 +424,25 @@ def _render_assoc(
                     index, connection_name(pair), width, height,
                 )
                 continue
-            sources.append((a, b, b[0] - a[0], b[1] - a[1], sigma))
+            sources.append((index, b[0] - a[0], b[1] - a[1]))
         if not sources:
             out[pair] = Tiles(len(ASSOC_CHANNELS), height, width)
             continue
         positions: list[np.ndarray] = []
         tiles: list[np.ndarray] = []
         for side in (0, 1):
-            touched = np.zeros((ny, nx), dtype=bool)
-            for a, b, dx, dy, sigma in sources:
-                (cx, cy), sign = (a, 1.0) if side == 0 else (b, -1.0)
-                kernels.assoc_accumulate(
-                    wsum, num_x, num_y, cx, cy, sigma,
-                    params.kernel_extent, params.weight_cutoff, sign * dx, sign * dy,
-                )
-                extent = min(params.kernel_extent, nonzero_extent + 1.0 / sigma)
-                _touch(touched, (height, width), cx, cy, sigma, extent)
-            tys, txs, block = _take(blocks, planes, touched)  # (3, tiles, 16, 16)
+            boxes = []
+            sign = 1.0 if side == 0 else -1.0
+            for index, dx, dy in sources:
+                cut = weights.get((index, pair[side]))
+                if cut is None:
+                    continue
+                box, weight = cut
+                kernels.add_weight(wsum, num_x, num_y, box, weight, sign * dx, sign * dy)
+                boxes.append(box)
+            tys, txs, block = _take(blocks, planes, boxes)  # (3, tiles, 16, 16)
+            for rows, cols in boxes:
+                grids[:, rows, cols] = 0.0
             weight, offsets = block[0], block[1:]
             # each cell a splat covered is divided once by its whole weight sum
             np.divide(offsets, weight, out=offsets, where=weight > 0)
@@ -452,12 +468,9 @@ def encode(
     maps, four channels per connection, rendered through one scratch."""
     sigmas = pose_sigmas(poses, spec, params) if poses else []
     scratch = _scratch(height, width)
-    return MapStack(
-        width=width,
-        height=height,
-        prob=_render_prob(poses, sigmas, spec, width, height, params, scratch),
-        assoc=_render_assoc(poses, sigmas, spec, width, height, params, scratch),
-    )
+    prob, weights = _render_prob(poses, sigmas, spec, width, height, params, scratch)
+    assoc = _render_assoc(poses, spec, width, height, weights, scratch)
+    return MapStack(width=width, height=height, prob=prob, assoc=assoc)
 
 
 # ---------------------------------------------------------------------------

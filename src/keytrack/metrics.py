@@ -80,6 +80,12 @@ class PRReport:
         return section
 
 
+def check_prob_cutoff(cutoff: float) -> None:
+    """Reject a probability cutoff that is not finite."""
+    if not math.isfinite(cutoff):
+        raise ValueError(f"cutoff must be finite, got {cutoff}")
+
+
 def precision_recall(
     gt_poses: Sequence[Pose],
     candidates: Sequence[CandidateKeypoint],
@@ -97,8 +103,7 @@ def precision_recall(
     too, so each such candidate is a false positive.  Maps given as
     ``(height, width)`` arrays are tiled once.  ``cutoff`` must be finite.
     """
-    if not math.isfinite(cutoff):
-        raise ValueError(f"cutoff must be finite, got {cutoff}")
+    check_prob_cutoff(cutoff)
     gt_prob_maps = {category: _tiled(grid) for category, grid in gt_prob_maps.items()}
     pred_prob_maps = {category: _tiled(grid) for category, grid in pred_prob_maps.items()}
     categories = list(

@@ -73,6 +73,16 @@ class ScenarioConfig:
             raise ValueError("need at least one regime segment")
         if self.scale_range[0] <= 0 or self.scale_range[0] > self.scale_range[1]:
             raise ValueError("bad scale range")
+        for key in ("offset_jitter", "margin", "min_separation", "detection_noise", "dropout"):
+            value = getattr(self, key)
+            items = value.items() if isinstance(value, dict) else [(None, value)]
+            for category, number in items:
+                name = key if category is None else f"{key}[{category!r}]"
+                if key == "dropout":
+                    if not 0.0 <= number <= 1.0:
+                        raise ValueError(f"{name} must be in [0, 1], got {number}")
+                elif not 0.0 <= number < math.inf:
+                    raise ValueError(f"{name} must be non-negative and finite, got {number}")
 
     @property
     def total_frames(self) -> int:

@@ -77,7 +77,9 @@ def _local_max_mask_loop(grid, threshold):
     for row in range(height):
         for col in range(width):
             value = grid[row, col]
-            if value <= threshold:
+            # written as "not above", so a NaN cell is never kept and a NaN
+            # neighbour keeps no cell, as in the numpy kernel
+            if not value > threshold:
                 continue
             keep = True
             for dr in range(-1, 2):
@@ -90,7 +92,7 @@ def _local_max_mask_loop(grid, threshold):
                     cc = col + dc
                     if cc < 0 or cc >= width:
                         continue
-                    if grid[rr, cc] >= value:
+                    if not value > grid[rr, cc]:
                         keep = False
                         break
                 if not keep:

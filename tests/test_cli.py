@@ -464,6 +464,8 @@ class TestKfDemoCommand:
         ("evaluate", ["--prob-cutoff", "nan"], "cutoff must be finite, got nan"),
         ("track", ["--gate", "nan"], "gate_px must be positive, got nan"),
         ("track", ["--r-star", "nan"], "r_star variances must be positive and finite"),
+        ("evaluate without maps", ["--prob-cutoff", "nan"], "cutoff must be finite, got nan"),
+        ("evaluate without maps", ["--prob-cutoff", "-inf"], "cutoff must be finite, got -inf"),
     ],
 )
 def test_out_of_range_parameter_exits_two(
@@ -477,9 +479,11 @@ def test_out_of_range_parameter_exits_two(
         "decode-assemble": ["--maps-dir", str(maps_dir), "--out", out],
         "evaluate": ["--truth", str(truth_file), "--poses", str(truth_file),
                      "--truth-maps", str(maps_dir), "--pred-maps", str(maps_dir)],
+        "evaluate without maps": ["--truth", str(truth_file), "--poses", str(truth_file)],
         "track": ["--detections", str(truth_file), "--out", out],
     }
-    code, err = exit_code_and_error(monkeypatch, capsys, command, *inputs[command], *args)
+    name = command.split()[0]
+    code, err = exit_code_and_error(monkeypatch, capsys, name, *inputs[command], *args)
     assert code == 2
     assert f"error: {message}" in err
 
@@ -551,6 +555,41 @@ def test_bad_config_exits_two_naming_file_and_key(
     )
     assert code == 2
     assert f"error: {path}: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "scenario, flags, message",
+    [
+        ({"dropout": 1.5}, [], "dropout must be in [0, 1], got 1.5"),
+        ({"dropout": {"nose": -0.1}}, [], "dropout['nose'] must be in [0, 1], got -0.1"),
+        ({"offset_jitter": -1.0}, [], "offset_jitter must be non-negative and finite, got -1.0"),
+        ({"min_separation": -5.0}, [], "min_separation must be non-negative and finite, got -5.0"),
+        ({"margin": -1.0}, [], "margin must be non-negative and finite, got -1.0"),
+        (
+            {"detection_noise": {"head": -2.0}},
+            [],
+            "detection_noise['head'] must be non-negative and finite, got -2.0",
+        ),
+        (None, ["--noise", "nan"], "detection_noise must be non-negative and finite, got nan"),
+        (None, ["--noise", "-1"], "detection_noise must be non-negative and finite, got -1.0"),
+        (None, ["--dropout", "1.5"], "dropout must be in [0, 1], got 1.5"),
+        (None, ["--dropout", "nan"], "dropout must be in [0, 1], got nan"),
+        ({"dropout": 0.1}, ["--dropout", "-0.5"], "dropout must be in [0, 1], got -0.5"),
+    ],
+)
+def test_out_of_range_scenario_value_exits_two(monkeypatch, capsys, tmp_path, scenario, flags, message):
+    """A scenario value out of range, from a file or a flag, is rejected
+    before anything is written, naming the key (and the file it came from)."""
+    args = ["simulate", "--frames", "3", "--detections-out", str(tmp_path / "d.jsonl"), *flags]
+    path = tmp_path / "scenario.yaml"
+    if scenario is not None:
+        path.write_text(yaml.safe_dump(scenario))
+        args += ["--scenario", str(path)]
+    code, err = exit_code_and_error(monkeypatch, capsys, *args)
+    assert code == 2
+    where = f"{path}: " if scenario is not None and not flags else ""
+    assert f"error: {where}{message}" in err
+    assert not (tmp_path / "d.jsonl").exists()
 
 
 class TestConsoleScript:

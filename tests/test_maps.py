@@ -639,6 +639,13 @@ class TestSerialization:
         path = self.v2_file(tmp_path / "m.ktm", 3, 2, [("prob:k", boxes, [1, 2, 3, 4, 5, 6])])
         np.testing.assert_array_equal(load_maps(str(path)).prob["k"], [[[1, 2, 3], [4, 5, 6]]])
 
+    def test_v2_boxes_of_zeros_load_as_no_tiles(self, tmp_path):
+        # a v2 writer stores only nonzero cells, but a box of zeros is well formed
+        path = self.v2_file(tmp_path / "m.ktm", 3, 2, [("prob:k", [(0, 1, 0, 1), (1, 2, 1, 3)], [0.0] * 3)])
+        tiles = load_maps(str(path)).prob["k"]
+        assert len(tiles.positions) == len(tiles.tiles) == 0
+        np.testing.assert_array_equal(tiles, np.zeros((1, 2, 3)))
+
     @pytest.mark.parametrize(
         "tail, message",
         [
@@ -1079,6 +1086,28 @@ class TestKernelImplementations:
             assert (window is None) == name.startswith("off"), name
             assert got.any() == (window is not None), name
 
+    def test_gaussian_max_returns_the_window_and_patch_it_merged(self):
+        for name, shape, dtype, splats in _splat_cases((50, 60), [(31.3, 24.8, 4.0), (33.9, 26.1, 3.0)]):
+            grid = np.zeros(shape, dtype=dtype)
+            for cx, cy, sigma in splats:
+                before = grid.copy()
+                merged = kernels.gaussian_max(grid, cx, cy, sigma, 3.0)
+                window = kernels.splat_window(shape, cx, cy, sigma, 3.0)
+                if window is None:
+                    assert merged is None and grid.tobytes() == before.tobytes(), name
+                    continue
+                cells, patch = merged
+                y0, y1, x0, x1 = window
+                assert cells == (slice(y0, y1 + 1), slice(x0, x1 + 1)), name
+                assert patch.dtype == np.float64 and patch.shape == (y1 - y0 + 1, x1 - x0 + 1), name
+                alone = np.zeros(shape)
+                _gaussian_max_loop(alone, cx, cy, sigma, 3.0)
+                np.testing.assert_allclose(patch, alone[cells], rtol=0, atol=1e-12, err_msg=name)
+                # the grid is the max of what it held and the returned patch
+                want = before.copy()
+                want[cells] = np.maximum(before[cells], patch.astype(dtype))
+                assert grid.tobytes() == want.tobytes(), name
+
     def test_assoc_accumulate_equivalence(self):
         interior = [(20.2, 19.7, 5.0, 12.5, -3.25), (22.0, 20.0, 4.0, -7.0, 9.0)]
         for name, shape, dtype, splats in _splat_cases((40, 40), interior, (12.5, -3.25)):
@@ -1134,6 +1163,41 @@ class TestKernelImplementations:
         # a crop at the image corner replicates the same edge cells
         corner = kernels.box_mean(grid[0:20, 0:25], 2)
         assert corner[:-2, :-2].tobytes() == full[0:18, 0:23].tobytes()
+
+    @staticmethod
+    def _crops(rng):
+        """``(name, grid)`` crops of 1x1, 1xN, Nx1 and wider shapes, in
+        float32 and float64, plain and with NaN, +-inf and -0.0 cells."""
+        specials = np.array([np.nan, np.inf, -np.inf, -0.0, -0.0, np.nan])
+        for dtype in _FLOATS:
+            for shape in ((1, 1), (1, 9), (9, 1), (2, 3), (8, 13)):
+                grid = rng.random(shape).astype(dtype)
+                yield f"{shape}-{dtype.__name__}", grid
+                for count in (1, 3, 6):
+                    marked = grid.copy().reshape(-1)
+                    picks = rng.permutation(marked.size)[:count]
+                    marked[picks] = specials[: picks.size]
+                    yield f"{shape}-{dtype.__name__}-{count}-special", marked.reshape(shape)
+                yield f"{shape}-{dtype.__name__}-negative-zeros", np.full(shape, -0.0, dtype=dtype)
+
+    def test_box_mean_small_and_special_crops(self, rng):
+        for name, grid in self._crops(rng):
+            for radius in (2, 1, 0):
+                with np.errstate(invalid="ignore"):  # a window holding inf and -inf is NaN
+                    got = kernels.box_mean(grid.copy(), radius)
+                    want = _box_mean_loop(grid.copy(), radius)
+                assert got.dtype == want.dtype == grid.dtype, name
+                # NaN where the loop has NaN; -0.0 and +0.0 compare equal
+                np.testing.assert_array_equal(got, want, err_msg=f"{name} r={radius}")
+
+    def test_local_max_small_and_special_crops(self, rng):
+        for name, grid in self._crops(rng):
+            for threshold in (0.5, -1.0):
+                got = kernels.local_max_mask(grid.copy(), threshold)
+                assert got.dtype == np.uint8, name
+                np.testing.assert_array_equal(
+                    got, _local_max_mask_loop(grid, threshold), err_msg=f"{name} t={threshold}"
+                )
 
     def test_local_max_equivalence(self, rng):
         for dtype in _FLOATS:
@@ -1381,6 +1445,57 @@ def test_tiled_prob_encode_bit_equal_to_dense_oracle(width, height, points, kern
     assert_same_candidates(
         decode_candidates(got), dense_decode_candidates(want, DEFAULT_DETECT_THRESHOLD, DEFAULT_NMS_RADIUS)
     )
+
+
+def test_encode_computes_each_gaussian_once(spec, monkeypatch):
+    """One Gaussian patch per in-image keypoint: the probability splat and
+    both association sides it feeds share it.  The per-splat oracles
+    compute one per splat."""
+    config = ScenarioConfig(
+        n_animals=12, seed=202, margin=130.0, min_separation=75.0, dropout=0.1,
+        regimes=(RegimeSegment("stationary", 1),),
+    )
+    poses = corrupt(generate(spec, config), spec, config)[0]
+    keypoints = [
+        xy for pose in poses for xy in map(pose.get, spec.categories)
+        if xy is not None and 0 <= xy[0] < 960 and 0 <= xy[1] < 720
+    ]
+    sides = 2 * sum(pose.present(a) and pose.present(b) for pose in poses for a, b in spec.connections)
+    calls = []
+    patch = kernels._gaussian_patch
+    monkeypatch.setattr(kernels, "_gaussian_patch", lambda *args: calls.append(args) or patch(*args))
+    got = encode(poses, spec, 960, 720)
+    assert len(calls) == len(keypoints) == 62
+    assert {(cx, cy) for _, cx, cy, _, _ in calls} == set(keypoints)
+    calls.clear()
+    want = dense_encode_assoc_maps(poses, spec, 960, 720, EncoderParams())
+    dense_encode_prob_maps(poses, spec, 960, 720, EncoderParams())
+    assert len(calls) == len(keypoints) + sides == 178
+    for pair, grids in want.items():
+        assert np.asarray(got.assoc[pair]).tobytes() == grids.tobytes(), pair
+
+
+def test_overlapping_association_splats_add_in_source_order():
+    """Five animals whose front keypoints share cells: the float32 sums of
+    several weights on one cell depend on the order they are added in, and
+    the encoder adds them in the oracle's order."""
+    fronts = [(40.0, 40.0), (41.3, 40.6), (39.2, 41.7), (40.8, 38.9), (42.1, 41.2)]
+    backs = [(75.3, 52.1), (12.7, 33.9), (58.4, 5.2), (20.6, 71.8), (70.9, 70.1)]
+    poses = _two_point_poses(zip(fronts, backs))
+    spec = two_point_skeleton()
+    params = EncoderParams()
+    sigmas = pose_sigmas(poses, spec, params)
+    # the cells holding a nonzero weight of at least three front splats
+    covered = np.zeros((90, 90), dtype=int)
+    for (cx, cy), sigma in zip(fronts, sigmas):
+        cut = kernels.cut_weight(*kernels._gaussian_patch((90, 90), cx, cy, sigma, 3.0), 0.2, np.float32)
+        covered[cut[0]] += cut[1] != 0
+    assert covered.max() == len(fronts)
+    want = dense_encode_assoc_maps(poses, spec, 90, 90, params)[spec.connections[0]]
+    assert np.asarray(encode(poses, spec, 90, 90).assoc[spec.connections[0]]).tobytes() == want.tobytes()
+    # the order matters on these cells: adding the splats the other way round changes bits
+    reverse = dense_encode_assoc_maps(poses[::-1], spec, 90, 90, params)[spec.connections[0]]
+    assert reverse[:2][:, covered >= 3].tobytes() != want[:2][:, covered >= 3].tobytes()
 
 
 def test_tiled_writer_matches_dense_writer_and_formats_load_alike(spec, tmp_path):
