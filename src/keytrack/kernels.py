@@ -77,25 +77,27 @@ def cut_weight(cells, patch, cutoff, dtype):
     return box, weight[r0:r1, c0:c1].astype(dtype)
 
 
-def add_weight(wsum, num_x, num_y, cells, weight, dx, dy):
-    """Add a precomputed weight over ``cells`` to ``wsum``, and the weight
-    times the offset ``(dx, dy)`` to ``num_x`` and ``num_y``."""
+def assoc_accumulate(wsum, num_x, num_y, cx, cy, sigma, extent, cutoff, dx, dy, cut=None):
+    """Add one splat's weight, its unit-peak Gaussian zeroed at ``cutoff``,
+    to ``wsum``, and the weight times the offset ``(dx, dy)`` to ``num_x``
+    and ``num_y``, over the box of its nonzero cells only: the rest of its
+    window would add +0.0 to the weight sum and ±0.0 to the offsets, which
+    leaves every sum's bits as they are.
+
+    ``cut`` is this splat's weight as :func:`cut_weight` returns it for
+    ``wsum``'s dtype, when the caller holds it already; the Gaussian is
+    then not computed again."""
+    if cut is None:
+        splat = _gaussian_patch(wsum.shape, cx, cy, sigma, extent)
+        if splat is None:
+            return
+        cut = cut_weight(*splat, cutoff, wsum.dtype)
+        if cut is None:
+            return
+    cells, weight = cut
     wsum[cells] += weight
     num_x[cells] += weight * wsum.dtype.type(dx)
     num_y[cells] += weight * wsum.dtype.type(dy)
-
-
-def assoc_accumulate(wsum, num_x, num_y, cx, cy, sigma, extent, cutoff, dx, dy):
-    """One splat's weight, its unit-peak Gaussian zeroed at ``cutoff``,
-    added with its weighted offset ``(dx, dy)``: the cells left out of the
-    cut would add +0.0 to the weight sum and ±0.0 to the offsets, which
-    leaves every sum's bits as they are."""
-    splat = _gaussian_patch(wsum.shape, cx, cy, sigma, extent)
-    if splat is None:
-        return
-    cut = cut_weight(*splat, cutoff, wsum.dtype)
-    if cut is not None:
-        add_weight(wsum, num_x, num_y, *cut, dx, dy)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ import numpy as np
 
 from . import kernels
 from .skeleton import (
+    XY,
     Pair,
     Pose,
     SkeletonSpec,
@@ -159,7 +160,7 @@ class Tiles:
                 ty, tx = np.divmod(cut.positions, _tile_counts(bottom - y0, right - x0)[1])
                 positions.append((channel * ny + (y0 >> _TILE_SHIFT) + ty) * nx + (x0 >> _TILE_SHIFT) + tx)
                 tiles.append(cut.tiles)
-        if not sum(map(len, tiles)):  # no box holds a nonzero cell
+        if not tiles:
             return cls(len(channels), height, width)
         positions = np.concatenate(positions)
         order = np.argsort(positions)
@@ -349,7 +350,9 @@ def _render_prob(
 ) -> tuple[dict[str, Tiles], _Weights]:
     """Unit-peak Gaussian probability maps, one tile set per category, and
     the association weight cut from each in-image keypoint's Gaussian, so
-    that every Gaussian is computed once."""
+    that every Gaussian is computed once.  The weights are only for
+    ``_render_assoc``; a keypoint that ends no connection in the image
+    has one too, which is never read."""
     ny, nx = _tile_counts(height, width)
     blocks = scratch.reshape(3, ny, TILE, nx, TILE)
     grid = scratch[0, :height, :width]
@@ -382,9 +385,11 @@ def _render_prob(
 
 def _render_assoc(
     poses: Sequence[Pose],
+    sigmas: Sequence[float],
     spec: SkeletonSpec,
     width: int,
     height: int,
+    params: EncoderParams,
     weights: _Weights,
     scratch: np.ndarray,
 ) -> dict[Pair, Tiles]:
@@ -397,11 +402,11 @@ def _render_assoc(
 
     Each side of each connection (the parent's two channels, then the
     child's) is accumulated in one padded scratch holding the weight sum
-    and the two weighted offsets, each weight added over the box of its
-    nonzero cells only: the rest of its window would add +0.0 to the
-    weight sum and ±0.0 to the offsets, which changes no sum's bits.  The
-    tiles those boxes reach are then copied out and zeroed in the scratch
-    again, and normalised; the tiles left with a nonzero cell are kept.
+    and the two weighted offsets, each weight added by
+    ``kernels.assoc_accumulate`` over the box of its nonzero cells only.
+    The tiles those boxes reach are then copied out and zeroed in the
+    scratch again, and normalised; the tiles left with a nonzero cell are
+    kept.
     """
     ny, nx = _tile_counts(height, width)
     grids = scratch[:, :height, :width]
@@ -410,10 +415,10 @@ def _render_assoc(
     planes = np.arange(3)[:, None]
     out: dict[Pair, Tiles] = {}
     for pair in spec.connections:
-        # per animal with both endpoints in the image: its index and the
-        # offset from parent to child
-        sources: list[tuple[int, float, float]] = []
-        for index, pose in enumerate(poses):
+        # per animal with both endpoints in the image: its index, both
+        # keypoints, the offset from parent to child and the kernel width
+        sources: list[tuple[int, XY, XY, float, float, float]] = []
+        for index, (pose, sigma) in enumerate(zip(poses, sigmas)):
             a = pose.get(pair[0])
             b = pose.get(pair[1])
             if a is None or b is None:
@@ -424,7 +429,7 @@ def _render_assoc(
                     index, connection_name(pair), width, height,
                 )
                 continue
-            sources.append((index, b[0] - a[0], b[1] - a[1]))
+            sources.append((index, a, b, b[0] - a[0], b[1] - a[1], sigma))
         if not sources:
             out[pair] = Tiles(len(ASSOC_CHANNELS), height, width)
             continue
@@ -432,14 +437,16 @@ def _render_assoc(
         tiles: list[np.ndarray] = []
         for side in (0, 1):
             boxes = []
-            sign = 1.0 if side == 0 else -1.0
-            for index, dx, dy in sources:
+            for index, a, b, dx, dy, sigma in sources:
                 cut = weights.get((index, pair[side]))
                 if cut is None:
                     continue
-                box, weight = cut
-                kernels.add_weight(wsum, num_x, num_y, box, weight, sign * dx, sign * dy)
-                boxes.append(box)
+                (cx, cy), sign = (a, 1.0) if side == 0 else (b, -1.0)
+                kernels.assoc_accumulate(
+                    wsum, num_x, num_y, cx, cy, sigma, params.kernel_extent,
+                    params.weight_cutoff, sign * dx, sign * dy, cut=cut,
+                )
+                boxes.append(cut[0])
             tys, txs, block = _take(blocks, planes, boxes)  # (3, tiles, 16, 16)
             for rows, cols in boxes:
                 grids[:, rows, cols] = 0.0
@@ -469,7 +476,7 @@ def encode(
     sigmas = pose_sigmas(poses, spec, params) if poses else []
     scratch = _scratch(height, width)
     prob, weights = _render_prob(poses, sigmas, spec, width, height, params, scratch)
-    assoc = _render_assoc(poses, spec, width, height, weights, scratch)
+    assoc = _render_assoc(poses, sigmas, spec, width, height, params, weights, scratch)
     return MapStack(width=width, height=height, prob=prob, assoc=assoc)
 
 

@@ -639,13 +639,6 @@ class TestSerialization:
         path = self.v2_file(tmp_path / "m.ktm", 3, 2, [("prob:k", boxes, [1, 2, 3, 4, 5, 6])])
         np.testing.assert_array_equal(load_maps(str(path)).prob["k"], [[[1, 2, 3], [4, 5, 6]]])
 
-    def test_v2_boxes_of_zeros_load_as_no_tiles(self, tmp_path):
-        # a v2 writer stores only nonzero cells, but a box of zeros is well formed
-        path = self.v2_file(tmp_path / "m.ktm", 3, 2, [("prob:k", [(0, 1, 0, 1), (1, 2, 1, 3)], [0.0] * 3)])
-        tiles = load_maps(str(path)).prob["k"]
-        assert len(tiles.positions) == len(tiles.tiles) == 0
-        np.testing.assert_array_equal(tiles, np.zeros((1, 2, 3)))
-
     @pytest.mark.parametrize(
         "tail, message",
         [
@@ -1121,6 +1114,46 @@ class TestKernelImplementations:
             window = kernels.splat_window(shape, cx, cy, sigma, 3.0)
             assert (window is None) == name.startswith("off"), name
             assert all(g.any() == (window is not None) for g in got), name
+
+    def test_assoc_accumulate_bit_equal_to_full_window_add(self):
+        """Adding over the box of nonzero weights leaves the same bytes as
+        adding the cut weight over the whole window, also for -0.0 offsets
+        (a child side with dx == 0) and opposite offsets on shared cells."""
+        splats = [
+            (20.2, 19.7, 5.0, -0.0, 7.5),
+            (21.1, 20.4, 4.0, 12.5, -3.25),
+            (19.6, 21.3, 6.0, -12.5, 3.25),
+            (22.0, 18.9, 3.0, -0.0, -0.0),
+            (2.3, 38.1, 4.0, 5.0, -5.0),  # window clipped by the grid
+            (-50.0, -50.0, 3.0, 1.0, 1.0),  # window off the grid
+        ]
+        for dtype in _FLOATS:
+            want = [np.zeros((40, 40), dtype=dtype) for _ in range(3)]
+            got = [np.zeros((40, 40), dtype=dtype) for _ in range(3)]
+            cached = [np.zeros((40, 40), dtype=dtype) for _ in range(3)]
+            covered = np.zeros((40, 40), dtype=int)
+            for cx, cy, sigma, dx, dy in splats:
+                window = kernels.splat_window((40, 40), cx, cy, sigma, 3.0)
+                if window is not None:
+                    y0, y1, x0, x1 = window
+                    ys = np.arange(y0, y1 + 1, dtype=np.float64) - cy
+                    xs = np.arange(x0, x1 + 1, dtype=np.float64) - cx
+                    weight = np.exp(-(ys[:, None] ** 2 + xs[None, :] ** 2) / (2.0 * sigma * sigma))
+                    weight[weight <= 0.2] = 0.0
+                    weight = weight.astype(dtype)
+                    cells = (slice(y0, y1 + 1), slice(x0, x1 + 1))
+                    want[0][cells] += weight
+                    want[1][cells] += weight * dtype(dx)
+                    want[2][cells] += weight * dtype(dy)
+                    covered[cells] += weight != 0
+                kernels.assoc_accumulate(*got, cx, cy, sigma, 3.0, 0.2, dx, dy)
+                splat = kernels._gaussian_patch((40, 40), cx, cy, sigma, 3.0)
+                cut = None if splat is None else kernels.cut_weight(*splat, 0.2, dtype)
+                if cut is not None:
+                    kernels.assoc_accumulate(*cached, cx, cy, sigma, 3.0, 0.2, dx, dy, cut=cut)
+            assert covered.max() == 4
+            for g, c, w in zip(got, cached, want):
+                assert g.tobytes() == w.tobytes() and c.tobytes() == w.tobytes(), dtype
 
     def test_box_mean_equivalence(self, rng):
         for dtype in _FLOATS:
