@@ -13,12 +13,12 @@ category and a four-channel one per connection.  Encoding computes each
 in-image keypoint's Gaussian once: it is max-merged into a padded scratch
 for the probability map, and its association weight, cut to the box of
 its nonzero cells, is kept for the connections the keypoint ends.  Only
-the tiles the windows touched are copied out.  Decoding finds the rows
-holding a cell above the detection threshold from the tiles, and smooths
-and scans only crops around those cells: a window mean can exceed the
-threshold only if some cell in the window does, so no other cell can
-yield a candidate.  A ``.ktm`` file (version 3) stores each tile set as
-it is held in memory.
+the tiles the windows touched are copied out.  Decoding finds boxes of
+the cells above the detection threshold from the tiles, packs crops around
+them from every category into strips, and smooths and scans each strip
+once: a window mean can exceed the threshold only if some cell in the
+window does, so no other cell can yield a candidate.  A ``.ktm`` file
+(version 3) stores each tile set as it is held in memory.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ class Tiles:
                 ty, tx = np.divmod(cut.positions, _tile_counts(bottom - y0, right - x0)[1])
                 positions.append((channel * ny + (y0 >> _TILE_SHIFT) + ty) * nx + (x0 >> _TILE_SHIFT) + tx)
                 tiles.append(cut.tiles)
-        if not tiles:
+        if not sum(map(len, tiles)):
             return cls(len(channels), height, width)
         positions = np.concatenate(positions)
         order = np.argsort(positions)
@@ -208,27 +208,6 @@ class Tiles:
         cells = self.tiles[index, rows & _TILE_MASK, cols & _TILE_MASK]
         cells[self.positions[index] != wanted] = 0.0
         return cells
-
-    def band(self, channel: int, first: int, last: int) -> np.ndarray:
-        """Tile rows ``first`` to ``last - 1`` of one channel as one dense
-        array of all columns, cut at the grid's last row, so that it never
-        holds more rows than the grid.  Their tiles are one run of
-        ``positions``."""
-        _, ny, nx = self._grid()
-        rows = min(last << _TILE_SHIFT, self.height) - (first << _TILE_SHIFT)
-        out = np.zeros((rows, nx * TILE), dtype=self.tiles.dtype)
-        base = (channel * ny + first) * nx
-        start, stop = np.searchsorted(self.positions, [base, base + (last - first) * nx])
-        tys, txs = np.divmod(self.positions[start:stop] - base, nx)
-        cells = self.tiles[start:stop]
-        whole = rows >> _TILE_SHIFT
-        full = tys < whole
-        out[: whole << _TILE_SHIFT].reshape(whole, TILE, nx, TILE)[tys[full], :, txs[full]] = cells[full]
-        if whole < last - first:  # the grid's last tile row, cut short
-            cut = rows - (whole << _TILE_SHIFT)
-            part = ~full
-            out[whole << _TILE_SHIFT :].reshape(cut, nx, TILE)[:, txs[part]] = cells[part, :cut].transpose(1, 0, 2)
-        return out[:, : self.width]
 
 
 def _positions(flat) -> np.ndarray:
@@ -484,99 +463,163 @@ def encode(
 # decoding
 
 
-def _parabola_offset(left: float, centre: float, right: float) -> float:
-    """Vertex offset of the parabola through three equispaced samples."""
-    denom = 2.0 * (2.0 * centre - left - right)
-    if denom <= 0.0 or not math.isfinite(denom):
-        return 0.0
-    offset = (right - left) / denom
-    return min(0.5, max(-0.5, offset))
+def _parabola_offset(left, centre, right) -> np.ndarray:
+    """Vertex offsets of the parabolas through three equispaced samples,
+    elementwise in float64 and clamped to half a pixel; 0 where the
+    samples do not bend down or their curvature is not finite."""
+    left, centre, right = (np.asarray(v, dtype=np.float64) for v in (left, centre, right))
+    with np.errstate(all="ignore"):  # the offsets of rejected samples are dropped
+        denom = 2.0 * (2.0 * centre - left - right)
+        bends = (denom > 0.0) & np.isfinite(denom)
+        offset = np.clip((right - left) / np.where(bends, denom, 1.0), -0.5, 0.5)
+    return np.where(bends, offset, 0.0)
 
 
-def _runs(flags: np.ndarray) -> list[tuple[int, int]]:
-    """Half-open ``(start, stop)`` of each run of True in a 1-D mask."""
-    padded = np.zeros(flags.size + 2, dtype=bool)
-    padded[1:-1] = flags
-    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
-    return list(zip(edges[::2], edges[1::2]))
+_HALO = 2 * SMOOTH_RADIUS + 1  # raw cells a crop holds on each side of its box
 
 
-def _hot_bands(tiles: Tiles, threshold: float) -> Iterator[tuple[int, int, int, np.ndarray]]:
-    """Each run ``r0..r1`` of rows of the one-channel ``tiles`` holding a
-    cell above ``threshold``, found from the tiles, with a dense strip of
-    the tile rows holding rows ``r0 - (2 * SMOOTH_RADIUS + 1)`` to as far
-    below ``r1`` (within the grid) whose first row is ``top``:
-    ``(r0, r1, top, strip)``."""
-    _, ny, nx = tiles._grid()
-    tys = tiles.positions // nx
-    # each tile row's 16 flags read as two 8-byte words: an elementwise OR,
-    # where any() over an axis of 16 costs a reduction per row
-    words = (tiles.tiles > threshold).view(np.uint64)
-    lanes = (words[..., 0] | words[..., 1]) != 0  # (tiles, 16 rows)
-    hot = np.zeros(ny * TILE, dtype=bool)
-    hot[(tys[:, None] * TILE + np.arange(TILE))[lanes]] = True
-    if 0.0 > threshold:  # the cells of absent tiles, +0.0, are above it too
-        hot.reshape(ny, TILE)[np.bincount(tys, minlength=ny) < nx] = True
-    halo = 2 * SMOOTH_RADIUS + 1
-    for r0, r1 in _runs(hot[: tiles.height]):
-        first = max(r0 - halo, 0) >> _TILE_SHIFT
-        last = ((min(r1 + halo, tiles.height) - 1) >> _TILE_SHIFT) + 1
-        yield r0, r1, first << _TILE_SHIFT, tiles.band(0, first, last)
+def _hot_boxes(cells: np.ndarray, slots: np.ndarray, height: int, width: int, threshold: float):
+    """Boxes covering every cell above ``threshold`` of same-shape
+    one-channel tile sets whose tiles are ``cells``, found through
+    ``slots``, the ``(sets, ny, nx)`` index of the tile each slot reads:
+    arrays ``set, r0, r1, c0, c1`` of half-open boxes.
+
+    A box is a run of tile rows holding a hot tile, by a run of tile
+    columns holding one within it, narrowed to the extent of its hot
+    cells.  A spare tile row after each set keeps the sets' runs apart.
+    Two boxes of a set lie at least a tile apart, so no cell lies within
+    ``SMOOTH_RADIUS`` of both."""
+    count, ny, nx = slots.shape
+    # 16 flags read as two 8-byte words and OR-ed elementwise, where any()
+    # over an axis of 16 costs a reduction per row
+    words = (cells > threshold).view(np.uint64)  # (tiles, 16, 2)
+    rows = (words[..., 0] | words[..., 1]) != 0  # (tiles, 16)
+    halves = rows.view(np.uint64)
+    grid = np.zeros((count, ny + 1, nx), dtype=bool)
+    grid[:, :ny] = ((halves[:, 0] | halves[:, 1]) != 0)[slots]
+    g, tx = np.divmod(np.flatnonzero(grid), nx)
+    if not g.size:
+        return (np.zeros(0, np.intp),) * 5
+    run = np.cumsum(np.r_[True, g[1:] > g[:-1] + 1]) - 1  # runs of hot tile rows
+    spans = np.zeros((run[-1] + 1, nx), dtype=bool)
+    spans[run, tx] = True
+    starts = spans.copy()
+    starts[:, 1:] &= ~spans[:, :-1]
+    box = (np.cumsum(starts).reshape(spans.shape) - 1)[run, tx]
+    order = np.argsort(box, kind="stable")
+    first = np.flatnonzero(np.r_[True, box[order][1:] != box[order][:-1]])
+    sets, ty = np.divmod(g[order], ny + 1)
+    tx = tx[order]
+    tile = slots[sets, ty, tx]
+    lanes = words[tile]
+    for half in (8, 4, 2, 1):  # OR the 16 rows down to one
+        lanes = lanes[:, :half] | lanes[:, half:]
+    cols = lanes.view(np.bool_).reshape(len(tile), TILE)
+    rows = rows[tile]
+    ty, tx = ty * TILE, tx * TILE
+    r0 = np.minimum.reduceat(ty + rows.argmax(axis=1), first)
+    r1 = np.maximum.reduceat(ty + TILE - rows[:, ::-1].argmax(axis=1), first)
+    c0 = np.minimum.reduceat(tx + cols.argmax(axis=1), first)
+    c1 = np.maximum.reduceat(tx + TILE - cols[:, ::-1].argmax(axis=1), first)
+    # cells past the grid's last row or column read +0.0, hot below a
+    # negative threshold: cut them off, and any box holding only them
+    r1 = np.minimum(r1, height)
+    c1 = np.minimum(c1, width)
+    inside = (r0 < r1) & (c0 < c1)
+    return sets[first][inside], r0[inside], r1[inside], c0[inside], c1[inside]
 
 
-def _smoothed_maxima(
-    tiles: Tiles, threshold: float
-) -> dict[tuple[int, int], tuple[float, float, float]]:
-    """Strict maxima above ``threshold`` of the smoothed one-channel map,
-    scanned only around raw cells above it: ``(row, col) -> (score, dx, dy)``.
+def _strip_maxima(cells, slots, height, width, threshold, boxes, span):
+    """Strict maxima above ``threshold`` within ``SMOOTH_RADIUS`` of the
+    ``boxes``, whose crops are ``span`` tiles wide, found in one strip:
+    ``(set, row, col, centre, left, right, up, down)`` arrays, the last
+    five the smoothed values of each maximum and its four neighbours.
 
-    The hot cells are covered by boxes: runs of rows holding one, then
-    runs of columns inside each.  A box can hold a smoothed cell above
-    threshold within ``SMOOTH_RADIUS`` of itself; testing those against
-    their neighbours needs one more ring, and smoothing that ring needs
-    ``SMOOTH_RADIUS`` more, so a crop grown by ``2 * SMOOTH_RADIUS + 1``
-    reproduces the full-frame filter exactly where it is read.  Where a
-    crop meets the image border, the kernels' edge handling acts as on the
-    full frame; the cells their padding alters at other crop edges are
-    never read.  Each run of rows is cut from one strip of the tiles.
-    """
-    height, width = tiles.height, tiles.width
-    found: dict[tuple[int, int], tuple[float, float, float]] = {}
+    Each box's crop is its rows grown by ``2 * SMOOTH_RADIUS + 1`` and the
+    tile columns its columns so grown reach, gathered as 16-cell tile rows;
+    the crops are stacked, so the strip is ``span`` tiles wide.  Row
+    indices are clipped to the image, and the columns of a crop past the
+    image's right edge copy its last one, so the border replicates as the
+    full-frame filter's padding does; after smoothing, every cell outside
+    the image reads -inf, as past the full frame.  The seams between crops
+    and the strip's own edges alter only smoothed cells more than
+    ``SMOOTH_RADIUS + 1`` from every box, which no maximum test reads."""
+    sets, r0, r1, c0, c1, tx0 = boxes
+    ny, nx = slots.shape[1:]
+    length = r1 - r0 + 2 * _HALO
+    crop = np.repeat(np.arange(len(r0)), length)
+    y = np.arange(crop.size) + np.repeat(r0 - _HALO - (np.cumsum(length) - length), length)
+    clipped = np.clip(y, 0, height - 1)
+    base = (sets[crop] * ny + (clipped >> _TILE_SHIFT)) * nx + tx0[crop]
+    tiles = slots.reshape(-1)[base[:, None] + np.arange(span)]
+    strip = cells[tiles, (clipped & _TILE_MASK)[:, None]].reshape(crop.size, span * TILE)
+    cut = width - (nx - span) * TILE  # strip columns of the image, in a crop at its right edge
+    edge = np.flatnonzero(tx0[crop] + span == nx) if cut < span * TILE else None
+    if edge is not None:
+        strip[edge, cut:] = strip[edge, cut - 1 : cut]
+    with np.errstate(invalid="ignore"):  # +inf and -inf of two crops meet at a seam
+        smoothed = kernels.box_mean(strip, SMOOTH_RADIUS)
+    smoothed[y != clipped] = -np.inf
+    if edge is not None:
+        smoothed[edge, cut:] = -np.inf
+    peaks = kernels.local_max_mask(smoothed, threshold).view(np.bool_)
+    rows, cols = np.divmod(np.flatnonzero(peaks), span * TILE)
+    hit = crop[rows]
+    row = y[rows]
+    col = tx0[hit] * TILE + cols
+    near = (
+        (r0[hit] - SMOOTH_RADIUS <= row) & (row < r1[hit] + SMOOTH_RADIUS)
+        & (c0[hit] - SMOOTH_RADIUS <= col) & (col < c1[hit] + SMOOTH_RADIUS)
+    )
+    rows, cols, hit = rows[near], cols[near], hit[near]
+    # a neighbour past the strip's side is read only where no fit uses it
+    left = smoothed[rows, np.maximum(cols - 1, 0)]
+    right = smoothed[rows, np.minimum(cols + 1, span * TILE - 1)]
+    return (
+        sets[hit], row[near], col[near], smoothed[rows, cols],
+        left, right, smoothed[rows - 1, cols], smoothed[rows + 1, cols],
+    )
 
-    def grow(box: tuple[int, int, int, int], by: int) -> tuple[int, int, int, int]:
-        r0, r1, c0, c1 = box
-        return max(r0 - by, 0), min(r1 + by, height), max(c0 - by, 0), min(c1 + by, width)
 
-    for r0, r1, top, strip in _hot_bands(tiles, threshold):
-        for c0, c1 in _runs((strip[r0 - top : r1 - top] > threshold).any(axis=0)):
-            box = (r0, r1, c0, c1)
-            y0, y1, x0, x1 = grow(box, 2 * SMOOTH_RADIUS + 1)
-            smoothed = kernels.box_mean(strip[y0 - top : y1 - top, x0:x1], SMOOTH_RADIUS)
-            sy0, sy1, sx0, sx1 = grow(box, SMOOTH_RADIUS + 1)
-            mask = kernels.local_max_mask(
-                smoothed[sy0 - y0 : sy1 - y0, sx0 - x0 : sx1 - x0], threshold
-            )
-            ky0, ky1, kx0, kx1 = grow(box, SMOOTH_RADIUS)
-            for srow, scol in zip(*np.nonzero(mask)):
-                row = int(srow) + sy0
-                col = int(scol) + sx0
-                if not (ky0 <= row < ky1 and kx0 <= col < kx1):
-                    continue
-                lrow = row - y0
-                lcol = col - x0
-                centre = float(smoothed[lrow, lcol])
-                dx = 0.0
-                dy = 0.0
-                if 0 < col < width - 1:
-                    dx = _parabola_offset(
-                        float(smoothed[lrow, lcol - 1]), centre, float(smoothed[lrow, lcol + 1])
-                    )
-                if 0 < row < height - 1:
-                    dy = _parabola_offset(
-                        float(smoothed[lrow - 1, lcol]), centre, float(smoothed[lrow + 1, lcol])
-                    )
-                found[(row, col)] = (centre, dx, dy)
-    return found
+def _smoothed_maxima(tile_sets: Sequence[Tiles], threshold: float) -> tuple[np.ndarray, ...]:
+    """Strict maxima above ``threshold`` of one-channel maps of one shape
+    and dtype, each smoothed, scanned only around raw cells above it:
+    ``(set, row, col, score, dx, dy)`` arrays, one entry per cell.
+
+    A box of hot cells can hold a smoothed cell above threshold within
+    ``SMOOTH_RADIUS`` of itself; testing those against their neighbours
+    needs one more ring, and smoothing that ring needs ``SMOOTH_RADIUS``
+    more, so a crop grown by ``2 * SMOOTH_RADIUS + 1`` reproduces the
+    full-frame filter exactly where it is read, and each cell is read for
+    one box at most.  The crops of every set are smoothed and scanned
+    together, in one strip per crop width in tiles, so that one wide crop
+    does not widen the others."""
+    height, width = tile_sets[0].height, tile_sets[0].width
+    ny, nx = _tile_counts(height, width)
+    dtype = tile_sets[0].tiles.dtype
+    # every set's tiles, then one of +0.0 that every empty slot reads
+    zero = np.zeros((1, TILE, TILE), dtype)
+    cells = np.concatenate([*(tiles.tiles for tiles in tile_sets), zero])
+    slots = np.full((len(tile_sets), ny * nx), len(cells) - 1, dtype=np.intp)
+    start = 0
+    for index, tiles in enumerate(tile_sets):
+        slots[index, tiles.positions] = np.arange(start, start + len(tiles.tiles))
+        start += len(tiles.tiles)
+    slots = slots.reshape(len(tile_sets), ny, nx)
+    # empty arrays, so that a frame with no strip concatenates too
+    found = [(np.zeros(0, np.intp),) * 3 + (np.zeros(0, dtype),) * 5]
+    if ny and nx:
+        sets, r0, r1, c0, c1 = _hot_boxes(cells, slots, height, width, threshold)
+        tx0 = np.maximum(c0 - _HALO, 0) >> _TILE_SHIFT
+        spans = ((np.minimum(c1 + _HALO, width) - 1) >> _TILE_SHIFT) + 1 - tx0
+        for span in np.unique(spans).tolist():
+            pick = spans == span
+            boxes = (sets[pick], r0[pick], r1[pick], c0[pick], c1[pick], tx0[pick])
+            found.append(_strip_maxima(cells, slots, height, width, threshold, boxes, span))
+    sets, rows, cols, centre, left, right, up, down = map(np.concatenate, zip(*found))
+    dx = np.where((0 < cols) & (cols < width - 1), _parabola_offset(left, centre, right), 0.0)
+    dy = np.where((0 < rows) & (rows < height - 1), _parabola_offset(up, centre, down), 0.0)
+    return sets, rows, cols, centre.astype(np.float64), dx, dy
 
 
 def decode_candidates(
@@ -594,30 +637,46 @@ def decode_candidates(
 
     Only crops around the raw cells above ``threshold`` are smoothed and
     scanned: a 5x5 mean exceeds the threshold only if a cell of its window
-    does, so the result equals that of filtering the whole map.  A map
-    given as a ``(height, width)`` array is tiled first, in its own dtype.
-    ``threshold`` must be finite and ``nms_radius`` non-negative and finite.
+    does, so the result equals that of filtering the whole map.  The
+    crops of all maps of one shape and dtype are packed into strips, one
+    per crop width in tiles, so a frame makes one ``box_mean`` and one
+    ``local_max_mask`` call per strip.  A map given as a ``(height,
+    width)`` array is tiled first, in its own dtype, which must be a
+    floating one.  ``threshold`` must be finite and ``nms_radius``
+    non-negative and finite.
     """
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
     if not 0.0 <= nms_radius < math.inf:
         raise ValueError(f"nms_radius must be non-negative and finite, got {nms_radius}")
-    candidates: list[CandidateKeypoint] = []
-    for category, grid in prob_maps.items():
-        found = _smoothed_maxima(_tiled(grid), threshold)
-        kept: list[tuple[int, int]] = []
-        for row, col in sorted(found, key=lambda cell: (-found[cell][0], cell)):
+    categories = list(prob_maps)
+    tile_sets = [_tiled(prob_maps[category]) for category in categories]
+    groups: dict[tuple, list[int]] = {}
+    for index, tiles in enumerate(tile_sets):
+        if tiles.tiles.dtype.kind != "f":  # cells outside the image read -inf
+            raise ValueError(
+                f"probability map {categories[index]!r} must hold floats, got {tiles.tiles.dtype}"
+            )
+        groups.setdefault((tiles.height, tiles.width, tiles.tiles.dtype), []).append(index)
+    found: list[list[CandidateKeypoint]] = [[] for _ in categories]
+    for members in groups.values():
+        sets, rows, cols, scores, dx, dy = _smoothed_maxima(
+            [tile_sets[index] for index in members], threshold
+        )
+        order = np.lexsort((cols, rows, -scores, sets))
+        kept: list[list[tuple[int, int]]] = [[] for _ in members]
+        for s, row, col, x, y, score in zip(
+            *(values[order].tolist() for values in (sets, rows, cols, cols + dx, rows + dy, scores))
+        ):
             if all(
                 (row - krow) ** 2 + (col - kcol) ** 2 >= nms_radius ** 2
-                for krow, kcol in kept
+                for krow, kcol in kept[s]
             ):
-                kept.append((row, col))
-        for row, col in kept:
-            score, dx, dy = found[(row, col)]
-            candidates.append(
-                CandidateKeypoint(category=category, x=col + dx, y=row + dy, score=score)
-            )
-    return candidates
+                kept[s].append((row, col))
+                found[members[s]].append(
+                    CandidateKeypoint(category=categories[members[s]], x=x, y=y, score=score)
+                )
+    return [candidate for candidates in found for candidate in candidates]
 
 
 # ---------------------------------------------------------------------------

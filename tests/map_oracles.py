@@ -15,6 +15,7 @@ bytes.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Iterator, Sequence
 
@@ -29,11 +30,18 @@ from keytrack.maps import (
     EncoderParams,
     MapStack,
     _in_bounds,
-    _parabola_offset,
-    _runs,
     pose_sigmas,
 )
 from keytrack.skeleton import Pair, Pose, SkeletonSpec
+
+
+def _parabola_offset(left: float, centre: float, right: float) -> float:
+    """Vertex offset of the parabola through three equispaced samples."""
+    denom = 2.0 * (2.0 * centre - left - right)
+    if denom <= 0.0 or not math.isfinite(denom):
+        return 0.0
+    offset = (right - left) / denom
+    return min(0.5, max(-0.5, offset))
 
 
 def dense_decode_candidates(
@@ -145,6 +153,14 @@ def save_maps_v1(maps: MapStack, path: str) -> None:
         _write_header(handle, maps, 1, [name for name, _ in channels])
         for _, grid in channels:
             handle.write(np.ascontiguousarray(grid, dtype="<f4"))
+
+
+def _runs(flags: np.ndarray) -> list[tuple[int, int]]:
+    """Half-open ``(start, stop)`` of each run of True in a 1-D mask."""
+    padded = np.zeros(flags.size + 2, dtype=bool)
+    padded[1:-1] = flags
+    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+    return list(zip(edges[::2], edges[1::2]))
 
 
 def hot_boxes(hot: np.ndarray) -> Iterator[tuple[int, int, int, int]]:

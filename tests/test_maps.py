@@ -241,6 +241,13 @@ class TestDecode:
         with pytest.raises(ValueError, match=message):
             decode_candidates({"k": grid}, **kwargs)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.bool_])
+    def test_non_float_map_rejected(self, dtype):
+        grid = np.zeros((8, 8), dtype=dtype)
+        grid[3:6, 3:6] = 1
+        with pytest.raises(ValueError, match="probability map 'k' must hold floats"):
+            decode_candidates({"k": grid})
+
     def test_negative_threshold_accepted(self):
         grid = self.blob_grid((32, 32), (10.0, 12.0, 1.0))
         found = decode_candidates({"k": grid}, threshold=-0.5)
@@ -638,6 +645,13 @@ class TestSerialization:
         boxes = [(0, 1, 0, 1), (0, 1, 1, 3), (1, 2, 0, 3)]
         path = self.v2_file(tmp_path / "m.ktm", 3, 2, [("prob:k", boxes, [1, 2, 3, 4, 5, 6])])
         np.testing.assert_array_equal(load_maps(str(path)).prob["k"], [[[1, 2, 3], [4, 5, 6]]])
+
+    def test_v2_boxes_of_zeros_load_as_no_tiles(self, tmp_path):
+        boxes = [(0, 1, 0, 1), (1, 2, 1, 3)]
+        path = self.v2_file(tmp_path / "m.ktm", 3, 2, [("prob:k", boxes, [0.0] * 3)])
+        tiles = load_maps(str(path)).prob["k"]
+        assert tiles.shape == (1, 2, 3)
+        assert len(tiles.positions) == len(tiles.tiles) == 0
 
     @pytest.mark.parametrize(
         "tail, message",
@@ -1266,11 +1280,7 @@ def test_decode_recovers_position_property(spec, x, y):
 
 
 def assert_same_candidates(got, want):
-    assert [c.category for c in got] == [c.category for c in want]
-    for g, w in zip(got, want):
-        assert g.x == pytest.approx(w.x, abs=1e-6)
-        assert g.y == pytest.approx(w.y, abs=1e-6)
-        assert g.score == pytest.approx(w.score, abs=1e-6)
+    assert got == want
 
 
 _coordinate = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-0.05, 1.05))
@@ -1400,6 +1410,71 @@ def test_roi_decode_box_margins(cells, nms_radius, expected_cols, transpose):
     want = dense_decode_candidates(prob, 0.5, nms_radius)
     assert [round(c.y if transpose else c.x) for c in want] == expected_cols
     assert_same_candidates(decode_candidates(prob, 0.5, nms_radius), want)
+
+
+_special_cell = st.tuples(
+    st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from([math.nan, math.inf, -math.inf])
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    height=st.integers(1, 140),
+    width=st.integers(1, 140),
+    layers=st.lists(
+        st.tuples(st.lists(_peak, max_size=8), _plateau, st.lists(_special_cell, max_size=3)),
+        min_size=2,
+        max_size=4,
+    ),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    threshold=st.sampled_from([-0.2, 0.0, 0.4, 0.9]),
+    nms_radius=st.sampled_from([0.0, 2.0, 7.0]),
+)
+def test_packed_strip_decode_matches_dense_oracle(
+    height, width, layers, dtype, threshold, nms_radius
+):
+    """Several same-shape maps decoded in one call share their strips:
+    partial tiles, peaks on and past every border, plateaus, non-finite
+    cells and a threshold below the +0.0 of cells outside the tiles."""
+    prob = {}
+    for index, (peaks, plateau, specials) in enumerate(layers):
+        grid = np.zeros((height, width), dtype=dtype)
+        for fx, fy, amplitude, sigma in peaks:
+            bump = np.zeros((height, width), dtype=dtype)
+            kernels.gaussian_max(bump, fx * (width - 1), fy * (height - 1), sigma, 3.0)
+            np.maximum(grid, dtype(amplitude) * bump, out=grid)
+        if plateau is not None:
+            fr, fc, rows, cols, value = plateau
+            row = int(fr * (height - 1))
+            col = int(fc * (width - 1))
+            grid[row : row + rows, col : col + cols] = value
+        for fr, fc, value in specials:
+            grid[int(fr * (height - 1)), int(fc * (width - 1))] = value
+        prob[f"k{index}"] = grid
+    got = decode_candidates(prob, threshold, nms_radius)
+    with np.errstate(invalid="ignore"):  # the full frame adds +inf to -inf in a window
+        want = dense_decode_candidates(prob, threshold, nms_radius)
+    assert_same_candidates(got, want)
+
+
+def test_decode_matches_dense_oracle_on_crowded_frames(spec):
+    """Twelve animals walking on 960x720 frames give crops of several
+    widths; rows of two-keypoint animals 20 px apart give boxes that each
+    hold a column of keypoints."""
+    config = ScenarioConfig(
+        n_animals=12, seed=202, margin=130.0, min_separation=75.0, dropout=0.1,
+        regimes=(RegimeSegment("walking", 40, velocity=(1.0, 0.5)),),
+    )
+    frames = corrupt(generate(spec, config), spec, config)
+    scenes = [(spec, frames[index], 960, 720) for index in sorted(frames)[::10]]
+    rows = parallel_rows_scene(n_rows=7, row_gap=20.0)
+    scenes.append((rows.spec, rows.truth_poses, 800, 600))
+    for scene_spec, poses, width, height in scenes:
+        prob = encode(poses, scene_spec, width, height).prob
+        got = decode_candidates(prob)
+        want = dense_decode_candidates(_grids(prob), DEFAULT_DETECT_THRESHOLD, DEFAULT_NMS_RADIUS)
+        assert len(got) > 0
+        assert_same_candidates(got, want)
 
 
 # ---------------------------------------------------------------------------
