@@ -28,7 +28,7 @@ import numpy as np
 
 from .assignment import hungarian
 from .kalman import FilterBank, predict, update_adaptive
-from .skeleton import Pose, SkeletonSpec, XY, is_valid_pose, require_valid_spec
+from .skeleton import Pose, SkeletonSpec, XY, require_valid_spec
 
 log = logging.getLogger(__name__)
 
@@ -159,6 +159,11 @@ class TrackerModel:
             (self._index[child], self._index[parent]) for parent, child in spec.tree_order
         ]
         self._children, self._parents = np.array(self._chain, dtype=np.intp).T
+        # (D, 2) category indices of each dominant connection's endpoints
+        self._dominant = np.array(
+            [(self._index[parent], self._index[child]) for parent, child in spec.dominant],
+            dtype=np.intp,
+        )
 
     def absolute(self, offsets: np.ndarray) -> np.ndarray:
         """Absolute keypoint positions from (..., K, 2) state positions."""
@@ -195,6 +200,13 @@ class TrackerModel:
             offsets[:, child] = offset
             implied[:, child] = implied[:, parent] + offset
         return offsets.reshape(len(observed), self.obs_dim)
+
+    def valid(self, observed: np.ndarray) -> np.ndarray:
+        """(N,) :func:`keytrack.skeleton.is_valid_pose` of (N, K, 2) observed
+        poses: the root is present, and so are both ends of some dominant
+        connection."""
+        present = ~np.isnan(observed[..., 0])
+        return present[:, self._root] & present[:, self._dominant].all(axis=2).any(axis=1)
 
     def observed_array(self, poses: Sequence[Pose], frame_index: int = 0) -> np.ndarray:
         """(N, K, 2) coordinates of the skeleton's categories, NaN where absent.
@@ -287,12 +299,12 @@ class KeySortTracker:
                 "frame indices must increase"
             )
         observed = self.model.observed_array(poses, frame_index)
-        for index, pose in enumerate(poses):
-            if not is_valid_pose(self.spec, pose):
-                raise ValueError(
-                    f"frame {frame_index} pose {index} is invalid "
-                    "(missing root or all dominant connections)"
-                )
+        invalid = np.flatnonzero(~self.model.valid(observed))
+        if invalid.size:
+            raise ValueError(
+                f"frame {frame_index} pose {invalid[0]} is invalid "
+                "(missing root or all dominant connections)"
+            )
         return observed
 
     def step(self, poses: Sequence[Pose], frame_index: int) -> TrackOutput:

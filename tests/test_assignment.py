@@ -11,31 +11,27 @@ from keytrack.assignment import greedy_assign, hungarian
 
 
 def brute_force(costs: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
-    """Exhaustive minimum-cost assignment over all injections."""
+    """Exhaustive minimum-cost assignment over all injections.
+
+    Injections with the fewest forbidden (inf) pairs compete on the total of
+    their finite pairs; the forbidden pairs are left out of the result.
+    """
     n_rows, n_cols = costs.shape
     transposed = n_rows > n_cols
     if transposed:
         costs = costs.T
         n_rows, n_cols = n_cols, n_rows
-    best = math.inf
+    best = (math.inf, math.inf)
     best_pairs: list[tuple[int, int]] = []
     for cols in itertools.permutations(range(n_cols), n_rows):
-        total = 0.0
-        pairs = []
-        feasible = True
-        for row, col in enumerate(cols):
-            value = costs[row, col]
-            if math.isinf(value):
-                feasible = False
-                break
-            total += value
-            pairs.append((row, col))
-        if feasible and total < best:
-            best = total
+        pairs = [(row, col) for row, col in enumerate(cols) if math.isfinite(costs[row, col])]
+        key = (n_rows - len(pairs), sum(costs[row, col] for row, col in pairs))
+        if key < best:
+            best = key
             best_pairs = pairs
     if transposed:
         best_pairs = [(c, r) for r, c in best_pairs]
-    return best, best_pairs
+    return best[1], best_pairs
 
 
 def total_cost(costs, pairs):
@@ -78,19 +74,37 @@ class TestHungarian:
         with pytest.raises(ValueError):
             hungarian(np.array([[np.nan]]))
 
+    @pytest.mark.parametrize(
+        "costs, pairs",
+        [
+            ([[1.0, 1.0, 1.0]] * 3, [(0, 0), (1, 1), (2, 2)]),
+            ([[1, 1, 2], [1, 1, 1]], [(0, 0), (1, 1)]),
+            ([[0, 0], [0, 0], [1, 0]], [(0, 0), (1, 1)]),
+            ([[1, 2], [1, 3]], [(0, 1), (1, 0)]),
+            ([[np.inf] * 3, [1, 2, 3], [2, 1, 3]], [(1, 0), (2, 1)]),
+        ],
+        ids=["constant", "ties", "tall", "shared_argmin", "forbidden_row"],
+    )
+    def test_tied_optima_resolve_as_before(self, costs, pairs):
+        # among equal-cost matchings, the pairs linear_sum_assignment chose
+        assert hungarian(np.array(costs, dtype=float)) == pairs
+
     def test_matches_brute_force_small_batch(self, rng):
-        for _ in range(200):
-            shape = rng.integers(1, 5, size=2)
-            costs = rng.uniform(0, 10, size=shape)
+        for trial in range(300):
+            shape = rng.integers(1, 7 if trial % 3 else 5, size=2)
+            if trial % 3 == 0:
+                costs = rng.uniform(0, 10, size=shape)
+            elif trial % 3 == 1:
+                costs = rng.integers(0, 3, size=shape).astype(float)
+            else:
+                costs = np.full(shape, float(rng.integers(0, 3)))
             if rng.random() < 0.3:
                 mask = rng.random(size=shape) < 0.2
                 costs[mask] = np.inf
-            expected, _ = brute_force(costs)
+            expected, best_pairs = brute_force(costs)
             pairs = hungarian(costs)
-            if not math.isfinite(expected):
-                assert pairs == []
-            else:
-                assert total_cost(costs, pairs) == pytest.approx(expected)
+            assert len(pairs) == len(best_pairs)
+            assert total_cost(costs, pairs) == pytest.approx(expected)
 
 
 class TestGreedy:

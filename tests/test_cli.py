@@ -731,3 +731,14 @@ def test_unexpected_error_logs_traceback_at_debug(monkeypatch, caplog, tmp_path)
     assert records[0].levelno == logging.DEBUG
     assert records[0].exc_info[0] is RuntimeError
     assert "boom" in caplog.text
+
+
+def test_package_import_loads_no_scipy():
+    # a fresh interpreter: this test session may have imported scipy itself
+    code = (
+        "import sys, keytrack, keytrack.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -16,7 +16,7 @@ from keytrack.keysort import (
     running_freq,
 )
 from keytrack.simulate import RegimeSegment, ScenarioConfig, corrupt, generate
-from keytrack.skeleton import Pose, SkeletonSpec
+from keytrack.skeleton import Pose, SkeletonSpec, is_valid_pose
 
 from conftest import make_pose
 
@@ -294,6 +294,29 @@ class TestPerAxisModel:
         }
         dense = keysort_oracle.build_model(_DEEP_SPEC, np.ones(5))
         assert positions.reshape(-1).tolist() == _dense_positions(dense, pose).tolist()
+
+
+class TestValidity:
+    @pytest.mark.parametrize("skeleton", ["default", "deep"])
+    def test_valid_matches_is_valid_pose(self, spec, skeleton, rng):
+        spec = spec if skeleton == "default" else _DEEP_SPEC
+        model = TrackerModel(spec, np.ones(len(spec.categories)), TrackerConfig())
+        for share in (0.2, 0.5, 0.8):
+            present = rng.random((200, len(spec.categories))) < share
+            poses = [
+                Pose(coords={
+                    c: (float(k), 1.0) if row[k] else None
+                    for k, c in enumerate(spec.categories)
+                })
+                for row in present
+            ]
+            expected = [is_valid_pose(spec, pose) for pose in poses]
+            assert model.valid(model.observed_array(poses)).tolist() == expected
+
+    def test_first_invalid_pose_named(self, tracker, square_pose):
+        bad = without(square_pose, "withers")
+        with pytest.raises(ValueError, match="frame 4 pose 1 is invalid"):
+            tracker.step([square_pose, bad, bad], frame_index=4)
 
 
 class TestTrackerStepBasics:
