@@ -70,8 +70,8 @@ class EncoderParams:
             raise ValueError(
                 f"weight_cutoff must be in (0, 1), got {self.weight_cutoff}"
             )
-        if self.kernel_extent <= 0.0:
-            raise ValueError(f"kernel_extent must be positive, got {self.kernel_extent}")
+        if not 0.0 < self.kernel_extent < math.inf:
+            raise ValueError(f"kernel_extent must be positive and finite, got {self.kernel_extent}")
 
 
 @dataclass
@@ -139,35 +139,6 @@ class Tiles:
         blocks = padded.reshape(channels, ny, TILE, nx, TILE).transpose(0, 1, 3, 2, 4)
         kept = _nonzero_bits(blocks).any(axis=(3, 4))
         return cls(channels, height, width, _positions(np.flatnonzero(kept)), blocks[kept])
-
-    @classmethod
-    def from_boxes(
-        cls, height: int, width: int, channels: Sequence[Sequence[tuple]]
-    ) -> "Tiles":
-        """Tiles of channels each given as its disjoint ``(top, bottom,
-        left, right, cells)`` boxes.  Each box is cut into the tiles it
-        overlaps; as the boxes are disjoint, a cell is nonzero in at most
-        one box's tile at its position, so OR-ing the bits of the tiles at
-        one position merges them exactly."""
-        ny, nx = _tile_counts(height, width)
-        positions, tiles = [], []
-        for channel, boxes in enumerate(channels):
-            for top, bottom, left, right, cells in boxes:
-                y0, x0 = top & ~_TILE_MASK, left & ~_TILE_MASK
-                aligned = np.zeros((1, bottom - y0, right - x0), dtype=np.float32)
-                aligned[0, top - y0 :, left - x0 :] = cells
-                cut = cls.from_dense(aligned)
-                ty, tx = np.divmod(cut.positions, _tile_counts(bottom - y0, right - x0)[1])
-                positions.append((channel * ny + (y0 >> _TILE_SHIFT) + ty) * nx + (x0 >> _TILE_SHIFT) + tx)
-                tiles.append(cut.tiles)
-        if not sum(map(len, tiles)):
-            return cls(len(channels), height, width)
-        positions = np.concatenate(positions)
-        order = np.argsort(positions)
-        positions = positions[order]
-        starts = np.flatnonzero(np.r_[True, positions[1:] != positions[:-1]])
-        bits = np.bitwise_or.reduceat(np.concatenate(tiles).view(np.uint32)[order], starts)
-        return cls(len(channels), height, width, _positions(positions[starts]), bits.view(np.float32))
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -819,13 +790,12 @@ def map_loss(
 
 _BINARY_MAGIC = b"KTMB"
 _TEXT_MAGIC = "KTMT"
-# version 1 stores every cell and version 2 the boxes of nonzero cells;
-# both still load
+# version 3 stores tile sets; version 1 (every cell) and version 2 (boxes
+# of nonzero cells) are rejected with a message to re-encode the frame
 _BINARY_VERSION = 3
 _TEXT_VERSION = 1
-# a version 2 or 3 file need not hold the grid it declares, so the loader
-# bounds it: 2**28 cells (1 GiB of float32) hold 30 channels of a 3840x2160
-# frame
+# a file need not hold the grid it declares, so the loader bounds it:
+# 2**28 cells (1 GiB of float32) hold 30 channels of a 3840x2160 frame
 _MAX_DECLARED_CELLS = 1 << 28
 _TILE_BYTES = 4 * TILE * TILE
 
@@ -838,7 +808,7 @@ def save_maps(maps: MapStack, path: str, text: bool = False) -> None:
 
 
 def load_maps(path: str) -> MapStack:
-    """A ``.ktm`` file of any version or a ``.ktmt`` text file; every
+    """A ``.ktm`` (version 3) or ``.ktmt`` text file; every
     ``ValueError`` it raises names the file."""
     with open(path, "rb") as handle:
         try:
@@ -892,35 +862,24 @@ def _bytes_left(handle: BinaryIO) -> int:
 
 def _load_binary(handle: BinaryIO) -> MapStack:
     version, width, height, count = struct.unpack("<IIII", _read_exact(handle, 16, "header"))
-    if version not in (1, 2, _BINARY_VERSION):
+    if version in (1, 2):
+        raise ValueError(
+            f".ktm version {version} is no longer read; "
+            "re-encode the frame from its detections with keytrack encode"
+        )
+    if version != _BINARY_VERSION:
         raise ValueError(f"unsupported version {version}")
     names = []
     for _ in range(count):
         (length,) = struct.unpack("<H", _read_exact(handle, 2, "channel name"))
         names.append(_utf8(_read_exact(handle, length, "channel name"), "channel name"))
-    if version == 1:
-        return _assemble_stack(names, _read_dense_channels(handle, (count, height, width)))
     if count * height * width > _MAX_DECLARED_CELLS:
         raise ValueError(f"{count} channels of {width}x{height} exceed {_MAX_DECLARED_CELLS} cells")
     prob, assoc = _channel_layout(names)
     for pair, indices in assoc.items():
         if indices != list(range(indices[0], indices[0] + len(ASSOC_CHANNELS))):
             raise ValueError(f"association channels for {connection_name(pair)} out of order")
-    if version == 2:
-        return _read_box_channels(handle.read(), prob, assoc, width, height)
     return _read_tile_sets(handle, prob, assoc, width, height)
-
-
-def _read_dense_channels(handle: BinaryIO, shape: tuple[int, int, int]) -> np.ndarray:
-    """Version 1 channel data: every cell of every channel as ``<f4``."""
-    # checked before allocating, so a bad header cannot ask for more
-    # memory than the file holds
-    if _bytes_left(handle) < 4 * math.prod(shape):
-        raise ValueError("truncated channel data")
-    block = np.empty(shape, dtype="<f4")
-    if handle.readinto(block) != block.nbytes:
-        raise ValueError("truncated channel data")
-    return block.astype(np.float32, copy=False)
 
 
 def _read_tile_sets(
@@ -964,67 +923,6 @@ def _read_tile_sets(
             stack.prob[key] = tiles
         else:
             stack.assoc[key] = tiles
-    return stack
-
-
-def _read_box_channels(
-    data: bytes,
-    prob: dict[str, int],
-    assoc: dict[Pair, list[int]],
-    width: int,
-    height: int,
-) -> MapStack:
-    """Version 2 channel data: per channel a box count, the
-    ``(r0, r1, c0, c1)`` boxes as ``<u4`` and each box's cells as ``<f4``.
-    Every box is cut straight into tiles, so the memory is bounded by the
-    boxes the file holds.
-
-    Every count is checked against the bytes left before it is read, and
-    the boxes must be non-empty, inside the grid and disjoint in the order
-    the version 2 writer stored them: each continues the previous box's
-    rows to its right or starts below them.
-    """
-    count = len(prob) + len(ASSOC_CHANNELS) * len(assoc)
-    if len(data) < 4 * count:  # each channel stores at least its box count
-        raise ValueError("truncated channel data")
-    channels: list[list[tuple[int, int, int, int, np.ndarray]]] = []
-    pos = 0
-    for _ in range(count):
-        if len(data) - pos < 4:
-            raise ValueError("truncated box count")
-        (boxes,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        if len(data) - pos < 16 * boxes:
-            raise ValueError("truncated boxes")
-        r0, r1, c0, c1 = (
-            np.frombuffer(data, "<u4", 4 * boxes, pos).reshape(boxes, 4).T.astype(np.int64)
-        )
-        pos += 16 * boxes
-        if not ((r0 < r1) & (r1 <= height) & (c0 < c1) & (c1 <= width)).all():
-            raise ValueError(f"box empty or outside the {width}x{height} grid")
-        same_rows = (r0[1:] == r0[:-1]) & (r1[1:] == r1[:-1]) & (c0[1:] >= c1[:-1])
-        if not (same_rows | (r0[1:] >= r1[:-1])).all():
-            raise ValueError("boxes overlap or are out of order")
-        # in bounds and disjoint, so the areas sum to at most the grid: no overflow
-        areas = (r1 - r0) * (c1 - c0)
-        if len(data) - pos < 4 * int(areas.sum()):
-            raise ValueError("truncated box data")
-        channel = []
-        for top, bottom, left, right, area in zip(
-            r0.tolist(), r1.tolist(), c0.tolist(), c1.tolist(), areas.tolist()
-        ):
-            cells = np.frombuffer(data, "<f4", area, pos).reshape(bottom - top, right - left)
-            channel.append((top, bottom, left, right, cells))
-            pos += 4 * area
-        channels.append(channel)
-    stack = MapStack(width=width, height=height)
-    try:
-        for category, index in prob.items():
-            stack.prob[category] = Tiles.from_boxes(height, width, [channels[index]])
-        for pair, indices in assoc.items():
-            stack.assoc[pair] = Tiles.from_boxes(height, width, [channels[i] for i in indices])
-    except MemoryError:
-        raise ValueError(f"cannot allocate {count} channels of {width}x{height}") from None
     return stack
 
 

@@ -8,7 +8,8 @@ weight sum), and the dense decoder smooths and scans every cell.  The
 package writes a ``.ktm`` file (version 3) from its tiles; the version 3
 writer here cuts every channel into tiles and must write the same bytes.
 The version 1 writer here stores every cell and the version 2 writer the
-boxes of nonzero cells, and their files must still load.  The ``.ktmt``
+boxes of nonzero cells; the package no longer reads those formats, and
+these writers make the files it must reject.  The ``.ktmt``
 writer here formats one cell at a time, and the package's must write its
 bytes.
 """

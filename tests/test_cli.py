@@ -24,6 +24,8 @@ from keytrack.maps import encode as encode_maps, save_maps
 from keytrack.simulate import RegimeSegment, ScenarioConfig, two_point_skeleton
 from keytrack.skeleton import Pose
 
+from map_oracles import save_maps_v2
+
 
 @pytest.fixture()
 def runner():
@@ -256,6 +258,22 @@ class TestEncodeDecode:
         assert f"error: {path}: {message}" in err
         assert not out.exists()
 
+    def test_old_map_version_exits_two(self, spec, tmp_path, monkeypatch, capsys):
+        maps_dir = tmp_path / "maps"
+        maps_dir.mkdir()
+        path = maps_dir / "frame_000000.ktm"
+        save_maps_v2(encode_maps([], spec, 32, 24), str(path))
+        out = tmp_path / "o.jsonl"
+        code, err = exit_code_and_error(
+            monkeypatch, capsys, "decode-assemble", "--maps-dir", str(maps_dir), "--out", str(out)
+        )
+        assert code == 2
+        assert (
+            f"error: {path}: .ktm version 2 is no longer read; "
+            "re-encode the frame from its detections with keytrack encode"
+        ) in err
+        assert not out.exists()
+
     def test_decode_empty_dir_fails(self, runner, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -466,6 +484,8 @@ class TestKfDemoCommand:
         ("track", ["--r-star", "nan"], "r_star variances must be positive and finite"),
         ("evaluate without maps", ["--prob-cutoff", "nan"], "cutoff must be finite, got nan"),
         ("evaluate without maps", ["--prob-cutoff", "-inf"], "cutoff must be finite, got -inf"),
+        ("encode", ["--extent", "nan"], "kernel_extent must be positive and finite, got nan"),
+        ("encode", ["--extent", "inf"], "kernel_extent must be positive and finite, got inf"),
     ],
 )
 def test_out_of_range_parameter_exits_two(
@@ -481,6 +501,7 @@ def test_out_of_range_parameter_exits_two(
                      "--truth-maps", str(maps_dir), "--pred-maps", str(maps_dir)],
         "evaluate without maps": ["--truth", str(truth_file), "--poses", str(truth_file)],
         "track": ["--detections", str(truth_file), "--out", out],
+        "encode": ["--detections", str(truth_file), "--out-dir", str(tmp_path / "encoded")],
     }
     name = command.split()[0]
     code, err = exit_code_and_error(monkeypatch, capsys, name, *inputs[command], *args)

@@ -1,6 +1,7 @@
 import logging
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,7 +48,6 @@ from map_oracles import (
     dense_decode_candidates,
     dense_encode_assoc_maps,
     dense_encode_prob_maps,
-    hot_boxes,
     save_maps_v1,
     save_maps_v2,
     save_maps_v3,
@@ -448,48 +448,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match="truncated"):
             load_maps(str(path))
 
-    def test_binary_v1_byte_layout(self, tmp_path):
-        """A hand-packed version 1 file, which stores every cell, loads."""
-        prob = np.array([[0.0, 0.5, 1.0], [0.25, -2.0, 3.5]], dtype=np.float32)
-        assoc = np.arange(24, dtype=np.float32).reshape(4, 2, 3) - 7.5
-        names = ["prob:k", "assoc:k->j:dx_ab", "assoc:k->j:dy_ab", "assoc:k->j:dx_ba", "assoc:k->j:dy_ba"]
-        data = b"KTMB" + struct.pack("<IIII", 1, 3, 2, len(names))
-        for name in names:
-            data += struct.pack("<H", len(name)) + name.encode("utf-8")
-        for channel in [prob, *assoc]:
-            data += struct.pack("<6f", *channel.ravel().tolist())
-        path = tmp_path / "m.ktm"
-        path.write_bytes(data)
-        loaded = load_maps(str(path))
-        assert (loaded.width, loaded.height) == (3, 2)
-        np.testing.assert_array_equal(loaded.prob["k"], prob[None])
-        np.testing.assert_array_equal(loaded.assoc[("k", "j")], assoc)
-        # the oracle writer produces exactly this layout
-        save_maps_v1(loaded, str(path))
-        assert path.read_bytes() == data
-
-    def test_binary_v2_byte_layout(self, tmp_path):
-        """The version 2 writer kept for tests stores these bytes, which
-        load to the stack they came from."""
-        path = tmp_path / "m.ktm"
-        save_maps_v2(_sparse_stack(), str(path))
-        names = ["prob:k", "prob:z", *_CHANNEL_NAMES[1:5]]
-        expected = b"KTMB" + struct.pack("<IIII", 2, 6, 5, len(names))
-        for name in names:
-            expected += struct.pack("<H", len(name)) + name.encode("utf-8")
-        # prob:k: rows 0-1 hold cols 1 and 3-4, rows 3-4 hold col 0
-        expected += struct.pack("<I", 3)
-        expected += struct.pack("<12I", 0, 2, 1, 2, 0, 2, 3, 5, 3, 5, 0, 1)
-        expected += struct.pack("<2f", 1.0, -0.0)
-        expected += struct.pack("<4f", 2.0, 0.0, 0.0, 3.0)
-        expected += struct.pack("<2f", 4.0, 5.0)
-        expected += struct.pack("<I", 0)  # prob:z is all zero
-        # dx_ab: the bottom-right cell; dy_ab: one cell; dx_ba, dy_ba: empty
-        expected += struct.pack("<I", 1) + struct.pack("<4I", 4, 5, 5, 6) + struct.pack("<f", -7.5)
-        expected += struct.pack("<I", 1) + struct.pack("<4I", 2, 3, 0, 1) + struct.pack("<f", 1e-40)
-        expected += struct.pack("<II", 0, 0)
-        assert path.read_bytes() == expected
-        self.assert_bit_equal(load_maps(str(path)), _sparse_stack())
+    @pytest.mark.parametrize("version, writer", [(1, save_maps_v1), (2, save_maps_v2)])
+    def test_old_versions_rejected(self, tmp_path, version, writer):
+        """A version 1 (every cell) or version 2 (boxes) file, as those
+        formats' writers stored it, is rejected after the header, before
+        any channel name is read."""
+        path = tmp_path / "frame_000003.ktm"
+        writer(_small_stack(), str(path))
+        message = (
+            f"{path}: .ktm version {version} is no longer read; "
+            "re-encode the frame from its detections with keytrack encode"
+        )
+        with pytest.raises(ValueError) as error:
+            load_maps(str(path))
+        assert str(error.value) == message
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(ValueError) as error:
+            load_maps(str(path))
+        assert str(error.value) == message
 
     def test_binary_v3_byte_layout(self, tmp_path):
         path = tmp_path / "m.ktm"
@@ -536,17 +512,6 @@ class TestSerialization:
         for stack in stacks:
             save_maps(stack, str(path))
             self.assert_bit_equal(load_maps(str(path)), stack)
-
-    def test_v1_files_load_to_the_same_stack(self, spec, tmp_path):
-        v1 = tmp_path / "v1.ktm"
-        v3 = tmp_path / "v3.ktm"
-        for scene_spec, poses, width, height in _parity_scenes(spec):
-            stack = encode(poses, scene_spec, width, height)
-            save_maps_v1(stack, str(v1))
-            save_maps(stack, str(v3))
-            assert v3.stat().st_size < v1.stat().st_size
-            self.assert_bit_equal(load_maps(str(v1)), stack)
-            self.assert_bit_equal(load_maps(str(v3)), load_maps(str(v1)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_binary_round_trip_keeps_special_values(self, tmp_path, dtype):
@@ -606,119 +571,6 @@ class TestSerialization:
         path = tmp_path / "m.ktm"
         save_maps(stack, str(path))
         self.assert_bit_equal(load_maps(str(path)), stack)
-
-    @staticmethod
-    def v2_file(path, width, height, channels):
-        """Write a version 2 file of ``(name, boxes, cells)`` channels."""
-        data = b"KTMB" + struct.pack("<IIII", 2, width, height, len(channels))
-        for name, _, _ in channels:
-            data += struct.pack("<H", len(name)) + name.encode("utf-8")
-        for _, boxes, cells in channels:
-            data += struct.pack("<I", len(boxes)) + np.array(boxes, dtype="<u4").tobytes()
-            data += struct.pack(f"<{len(cells)}f", *cells)
-        path.write_bytes(data)
-        return path
-
-    @pytest.mark.parametrize(
-        "boxes, cells, message",
-        [
-            ([(0, 3, 0, 1)], [1.0] * 3, "outside the 3x2 grid"),
-            ([(0, 1, 0, 4)], [1.0] * 4, "outside the 3x2 grid"),
-            ([(1, 1, 0, 2)], [], "box empty"),
-            ([(0, 1, 2, 2)], [], "box empty"),
-            ([(0, 2, 0, 2), (1, 2, 1, 3)], [1.0] * 6, "overlap or are out of order"),
-            ([(0, 1, 0, 2), (0, 1, 1, 3)], [1.0] * 4, "overlap or are out of order"),
-            ([(1, 2, 0, 1), (0, 1, 0, 1)], [1.0] * 2, "overlap or are out of order"),
-            ([(0, 2, 2, 3), (0, 2, 0, 1)], [1.0] * 4, "overlap or are out of order"),
-            ([(0, 2, 0, 3)], [1.0] * 5, "truncated box data"),
-            ([(0, 1, 0, 1), (1, 2, 2, 3)], [1.0], "truncated box data"),
-        ],
-    )
-    def test_bad_v2_boxes_rejected(self, tmp_path, boxes, cells, message):
-        path = self.v2_file(tmp_path / "m.ktm", 3, 2, [("prob:k", boxes, cells)])
-        with pytest.raises(ValueError, match=message) as error:
-            load_maps(str(path))
-        assert str(path) in str(error.value)
-
-    def test_v2_accepts_disjoint_boxes_in_save_order(self, tmp_path):
-        # touching boxes are disjoint, and a band may continue to the right
-        boxes = [(0, 1, 0, 1), (0, 1, 1, 3), (1, 2, 0, 3)]
-        path = self.v2_file(tmp_path / "m.ktm", 3, 2, [("prob:k", boxes, [1, 2, 3, 4, 5, 6])])
-        np.testing.assert_array_equal(load_maps(str(path)).prob["k"], [[[1, 2, 3], [4, 5, 6]]])
-
-    def test_v2_boxes_of_zeros_load_as_no_tiles(self, tmp_path):
-        boxes = [(0, 1, 0, 1), (1, 2, 1, 3)]
-        path = self.v2_file(tmp_path / "m.ktm", 3, 2, [("prob:k", boxes, [0.0] * 3)])
-        tiles = load_maps(str(path)).prob["k"]
-        assert tiles.shape == (1, 2, 3)
-        assert len(tiles.positions) == len(tiles.tiles) == 0
-
-    @pytest.mark.parametrize(
-        "tail, message",
-        [
-            (struct.pack("<II", 2**32 - 1, 0), "truncated boxes"),  # absurd box count
-            (struct.pack("<4I", 1, 0, 1, 0), "truncated boxes"),
-            (struct.pack("<5If", 1, 0, 1, 0, 1, 1.0), "truncated box count"),
-            (struct.pack("<I", 0), "truncated channel data"),
-        ],
-    )
-    def test_v2_counts_checked_against_bytes_left(self, tmp_path, tail, message):
-        """Two channels' data replaced by ``tail``."""
-        path = self.v2_file(tmp_path / "m.ktm", 3, 2, [("prob:k", [], []), ("prob:z", [], [])])
-        path.write_bytes(path.read_bytes()[:-8] + tail)
-        with pytest.raises(ValueError, match=message) as error:
-            load_maps(str(path))
-        assert str(path) in str(error.value)
-
-    @pytest.mark.parametrize(
-        "width, height, count",
-        [(40000, 40000, 1), (4000, 4000, 30), (2**32 - 1, 2**32 - 1, 1), (1, 2**32 - 1, 5)],
-    )
-    def test_v2_huge_declared_grid_rejected_before_allocating(
-        self, tmp_path, monkeypatch, width, height, count
-    ):
-        """A file of a few dozen bytes may not declare a multi-GB grid."""
-
-        def no_allocation(*args, **kwargs):
-            raise AssertionError("allocated the declared block")
-
-        path = self.v2_file(tmp_path / "m.ktm", width, height, [("prob:k", [], [])] * count)
-        monkeypatch.setattr("keytrack.maps.np.zeros", no_allocation)
-        with pytest.raises(ValueError, match=f"{count} channels of {width}x{height} exceed") as error:
-            load_maps(str(path))
-        assert str(path) in str(error.value)
-
-    def test_v2_declared_grid_bound(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("keytrack.maps._MAX_DECLARED_CELLS", 12)
-        path = self.v2_file(tmp_path / "m.ktm", 3, 2, [("prob:k", [], []), ("prob:j", [], [])])
-        assert load_maps(str(path)).prob["k"].shape == (1, 2, 3)
-        path = self.v2_file(tmp_path / "m.ktm", 13, 1, [("prob:k", [], [])])
-        with pytest.raises(ValueError, match="1 channels of 13x1 exceed 12 cells"):
-            load_maps(str(path))
-
-    def test_v2_unallocatable_block_rejected(self, tmp_path, monkeypatch):
-        path = self.v2_file(tmp_path / "m.ktm", 3, 2, [("prob:k", [], [])])
-
-        def no_memory(*args, **kwargs):
-            raise MemoryError
-
-        monkeypatch.setattr("keytrack.maps.np.zeros", no_memory)
-        with pytest.raises(ValueError, match="cannot allocate") as error:
-            load_maps(str(path))
-        assert str(path) in str(error.value)
-
-    def test_v2_association_channels_out_of_order_rejected(self, tmp_path):
-        names = ["assoc:k->j:dy_ab", "assoc:k->j:dx_ab", "assoc:k->j:dx_ba", "assoc:k->j:dy_ba"]
-        path = self.v2_file(tmp_path / "m.ktm", 3, 2, [(name, [], []) for name in names])
-        with pytest.raises(ValueError, match="association channels for k->j out of order"):
-            load_maps(str(path))
-        # a version 1 file stores every cell, so its channels are gathered
-        data = b"KTMB" + struct.pack("<IIII", 1, 3, 2, len(names))
-        for name in names:
-            data += struct.pack("<H", len(name)) + name.encode("utf-8")
-        path.write_bytes(data + np.arange(24, dtype="<f4").tobytes())
-        grids = np.asarray(load_maps(str(path)).assoc[("k", "j")])
-        assert grids[:, 0, 0].tolist() == [6.0, 0.0, 12.0, 18.0]
 
     @staticmethod
     def v3_file(path, width, height, names, tile_sets):
@@ -785,45 +637,67 @@ class TestSerialization:
             load_maps(str(path))
         assert str(path) in str(error.value)
 
-    def test_v3_huge_declared_grid_rejected(self, tmp_path):
-        path = self.v3_file(tmp_path / "m.ktm", 40000, 40000, ["prob:k"], [(0, [], 0)])
-        with pytest.raises(ValueError, match="1 channels of 40000x40000 exceed") as error:
-            load_maps(str(path))
-        assert str(path) in str(error.value)
+    @staticmethod
+    def forbid_allocation(monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated the declared block")
 
-    def test_v2_probability_memory_bounded_by_boxes(self, tmp_path):
-        """A tiny file may declare 24 probability channels on the largest
-        grid the cell cap admits; loading it allocates tiles only where its
-        40 one-cell boxes per channel are."""
+        monkeypatch.setattr("keytrack.maps.np.zeros", no_allocation)
+        monkeypatch.setattr("keytrack.maps.np.empty", no_allocation)
+
+    def test_v3_huge_declared_grid_rejected(self, tmp_path, monkeypatch):
+        """A file of a few dozen bytes may not declare a multi-GB grid."""
+        cases = [(40000, 40000, 1), (4000, 4000, 30), (2**32 - 1, 2**32 - 1, 1), (1, 2**32 - 1, 5)]
+        paths = [
+            self.v3_file(
+                tmp_path / f"m{case}.ktm", width, height,
+                [f"prob:k{index}" for index in range(count)], [(0, [], 0)] * count,
+            )
+            for case, (width, height, count) in enumerate(cases)
+        ]
+        self.forbid_allocation(monkeypatch)
+        for path, (width, height, count) in zip(paths, cases):
+            with pytest.raises(ValueError, match=f"{count} channels of {width}x{height} exceed") as error:
+                load_maps(str(path))
+            assert str(path) in str(error.value)
+
+    def test_v3_declared_grid_bound(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("keytrack.maps._MAX_DECLARED_CELLS", 12)
+        path = self.v3_file(tmp_path / "m.ktm", 3, 2, ["prob:k", "prob:j"], [(0, [], 0)] * 2)
+        assert load_maps(str(path)).prob["k"].shape == (1, 2, 3)
+        path = self.v3_file(tmp_path / "m.ktm", 13, 1, ["prob:k"], [(0, [], 0)])
+        with pytest.raises(ValueError, match="1 channels of 13x1 exceed 12 cells"):
+            load_maps(str(path))
+
+    def test_v3_memory_bounded_by_tiles(self, tmp_path):
+        """A small file may declare 12 probability and 12 association
+        channels on the largest grid the cell cap admits; loading it
+        allocates only the tiles it holds, not the 1 GiB grid."""
         width = 4096
         height = (1 << 28) // (24 * width)
-        rows = range(0, 40 * 67, 67)
-        channels = [
-            (f"prob:k{index}", [(row, row + 1, (101 * row) % width, (101 * row) % width + 1) for row in rows], [0.5] * 40)
-            for index in range(24)
-        ]
-        path = self.v2_file(tmp_path / "m.ktm", width, height, channels)
-        stack = load_maps(str(path))
-        tiles = list(stack.prob.values())
-        assert [len(t.tiles) for t in tiles] == [40] * 24
-        assert sum(t.nbytes for t in stack.tile_sets()) < 2e6
-        col = (101 * 67) % width
-        cells = tiles[1].gather(0, np.array([67, 67]), np.array([col, col + 1]))
-        assert cells.tolist() == [0.5, 0.0]
-
-    def test_v2_file_loads_to_the_encoded_tiles(self, spec, tmp_path):
-        """A version 2 file keeps only the tiles holding a nonzero cell."""
-        config = ScenarioConfig(n_animals=12, seed=1, regimes=(RegimeSegment("stationary", 1),))
-        poses = corrupt(generate(spec, config), spec, config)[0]
-        stack = encode(poses, spec, config.width, config.height)
-        path = tmp_path / "m.ktm"
-        save_maps_v2(stack, str(path))
-        loaded = load_maps(str(path))
-        assert sum(t.nbytes for t in loaded.tile_sets()) == sum(t.nbytes for t in stack.tile_sets())
-        for got, want in zip(loaded.tile_sets(), stack.tile_sets()):
-            assert got.shape == want.shape
-            assert got.positions.tobytes() == want.positions.tobytes()
-            assert got.tiles.tobytes() == want.tiles.tobytes()
+        assert 24 * width * height <= (1 << 28) < 24 * width * (height + 1)
+        slots = -(-height // 16) * (width // 16)
+        names = [f"prob:k{index}" for index in range(12)]
+        tile_sets = [(3, [index, slots // 2, slots - 1], 3) for index in range(12)]
+        for index in range(3):
+            names += [f"assoc:a{index}->b{index}:{suffix}" for suffix in ("dx_ab", "dy_ab", "dx_ba", "dy_ba")]
+            tile_sets.append((3, [index, 2 * slots + 5, 4 * slots - 1], 3))
+        path = self.v3_file(tmp_path / "m.ktm", width, height, names, tile_sets)
+        tracemalloc.start()
+        try:
+            stack = load_maps(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert sum(tiles.nbytes for tiles in stack.tile_sets()) == 15 * 3 * (4 + 4 * 256)
+        # each set's tiles hold 1, 2, ... in order; a cell of no tile reads 0
+        cells = stack.prob["k1"].gather(0, np.array([0, 0, height - 1]), np.array([16, 32, width - 1]))
+        assert cells.tolist() == [1.0, 0.0, 672.0]
+        cells = stack.assoc[("a2", "b2")].gather(
+            np.array([2, 3, 0]), np.array([0, height - 1, 0]), np.array([5 * 16, width - 1, 32])
+        )
+        assert cells.tolist() == [257.0, 672.0, 1.0]
 
     def test_binary_load_keeps_the_encoded_tiles(self, spec, square_pose, tmp_path):
         stack = encode([square_pose], spec, 200, 160)
@@ -837,14 +711,12 @@ class TestSerialization:
             assert got.tiles.tobytes() == want.tiles.tobytes()
         assert [tiles.channels for tiles in loaded.tile_sets()] == [1] * 6 + [4] * 6
 
-    def test_absurd_dimensions_rejected_before_allocating(self, tmp_path):
-        path = tmp_path / "huge.ktm"
-        name = b"prob:k"
-        path.write_bytes(
-            b"KTMB" + struct.pack("<IIII", 1, 2**20, 2**20, 1)
-            + struct.pack("<H", len(name)) + name + b"\x00" * 64
-        )
-        with pytest.raises(ValueError, match="truncated channel data"):
+    def test_absurd_dimensions_rejected_before_allocating(self, tmp_path, monkeypatch):
+        """A grid at the cell cap whose tile count the file cannot hold."""
+        path = self.v3_file(tmp_path / "huge.ktm", 2**14, 2**14, ["prob:k"], [(2**20, [], 0)])
+        path.write_bytes(path.read_bytes() + b"\x00" * 64)
+        self.forbid_allocation(monkeypatch)
+        with pytest.raises(ValueError, match="truncated tiles"):
             load_maps(str(path))
 
 
@@ -919,31 +791,8 @@ def _cut(draw, data: bytes) -> bytes:
     return data if cut is None else data[:cut]
 
 
-# box corners that fit small grids, overrun them, or are absurd
+# tile positions that fit small grids, overrun them, or are absurd
 _corner = st.one_of(st.integers(0, 5), st.sampled_from([2**31, 2**32 - 1]))
-
-
-@st.composite
-def _ktm_v2_channel(draw, width: int, height: int) -> bytes:
-    """One version 2 channel: the boxes of a random pattern in save order,
-    or those boxes repeated (overlapping), reversed (out of order) or
-    joined by an empty one, or random boxes; a right or absurd box count;
-    and box data of the right size, cut short or too long."""
-    rows, cols = min(height, 5), min(width, 5)
-    hot = draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
-    boxes = list(hot_boxes(np.array(hot, dtype=bool).reshape(rows, cols)))
-    boxes = draw(
-        st.sampled_from([boxes, boxes + boxes[-1:], boxes[::-1], boxes + [(rows, rows, 0, cols)]])
-        | st.lists(st.tuples(_corner, _corner, _corner, _corner), max_size=4)
-    )
-    count = draw(st.just(len(boxes)) | _size)
-    area = sum(max(r1 - r0, 0) * max(c1 - c0, 0) for r0, r1, c0, c1 in boxes)
-    cells = draw(st.just(min(area, 64)) | st.integers(0, 64))
-    return (
-        struct.pack("<I", count)
-        + np.array(boxes, dtype="<u4").tobytes()
-        + np.arange(cells, dtype="<f4").tobytes()
-    )
 
 
 @st.composite
@@ -978,10 +827,7 @@ def _ktm_files(draw):
     data = b"KTMB" + struct.pack("<IIII", version, width, height, count)
     for name in names:
         data += struct.pack("<H", len(name)) + name
-    if version == 2:
-        for _ in range(draw(st.just(min(count, 6)) | st.integers(0, 6))):
-            data += draw(_ktm_v2_channel(width, height))
-    elif version == 3:
+    if version == 3:
         for _ in range(draw(st.integers(0, 3))):
             data += draw(_ktm_v3_tile_set(width, height))
     else:
@@ -1032,7 +878,7 @@ def test_fuzzed_ktmt_loads_or_raises_value_error(tmp_path_factory, data):
 
 @settings(deadline=None, max_examples=300)
 @given(
-    writer=st.sampled_from(["v3", "v2", "text"]),
+    writer=st.sampled_from(["v3", "text"]),
     flip=st.none() | st.tuples(st.integers(0, 2**16), st.integers(0, 255)),
     cut=st.none() | st.integers(0, 2**16),
 )
@@ -1040,10 +886,7 @@ def test_damaged_map_file_loads_or_raises_value_error(tmp_path_factory, writer, 
     """A valid file of each format with one byte overwritten and/or cut
     short at any byte."""
     path = tmp_path_factory.mktemp("fuzz") / "m.ktm"
-    if writer == "v2":
-        save_maps_v2(_small_stack(), str(path))
-    else:
-        save_maps(_small_stack(), str(path), text=writer == "text")
+    save_maps(_small_stack(), str(path), text=writer == "text")
     data = bytearray(path.read_bytes())
     if flip is not None:
         data[flip[0] % len(data)] = flip[1]
@@ -1612,44 +1455,18 @@ def test_tiled_writer_matches_dense_writer_and_formats_load_alike(spec, tmp_path
         config = ScenarioConfig(n_animals=12, seed=seed, regimes=(RegimeSegment("stationary", 1),))
         poses = corrupt(generate(spec, config), spec, config)[0]
         scenes.append((spec, poses, config.width, config.height))
-    paths = {name: tmp_path / name for name in ("v3.ktm", "dense.ktm", "v2.ktm", "v1.ktm", "m.ktmt")}
+    paths = {name: tmp_path / name for name in ("v3.ktm", "dense.ktm", "m.ktmt")}
     for scene_spec, poses, width, height in scenes:
         stack = encode(poses, scene_spec, width, height)
         save_maps(stack, str(paths["v3.ktm"]))
         save_maps_v3(stack, str(paths["dense.ktm"]))
         assert paths["v3.ktm"].read_bytes() == paths["dense.ktm"].read_bytes()
-        save_maps_v2(stack, str(paths["v2.ktm"]))
-        save_maps_v1(stack, str(paths["v1.ktm"]))
-        formats = ["v3.ktm", "v2.ktm", "v1.ktm"]
+        formats = ["v3.ktm"]
         if width * height <= 120 * 100:  # the text format takes seconds a full frame
             save_maps(stack, str(paths["m.ktmt"]), text=True)
             formats.append("m.ktmt")
         for name in formats:
             TestSerialization.assert_bit_equal(load_maps(str(paths[name])), stack)
-
-
-def test_v2_association_memory_bounded_by_boxes(tmp_path):
-    """A tiny file may declare 24 association channels on the largest grid
-    the cell cap admits; loading it allocates tiles only where its boxes are."""
-    width = 4096
-    height = (1 << 28) // (24 * width)
-    pairs = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f"), ("f", "g")]
-    channels = []
-    for index, (parent, child) in enumerate(pairs):
-        for suffix in ("dx_ab", "dy_ab", "dx_ba", "dy_ba"):
-            row = 512 * index
-            # two one-cell boxes far apart, one box across four tiles
-            boxes = [(row, row + 1, 5, 6), (row + 40, row + 41, 4000, 4001)]
-            boxes.append((row + 63, row + 65, 31, 33))
-            channels.append((f"assoc:{parent}->{child}:{suffix}", boxes, [1.5, -2.0, 1, 2, 3, 4]))
-    path = TestSerialization.v2_file(tmp_path / "m.ktm", width, height, channels)
-    assert 24 * width * height <= (1 << 28) < 24 * width * (height + 1)
-    stack = load_maps(str(path))
-    assert sum(tiles.nbytes for tiles in stack.tile_sets()) < 2e6
-    tiles = stack.assoc[("c", "d")]
-    assert len(tiles.tiles) == 4 * 6
-    cells = tiles.gather(1, np.array([1024, 1064, 1087, 1088]), np.array([5, 4000, 32, 31]))
-    assert cells.tolist() == [1.5, -2.0, 2.0, 3.0]
 
 
 def test_connection_without_tiles_reads_zero_offsets(spec):
