@@ -645,21 +645,27 @@ class TestSerialization:
         monkeypatch.setattr("keytrack.maps.np.zeros", no_allocation)
         monkeypatch.setattr("keytrack.maps.np.empty", no_allocation)
 
-    def test_v3_huge_declared_grid_rejected(self, tmp_path, monkeypatch):
-        """A file of a few dozen bytes may not declare a multi-GB grid."""
-        cases = [(40000, 40000, 1), (4000, 4000, 30), (2**32 - 1, 2**32 - 1, 1), (1, 2**32 - 1, 5)]
-        paths = [
-            self.v3_file(
-                tmp_path / f"m{case}.ktm", width, height,
-                [f"prob:k{index}" for index in range(count)], [(0, [], 0)] * count,
-            )
-            for case, (width, height, count) in enumerate(cases)
-        ]
+    @pytest.mark.parametrize(
+        "width, height, count",
+        [(40000, 40000, 1), (4000, 4000, 30), (2**32 - 1, 2**32 - 1, 1), (1, 2**32 - 1, 5)],
+    )
+    def test_v2_huge_declared_grid_rejected_before_allocating(
+        self, tmp_path, monkeypatch, width, height, count
+    ):
+        """A file of a few dozen bytes may not declare a multi-GB grid. The
+        bound dates from the version 2 reader; the file here is version 3."""
+        names = [f"prob:k{index}" for index in range(count)]
+        path = self.v3_file(tmp_path / "m.ktm", width, height, names, [(0, [], 0)] * count)
         self.forbid_allocation(monkeypatch)
-        for path, (width, height, count) in zip(paths, cases):
-            with pytest.raises(ValueError, match=f"{count} channels of {width}x{height} exceed") as error:
-                load_maps(str(path))
-            assert str(path) in str(error.value)
+        with pytest.raises(ValueError, match=f"{count} channels of {width}x{height} exceed") as error:
+            load_maps(str(path))
+        assert str(path) in str(error.value)
+
+    def test_v3_huge_declared_grid_rejected(self, tmp_path):
+        path = self.v3_file(tmp_path / "m.ktm", 40000, 40000, ["prob:k"], [(0, [], 0)])
+        with pytest.raises(ValueError, match="1 channels of 40000x40000 exceed") as error:
+            load_maps(str(path))
+        assert str(path) in str(error.value)
 
     def test_v3_declared_grid_bound(self, tmp_path, monkeypatch):
         monkeypatch.setattr("keytrack.maps._MAX_DECLARED_CELLS", 12)
@@ -669,35 +675,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match="1 channels of 13x1 exceed 12 cells"):
             load_maps(str(path))
 
-    def test_v3_memory_bounded_by_tiles(self, tmp_path):
-        """A small file may declare 12 probability and 12 association
-        channels on the largest grid the cell cap admits; loading it
-        allocates only the tiles it holds, not the 1 GiB grid."""
-        width = 4096
-        height = (1 << 28) // (24 * width)
-        assert 24 * width * height <= (1 << 28) < 24 * width * (height + 1)
-        slots = -(-height // 16) * (width // 16)
-        names = [f"prob:k{index}" for index in range(12)]
-        tile_sets = [(3, [index, slots // 2, slots - 1], 3) for index in range(12)]
-        for index in range(3):
-            names += [f"assoc:a{index}->b{index}:{suffix}" for suffix in ("dx_ab", "dy_ab", "dx_ba", "dy_ba")]
-            tile_sets.append((3, [index, 2 * slots + 5, 4 * slots - 1], 3))
+    def test_v2_probability_memory_bounded_by_boxes(self, tmp_path):
+        """A small file may declare 24 probability channels on the largest
+        grid the cell cap admits; loading it allocates only the 3 tiles per
+        channel it holds, not the 1 GiB grid. (Version 2 files held boxes;
+        the file here is version 3.)"""
+        width, height, slots = _largest_admitted_grid()
+        names = [f"prob:k{index}" for index in range(24)]
+        tile_sets = [(3, [index, slots // 2, slots - 1], 3) for index in range(24)]
         path = self.v3_file(tmp_path / "m.ktm", width, height, names, tile_sets)
-        tracemalloc.start()
-        try:
-            stack = load_maps(str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1e6
-        assert sum(tiles.nbytes for tiles in stack.tile_sets()) == 15 * 3 * (4 + 4 * 256)
+        stack = _load_under_1mb(path)
+        assert sum(tiles.nbytes for tiles in stack.tile_sets()) == 24 * 3 * (4 + 256 * 4)
         # each set's tiles hold 1, 2, ... in order; a cell of no tile reads 0
         cells = stack.prob["k1"].gather(0, np.array([0, 0, height - 1]), np.array([16, 32, width - 1]))
         assert cells.tolist() == [1.0, 0.0, 672.0]
-        cells = stack.assoc[("a2", "b2")].gather(
-            np.array([2, 3, 0]), np.array([0, height - 1, 0]), np.array([5 * 16, width - 1, 32])
-        )
-        assert cells.tolist() == [257.0, 672.0, 1.0]
 
     def test_binary_load_keeps_the_encoded_tiles(self, spec, square_pose, tmp_path):
         stack = encode([square_pose], spec, 200, 160)
@@ -748,6 +739,46 @@ class TestSerialization:
             load_maps(str(path))
 
 # fuzzed map file readers: every input loads or raises ValueError
+
+
+def _largest_admitted_grid() -> tuple[int, int, int]:
+    """Width, height and 16x16 tile slots per channel of the largest grid
+    the cell cap admits for 24 channels."""
+    width = 4096
+    height = (1 << 28) // (24 * width)
+    assert 24 * width * height <= (1 << 28) < 24 * width * (height + 1)
+    return width, height, -(-height // 16) * (width // 16)
+
+
+def _load_under_1mb(path) -> MapStack:
+    tracemalloc.start()
+    try:
+        stack = load_maps(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    return stack
+
+
+def test_v2_association_memory_bounded_by_boxes(tmp_path):
+    """A small file may declare 24 association channels on the largest grid
+    the cell cap admits; loading it allocates only the 3 tiles per
+    connection it holds. (Version 2 files held boxes; the file here is
+    version 3.)"""
+    width, height, slots = _largest_admitted_grid()
+    pairs = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f"), ("f", "g")]
+    names = []
+    for parent, child in pairs:
+        names += [f"assoc:{parent}->{child}:{suffix}" for suffix in ("dx_ab", "dy_ab", "dx_ba", "dy_ba")]
+    tile_sets = [(3, [index, 2 * slots + 5, 4 * slots - 1], 3) for index in range(len(pairs))]
+    path = TestSerialization.v3_file(tmp_path / "m.ktm", width, height, names, tile_sets)
+    stack = _load_under_1mb(path)
+    assert sum(tiles.nbytes for tiles in stack.tile_sets()) == 6 * 3 * (4 + 256 * 4)
+    cells = stack.assoc[("c", "d")].gather(
+        np.array([2, 3, 0]), np.array([0, height - 1, 0]), np.array([5 * 16, width - 1, 32])
+    )
+    assert cells.tolist() == [257.0, 672.0, 1.0]
 
 
 def _small_stack() -> MapStack:
