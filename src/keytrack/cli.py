@@ -26,7 +26,7 @@ from .skeleton import Pose, SkeletonSpec, connection_name, is_valid_pose
 
 log = logging.getLogger("keytrack")
 
-MAP_FILE_RE = re.compile(r"frame_(\d+)\.(ktm|ktmt)$")
+MAP_FILE_RE = re.compile(r"frame_(\d+)\.ktm$")
 
 
 def _load_spec(path: Optional[str]) -> SkeletonSpec:
@@ -84,22 +84,20 @@ skeleton_option = click.option(
 @click.option("--theta", default=maps.DEFAULT_THETA, show_default=True, help="Kernel width as a fraction of skeleton scale.")
 @click.option("--cutoff", default=maps.DEFAULT_WEIGHT_CUTOFF, show_default=True, help="Association weight cutoff.")
 @click.option("--extent", default=maps.DEFAULT_KERNEL_EXTENT, show_default=True, help="Kernel support radius in sigmas.")
-@click.option("--text", is_flag=True, help="Write the text map format instead of binary.")
-def encode(detections_path: str, out_dir: str, skeleton_path: Optional[str], theta: float, cutoff: float, extent: float, text: bool) -> None:
+def encode(detections_path: str, out_dir: str, skeleton_path: Optional[str], theta: float, cutoff: float, extent: float) -> None:
     """Encode poses into probability and association maps."""
     spec = _load_spec(skeleton_path)
     params = maps.EncoderParams(theta=theta, weight_cutoff=cutoff, kernel_extent=extent)
     header, frames, _ = _load_detections(detections_path, spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    suffix = "ktmt" if text else "ktm"
     for frame_index in sorted(frames):
         poses = [p for p in frames[frame_index] if is_valid_pose(spec, p)]
         skipped = len(frames[frame_index]) - len(poses)
         if skipped:
             log.warning("frame %d: skipped %d invalid poses", frame_index, skipped)
         stack = maps.encode(poses, spec, header.width, header.height, params)
-        maps.save_maps(stack, str(out / f"frame_{frame_index:06d}.{suffix}"), text=text)
+        maps.save_maps(stack, str(out / f"frame_{frame_index:06d}.ktm"))
     click.echo(f"encoded {len(frames)} frames to {out_dir}")
 
 
@@ -113,13 +111,14 @@ def _map_files(maps_dir: str) -> list[tuple[int, Path]]:
         match = MAP_FILE_RE.search(entry.name)
         if match:
             frame_index = int(match.group(1))
+            # frame_7.ktm and frame_000007.ktm name the same frame
             if frame_index in found:
                 raise ValueError(
                     f"two map files for frame {frame_index}: {found[frame_index]} and {entry}"
                 )
             found[frame_index] = entry
     if not found:
-        raise ValueError(f"no frame_*.ktm or frame_*.ktmt files in {maps_dir}")
+        raise ValueError(f"no frame_*.ktm files in {maps_dir}")
     return sorted(found.items())
 
 

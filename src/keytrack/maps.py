@@ -156,8 +156,8 @@ class Tiles:
         return (self.channels, *_tile_counts(self.height, self.width))
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """The dense ``(C, height, width)`` channels: for ``map_loss``, the
-        text format and tests; the codec reads the tiles."""
+        """The dense ``(C, height, width)`` channels: for ``map_loss`` and
+        tests; the codec reads the tiles."""
         if copy is False:
             raise ValueError("tiles cannot be viewed as a dense array without a copy")
         channels, ny, nx = self._grid()
@@ -424,6 +424,11 @@ def encode(
     probability maps, one tile set per category, and weighted mean offset
     maps, four channels per connection, rendered through one scratch."""
     sigmas = pose_sigmas(poses, spec, params) if poses else []
+    # a finite extent can still overflow the kernel window's reach
+    if sigmas and not math.isfinite(params.kernel_extent * max(sigmas)):
+        raise ValueError(
+            f"kernel_extent {params.kernel_extent} times kernel sigma {max(sigmas)} is not finite"
+        )
     scratch = _scratch(height, width)
     prob, weights = _render_prob(poses, sigmas, spec, width, height, params, scratch)
     assoc = _render_assoc(poses, sigmas, spec, width, height, params, weights, scratch)
@@ -785,49 +790,27 @@ def map_loss(
 
 
 # ---------------------------------------------------------------------------
-# serialization: a binary container of tile sets and a text debugging format
+# serialization: a binary container of tile sets
 
 
 _BINARY_MAGIC = b"KTMB"
-_TEXT_MAGIC = "KTMT"
-# version 3 stores tile sets; version 1 (every cell) and version 2 (boxes
-# of nonzero cells) are rejected with a message to re-encode the frame
+# version 3 stores tile sets; version 1 (every cell), version 2 (boxes of
+# nonzero cells) and the dense text format are rejected with a message to
+# re-encode the frame
 _BINARY_VERSION = 3
-_TEXT_VERSION = 1
+_RE_ENCODE = "re-encode the frame from its detections with keytrack encode"
 # a file need not hold the grid it declares, so the loader bounds it:
 # 2**28 cells (1 GiB of float32) hold 30 channels of a 3840x2160 frame
 _MAX_DECLARED_CELLS = 1 << 28
 _TILE_BYTES = 4 * TILE * TILE
 
 
-def save_maps(maps: MapStack, path: str, text: bool = False) -> None:
-    if text:
-        _save_text(maps, path)
-    else:
-        _save_binary(maps, path)
-
-
-def load_maps(path: str) -> MapStack:
-    """A ``.ktm`` (version 3) or ``.ktmt`` text file; every
-    ``ValueError`` it raises names the file."""
-    with open(path, "rb") as handle:
-        try:
-            magic = handle.read(4)
-            if magic == _BINARY_MAGIC:
-                return _load_binary(handle)
-            if magic == _TEXT_MAGIC.encode("ascii"):
-                handle.seek(0)
-                return _load_text(handle)
-            raise ValueError("not a map stack file")
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-
-
-def _save_binary(maps: MapStack, path: str) -> None:
-    """Header and channel names, then per tile set, in the order of
-    ``channel_names``: a ``<u4`` tile count ``n``, its ``n`` positions as
-    ``<u4`` and its ``n`` 16x16 tiles as ``<f4``, as the tile set holds
-    them, so -0.0, NaN and subnormals round-trip exactly."""
+def save_maps(maps: MapStack, path: str) -> None:
+    """A ``.ktm`` file of version 3: the header and channel names, then
+    per tile set, in the order of ``channel_names``: a ``<u4`` tile count
+    ``n``, its ``n`` positions as ``<u4`` and its ``n`` 16x16 tiles as
+    ``<f4``, as the tile set holds them, so -0.0, NaN and subnormals
+    round-trip exactly."""
     names = maps.channel_names()
     with open(path, "wb") as handle:
         handle.write(_BINARY_MAGIC)
@@ -840,6 +823,21 @@ def _save_binary(maps: MapStack, path: str) -> None:
             handle.write(struct.pack("<I", len(tiles.positions)))
             handle.write(tiles.positions.astype("<u4", copy=False))
             handle.write(np.ascontiguousarray(tiles.tiles, dtype="<f4"))
+
+
+def load_maps(path: str) -> MapStack:
+    """A ``.ktm`` file of version 3, as ``save_maps`` writes it; every
+    ``ValueError`` it raises names the file."""
+    with open(path, "rb") as handle:
+        try:
+            magic = handle.read(4)
+            if magic == _BINARY_MAGIC:
+                return _load_binary(handle)
+            if magic == b"KTMT":
+                raise ValueError(f"text map files (.ktmt) are no longer read; {_RE_ENCODE}")
+            raise ValueError("not a map stack file")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_exact(handle: BinaryIO, size: int, what: str) -> bytes:
@@ -863,10 +861,7 @@ def _bytes_left(handle: BinaryIO) -> int:
 def _load_binary(handle: BinaryIO) -> MapStack:
     version, width, height, count = struct.unpack("<IIII", _read_exact(handle, 16, "header"))
     if version in (1, 2):
-        raise ValueError(
-            f".ktm version {version} is no longer read; "
-            "re-encode the frame from its detections with keytrack encode"
-        )
+        raise ValueError(f".ktm version {version} is no longer read; {_RE_ENCODE}")
     if version != _BINARY_VERSION:
         raise ValueError(f"unsupported version {version}")
     names = []
@@ -889,7 +884,7 @@ def _read_tile_sets(
     width: int,
     height: int,
 ) -> MapStack:
-    """Version 3 channel data, as ``_save_binary`` writes it: each tile
+    """Version 3 channel data, as ``save_maps`` writes it: each tile
     set's positions and tiles are read straight into the arrays it keeps.
 
     Every tile count is checked against the bytes left before anything is
@@ -926,48 +921,6 @@ def _read_tile_sets(
     return stack
 
 
-def _save_text(maps: MapStack, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"{_TEXT_MAGIC} {_TEXT_VERSION}\n")
-        channels = list(maps.channel_items())
-        handle.write(f"{maps.width} {maps.height} {len(channels)}\n")
-        for name, grid in channels:
-            handle.write(name + "\n")
-            np.savetxt(handle, np.asarray(grid, dtype=np.float32), fmt="%.9g")
-
-
-def _load_text(handle: BinaryIO) -> MapStack:
-    def line() -> str:
-        return _utf8(handle.readline(), "line")
-
-    header = line().split()
-    if len(header) != 2 or header[0] != _TEXT_MAGIC:
-        raise ValueError("bad text header")
-    if header[1] != str(_TEXT_VERSION):
-        raise ValueError(f"unsupported version {header[1]}")
-    sizes = line().split()
-    if len(sizes) != 3:
-        raise ValueError("size line is not width, height and channel count")
-    width, height, count = (int(tok) for tok in sizes)
-    if min(width, height, count) < 0:
-        raise ValueError(f"negative size {width} x {height} x {count}")
-    # each channel is a name line and ``height`` lines of ``width``
-    # values, each line at least one byte per value and never empty, so
-    # a header that asks for more than the file holds is rejected here
-    if _bytes_left(handle) < count * (1 + height * max(width, 1)):
-        raise ValueError("truncated channel data")
-    names = []
-    grids = []
-    for _ in range(count):
-        names.append(line().strip())
-        rows = [np.array(line().split(), dtype=np.float32) for _ in range(height)]
-        if any(row.shape != (width,) for row in rows):
-            raise ValueError("channel shape mismatch")
-        grids.append(np.array(rows, dtype=np.float32).reshape(height, width))
-    block = np.array(grids, dtype=np.float32).reshape(count, height, width)
-    return _assemble_stack(names, block)
-
-
 def _channel_layout(names: list[str]) -> tuple[dict[str, int], dict[Pair, list[int]]]:
     """The index among ``names`` of each probability category's channel
     and of each connection's four association channels, in
@@ -991,15 +944,3 @@ def _channel_layout(names: list[str]) -> tuple[dict[str, int], dict[Pair, list[i
     if len(prob) + len(ASSOC_CHANNELS) * len(assoc) != len(names):
         raise ValueError("repeated channel name")
     return prob, assoc
-
-
-def _assemble_stack(names: list[str], block: np.ndarray) -> MapStack:
-    """A stack of the dense channels ``block`` (channel, row, col), tiled."""
-    prob, assoc = _channel_layout(names)
-    _, height, width = block.shape
-    return MapStack(
-        width=width,
-        height=height,
-        prob={category: block[index] for category, index in prob.items()},
-        assoc={pair: block[indices] for pair, indices in assoc.items()},
-    )

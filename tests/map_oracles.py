@@ -9,9 +9,7 @@ package writes a ``.ktm`` file (version 3) from its tiles; the version 3
 writer here cuts every channel into tiles and must write the same bytes.
 The version 1 writer here stores every cell and the version 2 writer the
 boxes of nonzero cells; the package no longer reads those formats, and
-these writers make the files it must reject.  The ``.ktmt``
-writer here formats one cell at a time, and the package's must write its
-bytes.
+these writers make the files it must reject.
 """
 
 from __future__ import annotations
@@ -25,8 +23,6 @@ import numpy as np
 from keytrack import kernels
 from keytrack.maps import (
     SMOOTH_RADIUS,
-    _TEXT_MAGIC,
-    _TEXT_VERSION,
     CandidateKeypoint,
     EncoderParams,
     MapStack,
@@ -209,14 +205,3 @@ def save_maps_v3(maps: MapStack, path: str) -> None:
             handle.write(positions.astype("<u4").tobytes())
             handle.write(tiles[positions].tobytes())
 
-
-def save_text_maps_by_cell(maps: MapStack, path: str) -> None:
-    """The ``.ktmt`` layout written one ``%.9g`` cell at a time."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"{_TEXT_MAGIC} {_TEXT_VERSION}\n")
-        channels = list(maps.channel_items())
-        handle.write(f"{maps.width} {maps.height} {len(channels)}\n")
-        for name, grid in channels:
-            handle.write(name + "\n")
-            for row in np.asarray(grid, dtype=np.float32):
-                handle.write(" ".join(f"{v:.9g}" for v in row) + "\n")

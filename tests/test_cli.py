@@ -137,7 +137,7 @@ class TestSimulateCommand:
 
 
 class TestEncodeDecode:
-    def encode(self, runner, truth_file, tmp_path, extra=()):
+    def encode(self, runner, truth_file, tmp_path):
         maps_dir = tmp_path / "maps"
         result = runner.invoke(
             cli,
@@ -147,7 +147,6 @@ class TestEncodeDecode:
                 str(truth_file),
                 "--out-dir",
                 str(maps_dir),
-                *extra,
             ],
         )
         assert result.exit_code == 0, result.output
@@ -157,11 +156,6 @@ class TestEncodeDecode:
         maps_dir = self.encode(runner, truth_file, tmp_path)
         names = sorted(p.name for p in maps_dir.iterdir())
         assert names == [f"frame_{i:06d}.ktm" for i in range(4)]
-
-    def test_encode_text_format(self, runner, truth_file, tmp_path):
-        maps_dir = self.encode(runner, truth_file, tmp_path, extra=["--text"])
-        names = sorted(p.name for p in maps_dir.iterdir())
-        assert names == [f"frame_{i:06d}.ktmt" for i in range(4)]
 
     def test_decode_assemble_recovers_truth(self, runner, truth_file, tmp_path):
         maps_dir = self.encode(runner, truth_file, tmp_path)
@@ -200,10 +194,10 @@ class TestEncodeDecode:
         self, runner, spec, truth_file, tmp_path, monkeypatch, capsys
     ):
         maps_dir = self.encode(runner, truth_file, tmp_path)
-        # frame 0 also as a text file; the names clash before either is read
-        text_file = maps_dir / "frame_000000.ktmt"
-        save_maps(encode_maps([], spec, 8, 6), str(text_file), text=True)
-        both = f"two map files for frame 0: {maps_dir / 'frame_000000.ktm'} and {text_file}"
+        # frame 0 also without zero padding; the names clash before either is read
+        short = maps_dir / "frame_0.ktm"
+        save_maps(encode_maps([], spec, 8, 6), str(short))
+        both = f"two map files for frame 0: {short} and {maps_dir / 'frame_000000.ktm'}"
         out = str(tmp_path / "o.jsonl")
         code, err = exit_code_and_error(
             monkeypatch, capsys, "decode-assemble", "--maps-dir", str(maps_dir), "--out", out
@@ -211,7 +205,7 @@ class TestEncodeDecode:
         assert code == 2 and both in err
         single = tmp_path / "single"
         single.mkdir()
-        for path in maps_dir.glob("*.ktm"):
+        for path in maps_dir.glob("frame_??????.ktm"):
             (single / path.name).write_bytes(path.read_bytes())
         for truth_maps, pred_maps in ((maps_dir, single), (single, maps_dir)):
             code, err = exit_code_and_error(
@@ -272,6 +266,36 @@ class TestEncodeDecode:
             f"error: {path}: .ktm version 2 is no longer read; "
             "re-encode the frame from its detections with keytrack encode"
         ) in err
+        assert not out.exists()
+
+    def test_text_map_file_exits_two(self, tmp_path, monkeypatch, capsys):
+        """A text map file under the .ktm name is rejected by its magic."""
+        maps_dir = tmp_path / "maps"
+        maps_dir.mkdir()
+        path = maps_dir / "frame_000000.ktm"
+        path.write_bytes(b"KTMT 1\n1 1 1\nprob:k\n0\n")
+        out = tmp_path / "o.jsonl"
+        code, err = exit_code_and_error(
+            monkeypatch, capsys, "decode-assemble", "--maps-dir", str(maps_dir), "--out", str(out)
+        )
+        assert code == 2
+        assert (
+            f"error: {path}: text map files (.ktmt) are no longer read; "
+            "re-encode the frame from its detections with keytrack encode"
+        ) in err
+        assert not out.exists()
+
+    def test_text_map_directory_exits_two(self, tmp_path, monkeypatch, capsys):
+        """A directory whose only map file is ``.ktmt`` holds no map files."""
+        maps_dir = tmp_path / "maps"
+        maps_dir.mkdir()
+        (maps_dir / "frame_000000.ktmt").write_bytes(b"KTMT 1\n1 1 1\nprob:k\n0\n")
+        out = tmp_path / "o.jsonl"
+        code, err = exit_code_and_error(
+            monkeypatch, capsys, "decode-assemble", "--maps-dir", str(maps_dir), "--out", str(out)
+        )
+        assert code == 2
+        assert f"error: no frame_*.ktm files in {maps_dir}" in err
         assert not out.exists()
 
     def test_decode_empty_dir_fails(self, runner, tmp_path):
@@ -486,6 +510,7 @@ class TestKfDemoCommand:
         ("evaluate without maps", ["--prob-cutoff", "-inf"], "cutoff must be finite, got -inf"),
         ("encode", ["--extent", "nan"], "kernel_extent must be positive and finite, got nan"),
         ("encode", ["--extent", "inf"], "kernel_extent must be positive and finite, got inf"),
+        ("encode", ["--extent", "1e308"], "kernel_extent 1e+308 times kernel sigma"),
     ],
 )
 def test_out_of_range_parameter_exits_two(

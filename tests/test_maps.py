@@ -51,7 +51,6 @@ from map_oracles import (
     save_maps_v1,
     save_maps_v2,
     save_maps_v3,
-    save_text_maps_by_cell,
 )
 
 
@@ -133,6 +132,19 @@ class TestProbEncoding:
         x, y = square_pose.coords["withers"]
         beyond = int(math.ceil(3.0 * sigma)) + 1
         assert maps["withers"][int(y), int(x) + beyond] == 0.0
+
+    def test_overflowing_kernel_reach_rejected(self, spec, square_pose):
+        """A finite extent whose product with a sigma is inf names
+        ``kernel_extent``; a huge finite reach is clipped to the grid."""
+        sigma = pose_sigmas([square_pose], spec, EncoderParams())[0]
+        with pytest.raises(ValueError) as error:
+            encode([square_pose], spec, 200, 160, EncoderParams(kernel_extent=1e308))
+        assert str(error.value) == f"kernel_extent 1e+308 times kernel sigma {sigma} is not finite"
+        encode([], spec, 200, 160, EncoderParams(kernel_extent=1e308))
+        huge, whole = (
+            encode([square_pose], spec, 200, 160, EncoderParams(kernel_extent=extent)) for extent in (1e306, 100.0)
+        )
+        assert [np.asarray(t).tobytes() for t in huge.tile_sets()] == [np.asarray(t).tobytes() for t in whole.tile_sets()]
 
     def test_empty_frame(self, spec):
         maps = _grids(encode([], spec, 64, 48).prob)
@@ -387,11 +399,10 @@ def _one_channel_v3_file(name: bytes) -> bytes:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("text", [False, True])
-    def test_round_trip(self, spec, square_pose, tmp_path, text):
+    def test_round_trip(self, spec, square_pose, tmp_path):
         stack = encode([square_pose], spec, 48, 40)
-        path = tmp_path / ("m.ktmt" if text else "m.ktm")
-        save_maps(stack, str(path), text=text)
+        path = tmp_path / "m.ktm"
+        save_maps(stack, str(path))
         loaded = load_maps(str(path))
         assert loaded.width == 48 and loaded.height == 40
         assert set(loaded.prob) == set(stack.prob)
@@ -422,15 +433,19 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "name, data, message",
         [
-            ("m.ktmt", b"KTMT 1\n3 2\n", "size line is not width, height and channel count"),
-            ("m.ktmt", b"KTMT 1\n2 1 1\nprob:k\nabc 1\n", "could not convert string to float: 'abc'"),
-            ("m.ktmt", b"KTMT 1\n1 1 1\n\xffk\n0\n", "line is not UTF-8"),
+            ("m.ktm", b"KTMB" + struct.pack("<III", 3, 1, 1), "truncated header"),
+            ("m.ktm", _one_channel_v3_file(b"prob:k")[:-4] + struct.pack("<I", 1), "truncated tiles"),
             ("m.ktm", _one_channel_v3_file(b"\xffk"), "channel name is not UTF-8"),
-            ("m.ktmt", b"KTMT x\n1 1 1\nprob:k\n0\n", "unsupported version x"),
-            ("m.ktmt", b"KTMT 1\n1 1 1\nassoc:foo:dx_ab\n0\n", "malformed connection name: 'foo'"),
+            ("m.ktm", b"KTMB" + struct.pack("<IIII", 4, 1, 1, 0), "unsupported version 4"),
             ("m.ktm", _one_channel_v3_file(b"assoc:foo:dx_ab"), "malformed connection name: 'foo'"),
+            (
+                "frame_000000.ktmt",
+                b"KTMT 1\n1 1 1\nprob:k\n0\n",
+                "text map files (.ktmt) are no longer read; "
+                "re-encode the frame from its detections with keytrack encode",
+            ),
         ],
-        ids=["sizes", "cell", "text-name", "binary-name", "version", "text-connection", "binary-connection"],
+        ids=["sizes", "cell", "binary-name", "version", "binary-connection", "ktmt"],
     )
     def test_load_errors_name_the_file(self, tmp_path, name, data, message):
         path = tmp_path / name
@@ -535,30 +550,6 @@ class TestSerialization:
         self.assert_bit_equal(loaded, stack)
         assert np.signbit(np.asarray(loaded.prob["k"])[0, 0, 0])
         assert np.signbit(np.asarray(loaded.assoc[("k", "j")])[1]).all()
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_text_writer_matches_cell_oracle(self, spec, square_pose, tmp_path, dtype):
-        tiny = np.finfo(np.float32).smallest_subnormal
-        prob = np.random.default_rng(3).normal(0.0, 1e3, (7, 9)).astype(dtype)
-        prob[0, :6] = [-0.0, np.nan, np.inf, -np.inf, tiny, -tiny]
-        prob[1, :4] = [3e-39, 1e-45, 1.0 / 3.0, 16777217.0]
-        stacks = [
-            encode([square_pose], spec, 48, 40),
-            MapStack(width=9, height=7, prob={"k": prob}, assoc={("k", "j"): np.stack([prob] * 4)}),
-            *(
-                MapStack(
-                    width=w,
-                    height=h,
-                    prob={"k": np.zeros((h, w), dtype)},
-                    assoc={("k", "j"): np.zeros((4, h, w), dtype)},
-                )
-                for h, w in [(0, 3), (3, 0), (0, 0)]
-            ),
-        ]
-        for stack in stacks:
-            save_maps(stack, str(tmp_path / "m.ktmt"), text=True)
-            save_text_maps_by_cell(stack, str(tmp_path / "oracle.ktmt"))
-            assert (tmp_path / "m.ktmt").read_bytes() == (tmp_path / "oracle.ktmt").read_bytes()
 
     @pytest.mark.parametrize("height, width", [(0, 3), (3, 0), (0, 0)])
     def test_binary_round_trip_empty_grid(self, tmp_path, height, width):
@@ -719,24 +710,11 @@ class TestSerialization:
         with pytest.raises(ValueError, match="truncated header"):
             load_maps(str(path))
 
-    def test_absurd_text_dimensions_rejected_before_reading(self, tmp_path):
-        path = tmp_path / "huge.ktmt"
-        path.write_text("KTMT 1\n2 1000000000000 1\nprob:k\n0 0\n")
-        with pytest.raises(ValueError, match="truncated channel data"):
-            load_maps(str(path))
-
-    @pytest.mark.parametrize("text", [False, True])
-    def test_zero_height_round_trip(self, tmp_path, text):
+    def test_zero_height_round_trip(self, tmp_path):
         stack = MapStack(width=3, height=0, prob={"k": np.zeros((0, 3), np.float32)})
-        path = tmp_path / ("m.ktmt" if text else "m.ktm")
-        save_maps(stack, str(path), text=text)
+        path = tmp_path / "m.ktm"
+        save_maps(stack, str(path))
         assert load_maps(str(path)).prob["k"].shape == (1, 0, 3)
-
-    def test_negative_text_dimensions_rejected(self, tmp_path):
-        path = tmp_path / "m.ktmt"
-        path.write_text("KTMT 1\n2 -1 1\nprob:k\n")
-        with pytest.raises(ValueError, match="negative size"):
-            load_maps(str(path))
 
 # fuzzed map file readers: every input loads or raises ValueError
 
@@ -867,25 +845,6 @@ def _ktm_files(draw):
     return _cut(draw, data + draw(st.binary(max_size=8)))
 
 
-_text_size = st.one_of(st.integers(-2, 4), st.integers(5, 10**15), st.sampled_from([10**9, 10**15]))
-_text_value = st.sampled_from(["0", "0.5", "-1e3", "nan", "inf", "1e999", "x", ""])
-
-
-@st.composite
-def _ktmt_files(draw):
-    width, height = draw(_text_size), draw(_text_size)
-    names = draw(st.lists(_channel_name, max_size=4))
-    count = draw(st.just(len(names)) | _text_size)
-    sizes = draw(st.sampled_from([f"{width} {height} {count}", f"{width} {height}", "a b c"]))
-    lines = [draw(st.sampled_from(["KTMT 1", "KTMT 2", "KTMT x", "KTMT"])).encode(), sizes.encode()]
-    for name in names:
-        lines.append(name)
-        for _ in range(max(0, min(height, 3))):
-            row_width = draw(st.just(max(0, min(width, 3))) | st.integers(0, 4))
-            lines.append(" ".join(draw(_text_value) for _ in range(row_width)).encode())
-    return _cut(draw, b"\n".join(lines) + b"\n")
-
-
 def _loads_or_value_error(path, data: bytes) -> None:
     path.write_bytes(data)
     try:
@@ -902,22 +861,15 @@ def test_fuzzed_ktm_loads_or_raises_value_error(tmp_path_factory, data):
 
 
 @settings(deadline=None, max_examples=300)
-@given(data=_ktmt_files())
-def test_fuzzed_ktmt_loads_or_raises_value_error(tmp_path_factory, data):
-    _loads_or_value_error(tmp_path_factory.mktemp("fuzz") / "m.ktmt", data)
-
-
-@settings(deadline=None, max_examples=300)
 @given(
-    writer=st.sampled_from(["v3", "text"]),
     flip=st.none() | st.tuples(st.integers(0, 2**16), st.integers(0, 255)),
     cut=st.none() | st.integers(0, 2**16),
 )
-def test_damaged_map_file_loads_or_raises_value_error(tmp_path_factory, writer, flip, cut):
-    """A valid file of each format with one byte overwritten and/or cut
-    short at any byte."""
+def test_damaged_map_file_loads_or_raises_value_error(tmp_path_factory, flip, cut):
+    """A valid file with one byte overwritten and/or cut short at any
+    byte."""
     path = tmp_path_factory.mktemp("fuzz") / "m.ktm"
-    save_maps(_small_stack(), str(path), text=writer == "text")
+    save_maps(_small_stack(), str(path))
     data = bytearray(path.read_bytes())
     if flip is not None:
         data[flip[0] % len(data)] = flip[1]
@@ -1486,18 +1438,13 @@ def test_tiled_writer_matches_dense_writer_and_formats_load_alike(spec, tmp_path
         config = ScenarioConfig(n_animals=12, seed=seed, regimes=(RegimeSegment("stationary", 1),))
         poses = corrupt(generate(spec, config), spec, config)[0]
         scenes.append((spec, poses, config.width, config.height))
-    paths = {name: tmp_path / name for name in ("v3.ktm", "dense.ktm", "m.ktmt")}
+    tiled, dense = tmp_path / "v3.ktm", tmp_path / "dense.ktm"
     for scene_spec, poses, width, height in scenes:
         stack = encode(poses, scene_spec, width, height)
-        save_maps(stack, str(paths["v3.ktm"]))
-        save_maps_v3(stack, str(paths["dense.ktm"]))
-        assert paths["v3.ktm"].read_bytes() == paths["dense.ktm"].read_bytes()
-        formats = ["v3.ktm"]
-        if width * height <= 120 * 100:  # the text format takes seconds a full frame
-            save_maps(stack, str(paths["m.ktmt"]), text=True)
-            formats.append("m.ktmt")
-        for name in formats:
-            TestSerialization.assert_bit_equal(load_maps(str(paths[name])), stack)
+        save_maps(stack, str(tiled))
+        save_maps_v3(stack, str(dense))
+        assert tiled.read_bytes() == dense.read_bytes()
+        TestSerialization.assert_bit_equal(load_maps(str(tiled)), stack)
 
 
 def test_connection_without_tiles_reads_zero_offsets(spec):
