@@ -10,24 +10,15 @@ in the skeleton's tree order, pruning unmatched candidates after each stage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .assignment import greedy_assign
 from .maps import CandidateKeypoint, MapStack, read_offset
-from .skeleton import Pair, SkeletonSpec, XY
+from .skeleton import Pair, Pose, SkeletonSpec, XY
 
 DEFAULT_GATE_FRACTION = 0.05
-
-
-@dataclass
-class PartialSkeleton:
-    """An assembled (possibly incomplete) skeleton instance."""
-
-    coords: dict[str, XY] = field(default_factory=dict)
-    scores: dict[str, float] = field(default_factory=dict)
 
 
 def predict_complement(
@@ -79,13 +70,15 @@ def assemble(
     maps: MapStack,
     spec: SkeletonSpec,
     gate_fraction: float = DEFAULT_GATE_FRACTION,
-) -> list[PartialSkeleton]:
+) -> list[Pose]:
     """Assemble candidates into skeletons anchored at root candidates.
 
     A pairing is kept when its penalty is within ``gate_fraction`` times
     the diagonal of the maps, and ``gate_fraction`` must be positive.
-    Returns only skeletons that kept the root plus at least one dominant
-    connection.  Training-only connections are never used.
+    Returns, as poses ready for :meth:`keytrack.KeySortTracker.step`, only
+    skeletons that kept the root plus at least one dominant connection;
+    a category left unmatched is absent from the pose's ``coords``.
+    Training-only connections are never used.
     """
     if not gate_fraction > 0:
         raise ValueError(f"gate_fraction must be positive, got {gate_fraction}")
@@ -97,25 +90,21 @@ def assemble(
             raise ValueError(f"candidate category {cand.category!r} not in skeleton")
         by_category[cand.category].append(cand)
 
-    def attach(pair: Pair, holders: list[PartialSkeleton]) -> list[int]:
+    def attach(pair: Pair, holders: list[dict[str, XY]]) -> list[int]:
         """Match the child candidates of ``pair`` to the ``holders`` of its
         parent; returns the indices of the holders that got one."""
         children = by_category[pair[1]]
         if not holders or not children:
             return []
         matrix = association_penalty(
-            [s.coords[pair[0]] for s in holders], [c.xy for c in children], maps, pair
+            [s[pair[0]] for s in holders], [c.xy for c in children], maps, pair
         )
         matches = greedy_assign(matrix, gate=gate)
         for i, j in matches:
-            holders[i].coords[pair[1]] = children[j].xy
-            holders[i].scores[pair[1]] = children[j].score
+            holders[i][pair[1]] = children[j].xy
         return [i for i, _ in matches]
 
-    skeletons = [
-        PartialSkeleton(coords={spec.root: r.xy}, scores={spec.root: r.score})
-        for r in by_category[spec.root]
-    ]
+    skeletons = [{spec.root: r.xy} for r in by_category[spec.root]]
     # stage 1: dominant connections, each an independent bipartite problem
     # over the full root pool
     matched = {i for pair in spec.dominant for i in attach(pair, skeletons)}
@@ -125,6 +114,6 @@ def assemble(
     # attached before its children; unmatched candidates simply drop out
     for pair in spec.tree_order:
         if pair not in spec.dominant:
-            attach(pair, [s for s in survivors if pair[0] in s.coords])
+            attach(pair, [s for s in survivors if pair[0] in s])
 
-    return survivors
+    return [Pose(coords=coords) for coords in survivors]

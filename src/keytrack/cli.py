@@ -26,7 +26,7 @@ from .skeleton import Pose, SkeletonSpec, connection_name, is_valid_pose
 
 log = logging.getLogger("keytrack")
 
-MAP_FILE_RE = re.compile(r"frame_(\d+)\.ktm$")
+MAP_FILE_RE = re.compile(r"frame_(\d+)\.ktm")
 
 
 def _load_spec(path: Optional[str]) -> SkeletonSpec:
@@ -108,7 +108,7 @@ def encode(detections_path: str, out_dir: str, skeleton_path: Optional[str], the
 def _map_files(maps_dir: str) -> list[tuple[int, Path]]:
     found: dict[int, Path] = {}
     for entry in sorted(Path(maps_dir).iterdir()):
-        match = MAP_FILE_RE.search(entry.name)
+        match = MAP_FILE_RE.fullmatch(entry.name)
         if match:
             frame_index = int(match.group(1))
             # frame_7.ktm and frame_000007.ktm name the same frame
@@ -158,10 +158,7 @@ def decode_assemble(maps_dir: str, out_path: str, skeleton_path: Optional[str], 
             )
         _check_maps_fit(path, stack, spec)
         candidates = maps.decode_candidates(stack.prob, threshold, nms_radius)
-        skeletons = assembly.assemble(candidates, stack, spec, gate_fraction=gate_fraction)
-        frames[frame_index] = [
-            Pose(coords=dict(s.coords), frame_index=frame_index) for s in skeletons
-        ]
+        frames[frame_index] = assembly.assemble(candidates, stack, spec, gate_fraction=gate_fraction)
     assert header is not None
     io.save_detections(out_path, header, frames)
     total = sum(len(v) for v in frames.values())

@@ -32,6 +32,14 @@ from .skeleton import Pose, SkeletonSpec, XY, require_valid_spec
 
 log = logging.getLogger(__name__)
 
+# noise factors of the reference configuration: R is ``r_star`` times
+# R_SCALE, the process variances are the mean of R times Q_POS_FACTOR and
+# Q_VEL_FACTOR, and the initial variances are those times P0_FACTOR
+R_SCALE = 1e-2
+Q_POS_FACTOR = 1e-5
+Q_VEL_FACTOR = 1e-7
+P0_FACTOR = 1e10
+
 
 @dataclass(frozen=True)
 class TrackerConfig:
@@ -43,10 +51,6 @@ class TrackerConfig:
     impute_max_consecutive: int = 2
     impute_min_freq: float = 0.5
     freq_memory: float = 0.8
-    r_scale: float = 1e-2
-    q_pos_factor: float = 1e-5
-    q_vel_factor: float = 1e-7
-    p0_factor: float = 1e10
     sign_window: int = 8
     # factor mapping working coordinates to original-image pixels; the
     # association gate is defined on the original image
@@ -60,10 +64,6 @@ class TrackerConfig:
             raise ValueError("lifecycle thresholds must be non-negative")
         if not 0.0 <= self.freq_memory < 1.0:
             raise ValueError("freq_memory must be in [0, 1)")
-        if not (self.r_scale > 0 and self.q_pos_factor > 0 and self.q_vel_factor > 0):
-            raise ValueError("noise factors must be positive")
-        if not self.p0_factor > 0:
-            raise ValueError("p0_factor must be positive")
         if self.sign_window < 1:
             raise ValueError("sign_window must be at least 1")
         if not 0.0 < self.coord_scale < math.inf:
@@ -127,10 +127,9 @@ class TrackerModel:
     and velocity.
     """
 
-    def __init__(self, spec: SkeletonSpec, r_star, config: TrackerConfig):
+    def __init__(self, spec: SkeletonSpec, r_star):
         require_valid_spec(spec)
         self.spec = spec
-        self.config = config
         categories = spec.categories
         ncat = len(categories)
         self.obs_dim = 2 * ncat
@@ -145,12 +144,12 @@ class TrackerModel:
         if not (np.isfinite(r_star) & (r_star > 0)).all():
             raise ValueError("r_star variances must be positive and finite")
 
-        self.r_row = r_star * config.r_scale
+        self.r_row = r_star * R_SCALE
         sigma_bar = float(np.mean(self.r_row))
-        self.q_pos = sigma_bar * config.q_pos_factor
-        self.q_vel = sigma_bar * config.q_vel_factor
-        self.p0_pos = self.q_pos * config.p0_factor
-        self.p0_vel = self.q_vel * config.p0_factor
+        self.q_pos = sigma_bar * Q_POS_FACTOR
+        self.q_vel = sigma_bar * Q_VEL_FACTOR
+        self.p0_pos = self.q_pos * P0_FACTOR
+        self.p0_vel = self.q_vel * P0_FACTOR
 
         self._index = {cat: i for i, cat in enumerate(categories)}
         self._root = self._index[spec.root]
@@ -244,7 +243,6 @@ class Tracklet:
     """Lifecycle of one tracked skeleton instance; its filter lives in the tracker."""
 
     tracklet_id: int
-    created_frame: int
     age: int = 0
     missed: int = 0
     freq: dict[str, float] = field(default_factory=dict)
@@ -281,7 +279,7 @@ class KeySortTracker:
 
     def __init__(self, spec: SkeletonSpec, r_star, config: TrackerConfig = TrackerConfig()):
         self.config = config
-        self.model = model = TrackerModel(spec, r_star, config)
+        self.model = model = TrackerModel(spec, r_star)
         self.spec = model.spec
         self.tracklets: list[Tracklet] = []
         self._filters = FilterBank(
@@ -419,7 +417,7 @@ class KeySortTracker:
         posteriors = self.model.absolute(states.reshape(len(born), len(categories), 2))
         for i, posterior in zip(born, posteriors.tolist()):
             pose = poses[i]
-            tracklet = Tracklet(tracklet_id=self._next_id, created_frame=frame_index)
+            tracklet = Tracklet(tracklet_id=self._next_id)
             self._next_id += 1
             emitted = {}
             for cat, xy in zip(categories, posterior):

@@ -156,8 +156,8 @@ class Tiles:
         return (self.channels, *_tile_counts(self.height, self.width))
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """The dense ``(C, height, width)`` channels: for ``map_loss`` and
-        tests; the codec reads the tiles."""
+        """The dense ``(C, height, width)`` channels, for callers that want
+        dense maps; the codec reads the tiles."""
         if copy is False:
             raise ValueError("tiles cannot be viewed as a dense array without a copy")
         channels, ny, nx = self._grid()
@@ -731,62 +731,6 @@ def read_offset(
     cells = tiles.gather(channels, rows[..., :, None], cols[..., None, :])
     dx, dy = _quadratic_fit(cells, tx, ty)
     return dx, dy
-
-
-# ---------------------------------------------------------------------------
-# training-style loss evaluation
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    total: float
-    location: float
-    association: float
-
-
-def map_loss(
-    predicted: MapStack,
-    truth: MapStack,
-    theta1: float = 0.0,
-    theta2: float = 1.0,
-    theta3: float = 1.0,
-    assoc_scale: float = 512.0,
-) -> LossBreakdown:
-    """Weighted sum of location and association reconstruction errors.
-
-    The location term is the mean squared error over all probability-map
-    cells.  The association term is the squared error of the offset maps
-    scaled by ``assoc_scale``, summed where the truth is nonzero and
-    normalised by the count of nonzero truth cells (0 when there are none).
-    """
-    if predicted.width != truth.width or predicted.height != truth.height:
-        raise ValueError("map stacks have mismatched dimensions")
-    if list(predicted.prob) != list(truth.prob) or list(predicted.assoc) != list(truth.assoc):
-        raise ValueError("map stacks have mismatched channel sets")
-
-    loc_sq = 0.0
-    loc_cells = 0
-    for category, truth_grid in truth.prob.items():
-        diff = np.asarray(predicted.prob[category], np.float64) - np.asarray(truth_grid, np.float64)
-        loc_sq += float(np.sum(diff * diff))
-        loc_cells += diff.size
-    location = loc_sq / loc_cells if loc_cells else 0.0
-
-    assoc_sq = 0.0
-    assoc_cells = 0
-    for pair, truth_tiles in truth.assoc.items():
-        truth_grids = np.asarray(truth_tiles, np.float64)
-        pred_grids = np.asarray(predicted.assoc[pair], np.float64)
-        nz = truth_grids != 0
-        if not nz.any():
-            continue
-        diff = (pred_grids[nz] - truth_grids[nz]) / assoc_scale
-        assoc_sq += float(np.sum(diff * diff))
-        assoc_cells += int(nz.sum())
-    association = assoc_sq / assoc_cells if assoc_cells else 0.0
-
-    total = theta1 + theta2 * location + theta3 * association
-    return LossBreakdown(total=total, location=location, association=association)
 
 
 # ---------------------------------------------------------------------------

@@ -146,10 +146,6 @@ class SkeletonSpec:
         return problems
 
 
-def validate_spec(spec: SkeletonSpec) -> list[str]:
-    return spec.validate()
-
-
 def require_valid_spec(spec: SkeletonSpec) -> SkeletonSpec:
     problems = spec.validate()
     if problems:

@@ -6,12 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keytrack import assembly
-from keytrack.assembly import (
-    PartialSkeleton,
-    assemble,
-    association_penalty,
-    predict_complement,
-)
+from keytrack.assembly import assemble, association_penalty, predict_complement
+from keytrack.keysort import KeySortTracker
 from keytrack.maps import CandidateKeypoint, MapStack, decode_candidates, encode
 from keytrack.simulate import (
     RegimeSegment,
@@ -93,7 +89,6 @@ class TestAssemble:
         assert set(built.coords) == set(spec.categories)
         for cat, xy in square_pose.coords.items():
             assert built.coords[cat] == pytest.approx(xy, abs=1e-6)
-        assert all(s == 1.0 for s in built.scores.values())
 
     def test_two_animals_no_cross_assignment(self, spec, square_pose):
         other = make_pose(
@@ -113,6 +108,17 @@ class TestAssemble:
             )
             for cat, xy in pose.coords.items():
                 assert built.coords[cat] == pytest.approx(xy, abs=1e-6)
+
+    def test_assembled_poses_feed_the_tracker(self, spec, square_pose):
+        """Decoded and assembled poses go to the tracker as they are."""
+        other = make_pose(
+            **{c: (x + 120.0, y + 60.0) for c, (x, y) in square_pose.coords.items()}
+        )
+        stack = encode([square_pose, other], spec, 360, 300)
+        assembled = assemble(decode_candidates(stack.prob), stack, spec)
+        output = KeySortTracker(spec, np.ones(len(spec.categories))).step(assembled, 0)
+        assert len(assembled) == 2
+        assert sorted(id(r.observed) for r in output.records) == sorted(map(id, assembled))
 
     def test_root_without_dominant_child_pruned(self, spec, square_pose):
         stack = encode([square_pose], spec, 200, 200)
@@ -216,11 +222,6 @@ class TestAssemble:
         )
 
 
-def test_partial_skeleton_defaults():
-    empty = PartialSkeleton()
-    assert empty.coords == {} and empty.scores == {}
-
-
 # ---------------------------------------------------------------------------
 # the broadcast penalty matrix against the scalar definition
 
@@ -264,7 +265,7 @@ def test_penalty_reads_positions_in_the_grid_domain_only(spec, square_pose):
 @pytest.mark.parametrize("n_animals", [3, 12, 30])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_assemble_matches_scalar_penalty_oracle(spec, monkeypatch, n_animals, seed):
-    """Skeletons, coordinates and scores equal those assembled from the
+    """Skeletons and their coordinates equal those assembled from the
     per-pair penalty, decoded candidates with their near-ties included."""
     config = ScenarioConfig(
         n_animals=n_animals, seed=seed, width=1600, height=1200,
@@ -277,7 +278,7 @@ def test_assemble_matches_scalar_penalty_oracle(spec, monkeypatch, n_animals, se
     monkeypatch.setattr(assembly, "association_penalty", assembly_oracle.penalty_matrix)
     want = assemble(candidates, stack, spec)
     assert len(got) >= n_animals // 2
-    assert [(s.coords, s.scores) for s in got] == [(s.coords, s.scores) for s in want]
+    assert [s.coords for s in got] == [s.coords for s in want]
 
 
 def test_assemble_with_a_connection_without_tiles(spec):

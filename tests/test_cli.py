@@ -214,6 +214,34 @@ class TestEncodeDecode:
             )
             assert code == 2 and both in err
 
+    def test_only_exact_map_names_are_read(self, runner, truth_file, tmp_path):
+        """A name that merely ends in a map file name names no frame."""
+        encoded = self.encode(runner, truth_file, tmp_path)
+        maps_dir = tmp_path / "one"
+        maps_dir.mkdir()
+        frame_3 = (encoded / "frame_000003.ktm").read_bytes()
+        (maps_dir / "frame_000000.ktm").write_bytes((encoded / "frame_000000.ktm").read_bytes())
+        (maps_dir / "old_frame_000000.ktm").write_bytes(frame_3)
+        (maps_dir / "xframe_12.ktm").write_bytes(frame_3)
+        out_path = tmp_path / "assembled.jsonl"
+        result = runner.invoke(
+            cli, ["decode-assemble", "--maps-dir", str(maps_dir), "--out", str(out_path)]
+        )
+        assert result.exit_code == 0, result.output
+        assert "assembled 2 skeletons over 1 frames" in result.output
+        assert list(load_detections(str(out_path))[1]) == [0]
+        result = runner.invoke(
+            cli,
+            [
+                "evaluate", "--truth", str(truth_file), "--poses", str(truth_file),
+                "--truth-maps", str(maps_dir), "--pred-maps", str(maps_dir),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        # two animals of six keypoints in the one frame read
+        overall = json.loads(result.output)["precision_recall"]["overall"]
+        assert (overall["tp"], overall["fp"], overall["fn"]) == (12.0, 0, 0)
+
     def test_frame_size_change_exits_two(self, spec, tmp_path, monkeypatch, capsys):
         maps_dir = tmp_path / "maps"
         maps_dir.mkdir()

@@ -56,15 +56,9 @@ class TestConfigValidation:
             {"maturity_age": -1},
             {"freq_memory": 1.0},
             {"freq_memory": -0.1},
-            {"r_scale": 0.0},
-            {"q_pos_factor": 0.0},
-            {"q_vel_factor": -1.0},
-            {"p0_factor": 0.0},
             {"sign_window": 0},
             {"coord_scale": 0.0},
             {"gate_px": math.nan},
-            {"r_scale": math.nan},
-            {"p0_factor": math.nan},
             {"coord_scale": math.nan},
             {"coord_scale": math.inf},
         ],
@@ -153,13 +147,13 @@ class TestTrackerModel:
         r_star = np.ones(6)
         r_star[2] = value
         with pytest.raises(ValueError, match="r_star variances must be positive and finite"):
-            TrackerModel(spec, r_star, TrackerConfig())
+            TrackerModel(spec, r_star)
 
     def test_r_star_validation(self, spec):
         with pytest.raises(ValueError, match="entries"):
-            TrackerModel(spec, np.ones(5), TrackerConfig())
+            TrackerModel(spec, np.ones(5))
         with pytest.raises(ValueError, match="positive"):
-            TrackerModel(spec, np.zeros(6), TrackerConfig())
+            TrackerModel(spec, np.zeros(6))
 
     def test_init_state_round_trip(self, spec, square_pose):
         model = keysort_oracle.build_model(spec, np.ones(6))
@@ -265,9 +259,8 @@ class TestPerAxisModel:
 
     def test_noise_equals_dense_diagonals(self, spec):
         r_star = np.linspace(0.3, 4.1, 12)
-        factors = dict(r_scale=0.07, q_pos_factor=3e-5, q_vel_factor=2e-7, p0_factor=1e9)
-        model = TrackerModel(spec, r_star, TrackerConfig(**factors))
-        dense = keysort_oracle.build_model(spec, r_star, keysort_oracle.TrackerConfig(**factors))
+        model = TrackerModel(spec, r_star)
+        dense = keysort_oracle.build_model(spec, r_star)
         assert model.obs_dim == 12
         assert model.r_row.tolist() == np.diag(dense.model.R).tolist()
         q, p0 = np.diag(dense.model.Q), np.diag(dense.P0)
@@ -277,14 +270,14 @@ class TestPerAxisModel:
         assert set(p0[12:].tolist()) == {model.p0_vel}
 
     def test_birth_positions_of_full_pose(self, spec, square_pose):
-        model = TrackerModel(spec, np.ones(6), TrackerConfig())
+        model = TrackerModel(spec, np.ones(6))
         positions = model.birth_positions(model.observed_array([square_pose]))
         assert positions.tolist() == [[100, 100, -60, 0, 22, 0, 16, 0, -39, 14, -39, -14]]
 
     def test_birth_offset_is_taken_from_implied_parent(self):
         # a is missing, so its implied position is the root's: b's offset is
         # measured from there, and c's from b's detection
-        model = TrackerModel(_DEEP_SPEC, np.ones(5), TrackerConfig())
+        model = TrackerModel(_DEEP_SPEC, np.ones(5))
         pose = make_pose(root=(10.0, 20.0), b=(30.0, 20.0), c=(35.0, 26.0), d=(0.0, 20.0))
         positions = model.birth_positions(model.observed_array([pose])).reshape(5, 2)
         offsets = dict(zip(_DEEP_SPEC.categories, positions.tolist()))
@@ -300,7 +293,7 @@ class TestValidity:
     @pytest.mark.parametrize("skeleton", ["default", "deep"])
     def test_valid_matches_is_valid_pose(self, spec, skeleton, rng):
         spec = spec if skeleton == "default" else _DEEP_SPEC
-        model = TrackerModel(spec, np.ones(len(spec.categories)), TrackerConfig())
+        model = TrackerModel(spec, np.ones(len(spec.categories)))
         for share in (0.2, 0.5, 0.8):
             present = rng.random((200, len(spec.categories))) < share
             poses = [
@@ -791,7 +784,7 @@ def _rooted_pose_lists(spec):
 def test_birth_positions_match_dense_init(spec, which, data):
     layout = spec if which == "default" else _DEEP_SPEC
     r_star = np.ones(len(layout.categories))
-    model = TrackerModel(layout, r_star, TrackerConfig())
+    model = TrackerModel(layout, r_star)
     dense = keysort_oracle.build_model(layout, r_star)
     poses = [Pose(coords=coords) for coords in data.draw(_rooted_pose_lists(layout))]
     got = model.birth_positions(model.observed_array(poses))

@@ -21,7 +21,6 @@ from keytrack.maps import (
     encode,
     kernel_sigma,
     load_maps,
-    map_loss,
     pose_sigmas,
     quadratic_sample,
     read_offset,
@@ -346,51 +345,6 @@ class TestQuadraticSample:
         grid = np.arange(64, dtype=float).reshape(8, 8)
         assert quadratic_sample(grid, 0.0, 0.0) == 0.0
         assert quadratic_sample(grid, 7.0, 7.0) == 63.0
-
-
-class TestLoss:
-    @staticmethod
-    def stack_from(prob, assoc):
-        height, width = next(iter(prob.values())).shape
-        return MapStack(width=width, height=height, prob=prob, assoc=assoc)
-
-    def test_identical_stacks_zero_loss(self, spec, square_pose):
-        stack = encode([square_pose], spec, 64, 64)
-        loss = map_loss(stack, stack)
-        assert loss.total == 0.0
-        assert loss.location == 0.0
-        assert loss.association == 0.0
-
-    def test_location_term_is_mse_over_all_cells(self):
-        truth = self.stack_from({"k": np.zeros((4, 4), np.float32)}, {})
-        pred = self.stack_from({"k": np.full((4, 4), 0.5, np.float32)}, {})
-        loss = map_loss(pred, truth)
-        assert loss.location == pytest.approx(0.25)
-        assert loss.association == 0.0
-
-    def test_association_term_normalised_by_truth_support(self):
-        pair = ("a", "b")
-        t = np.zeros((4, 2, 2), np.float32)
-        p = np.zeros((4, 2, 2), np.float32)
-        t[0, 0, 0] = 512.0
-        p[0, 0, 0] = 0.0  # single nonzero truth cell, error 512 -> (512/512)^2 = 1
-        p[1, 1, 1] = 99.0  # prediction where truth is zero: ignored
-        truth = self.stack_from({"k": np.zeros((2, 2), np.float32)}, {pair: t})
-        pred = self.stack_from({"k": np.zeros((2, 2), np.float32)}, {pair: p})
-        loss = map_loss(pred, truth)
-        assert loss.association == pytest.approx(1.0)
-
-    def test_weights(self):
-        truth = self.stack_from({"k": np.zeros((2, 2), np.float32)}, {})
-        pred = self.stack_from({"k": np.ones((2, 2), np.float32)}, {})
-        loss = map_loss(pred, truth, theta1=0.5, theta2=2.0, theta3=3.0)
-        assert loss.total == pytest.approx(0.5 + 2.0 * 1.0)
-
-    def test_mismatched_channels_rejected(self):
-        a = self.stack_from({"k": np.zeros((2, 2), np.float32)}, {})
-        b = self.stack_from({"j": np.zeros((2, 2), np.float32)}, {})
-        with pytest.raises(ValueError):
-            map_loss(a, b)
 
 
 def _one_channel_v3_file(name: bytes) -> bytes:

@@ -15,7 +15,6 @@ from keytrack.skeleton import (
     parse_connection_name,
     require_valid_spec,
     skeleton_scale,
-    validate_spec,
 )
 
 from conftest import make_pose
@@ -42,7 +41,7 @@ def test_pose_accessors():
 
 class TestSpecStructure:
     def test_bundled_spec_is_valid(self, spec):
-        assert validate_spec(spec) == []
+        assert spec.validate() == []
 
     def test_tree_order_and_ranks(self, spec):
         # head->nose is declared third but is the only second-order connection
@@ -75,7 +74,7 @@ class TestSpecStructure:
         )
         assert cyclic.tree_order == (("a", "b"),)
         assert cyclic.ranks == {"a": 0, "b": 1}
-        problems = validate_spec(cyclic)
+        problems = cyclic.validate()
         assert "category 'c' is not reachable from the root" in problems
         assert "category 'd' is not reachable from the root" in problems
 
@@ -94,7 +93,7 @@ class TestSpecStructure:
             betas={("a", "b"): 1.0},
             reference=("a", "b"),
         )
-        problems = validate_spec(bad)
+        problems = bad.validate()
         assert any("not reachable" in p for p in problems)
         with pytest.raises(ValueError):
             require_valid_spec(bad)
@@ -109,7 +108,7 @@ class TestSpecStructure:
             betas={("b", "c"): 1.0},
             reference=("b", "c"),
         )
-        problems = validate_spec(bad)
+        problems = bad.validate()
         assert any("not first-order" in p for p in problems)
 
     def test_reference_beta_must_be_one(self):
@@ -122,7 +121,7 @@ class TestSpecStructure:
             betas={("a", "b"): 2.0},
             reference=("a", "b"),
         )
-        assert any("beta must be 1" in p for p in validate_spec(bad))
+        assert any("beta must be 1" in p for p in bad.validate())
 
     def test_double_parent_flagged(self):
         bad = SkeletonSpec(
@@ -134,7 +133,7 @@ class TestSpecStructure:
             betas={("a", "b"): 1.0},
             reference=("a", "b"),
         )
-        assert any("more than one parent" in p for p in validate_spec(bad))
+        assert any("more than one parent" in p for p in bad.validate())
 
 
 class TestPoseValidity:
