@@ -96,7 +96,10 @@ def encode(detections_path: str, out_dir: str, skeleton_path: Optional[str], the
         skipped = len(frames[frame_index]) - len(poses)
         if skipped:
             log.warning("frame %d: skipped %d invalid poses", frame_index, skipped)
-        stack = maps.encode(poses, spec, header.width, header.height, params)
+        try:
+            stack = maps.encode(poses, spec, header.width, header.height, params)
+        except ValueError as exc:
+            raise ValueError(f"{detections_path}: frame {frame_index}: {exc}") from None
         maps.save_maps(stack, str(out / f"frame_{frame_index:06d}.ktm"))
     click.echo(f"encoded {len(frames)} frames to {out_dir}")
 

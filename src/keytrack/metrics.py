@@ -9,7 +9,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,16 +24,6 @@ DEFAULT_PROB_CUTOFF = 0.5
 DEFAULT_PAIR_GATE = 50.0
 QUANTILE_PROBS = (0.05, 0.5, 0.95)
 FRAME_DIFF_KINDS = ("observed", "posterior")
-
-
-def _interpolated_prob(grid: Optional[Tiles], x: float, y: float) -> float:
-    """Sub-pixel map probability; positions off the grid read as 0."""
-    if grid is None:
-        return 0.0
-    height, width = grid.height, grid.width
-    if not (0.0 <= x <= width - 1 and 0.0 <= y <= height - 1):
-        return 0.0
-    return float(quadratic_sample(grid, x, y))
 
 
 @dataclass(frozen=True)
@@ -86,6 +76,17 @@ def check_prob_cutoff(cutoff: float) -> None:
         raise ValueError(f"cutoff must be finite, got {cutoff}")
 
 
+def _map_reads(grid: Optional[Tiles], xy: np.ndarray) -> np.ndarray:
+    """Sub-pixel map probabilities at ``(n, 2)`` positions; a position off
+    the grid, or any position without a map, reads 0."""
+    reads = np.zeros(len(xy))
+    if grid is not None:
+        x, y = xy[:, 0], xy[:, 1]
+        on_grid = (0.0 <= x) & (x <= grid.width - 1) & (0.0 <= y) & (y <= grid.height - 1)
+        reads[on_grid] = quadratic_sample(grid, x[on_grid], y[on_grid])
+    return reads
+
+
 def precision_recall(
     gt_poses: Sequence[Pose],
     candidates: Sequence[CandidateKeypoint],
@@ -109,27 +110,17 @@ def precision_recall(
     categories = list(
         dict.fromkeys([*gt_prob_maps, *pred_prob_maps, *(c.category for c in candidates)])
     )
+    gt = _pose_array(gt_poses, categories)
     per_category: dict[str, CategoryPR] = {}
-    for category in categories:
-        gt_points = [
-            pose.get(category) for pose in gt_poses if pose.present(category)
-        ]
-        cand_points = [c.xy for c in candidates if c.category == category]
-        gt_hits = sum(
-            1
-            for xy in gt_points
-            if _interpolated_prob(pred_prob_maps.get(category), xy[0], xy[1]) >= cutoff
-        )
-        cand_hits = sum(
-            1
-            for xy in cand_points
-            if _interpolated_prob(gt_prob_maps.get(category), xy[0], xy[1]) >= cutoff
-        )
-        tp = 0.5 * (gt_hits + cand_hits)
+    for code, category in enumerate(categories):
+        gt_xy = gt[~np.isnan(gt[:, code, 0]), code]
+        cand_xy = np.array(
+            [c.xy for c in candidates if c.category == category], dtype=np.float64
+        ).reshape(-1, 2)
+        gt_hits = int(np.count_nonzero(_map_reads(pred_prob_maps.get(category), gt_xy) >= cutoff))
+        cand_hits = int(np.count_nonzero(_map_reads(gt_prob_maps.get(category), cand_xy) >= cutoff))
         per_category[category] = CategoryPR(
-            tp=tp,
-            fp=len(cand_points) - cand_hits,
-            fn=len(gt_points) - gt_hits,
+            tp=0.5 * (gt_hits + cand_hits), fp=len(cand_xy) - cand_hits, fn=len(gt_xy) - gt_hits
         )
     overall = sum(per_category.values(), CategoryPR())
     return PRReport(per_category=per_category, overall=overall)
@@ -156,6 +147,17 @@ def _pose_array(poses: Sequence[Pose], categories: Sequence[str]) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(len(poses), len(categories), 2)
 
 
+def _pair_arrays(
+    gt: np.ndarray, pred: np.ndarray, max_distance: float, coord_scale: float
+) -> list[tuple[int, int]]:
+    """Hungarian pairs of two pose arrays' rows; see :func:`pair_skeletons`."""
+    if not max_distance > 0:
+        raise ValueError(f"max_distance must be positive, got {max_distance}")
+    if not 0.0 < coord_scale < math.inf:
+        raise ValueError(f"coord_scale must be positive and finite, got {coord_scale}")
+    return hungarian(_psi_costs(gt, pred, coord_scale), gate=max_distance)
+
+
 def pair_skeletons(
     gt_poses: Sequence[Pose],
     pred_poses: Sequence[Pose],
@@ -169,15 +171,13 @@ def pair_skeletons(
     unpaired, as do poses sharing no categories.  ``max_distance`` must be
     positive and ``coord_scale`` positive and finite.
     """
-    if not max_distance > 0:
-        raise ValueError(f"max_distance must be positive, got {max_distance}")
-    if not 0.0 < coord_scale < math.inf:
-        raise ValueError(f"coord_scale must be positive and finite, got {coord_scale}")
     categories = list(dict.fromkeys(cat for pose in gt_poses for cat in pose.coords))
-    cost = _psi_costs(
-        _pose_array(gt_poses, categories), _pose_array(pred_poses, categories), coord_scale
+    pairs = _pair_arrays(
+        _pose_array(gt_poses, categories),
+        _pose_array(pred_poses, categories),
+        max_distance,
+        coord_scale,
     )
-    pairs = hungarian(cost, gate=max_distance)
     paired_gt = {i for i, _ in pairs}
     paired_pred = {j for _, j in pairs}
     return PairingResult(
@@ -185,97 +185,6 @@ def pair_skeletons(
         unpaired_gt=[i for i in range(len(gt_poses)) if i not in paired_gt],
         unpaired_pred=[j for j in range(len(pred_poses)) if j not in paired_pred],
     )
-
-
-def recovery_samples(
-    gt_poses: Sequence[Pose],
-    pred_poses: Sequence[Pose],
-    pairing: PairingResult,
-    spec: SkeletonSpec,
-) -> Iterator[tuple[str, bool]]:
-    """``(category, recovered)`` per ground-truth keypoint of the skeleton, in pose order."""
-    pred_of_gt = dict(pairing.pairs)
-    for i, gt in enumerate(gt_poses):
-        pred = pred_poses[pred_of_gt[i]] if i in pred_of_gt else None
-        for cat in spec.categories:
-            if gt.present(cat):
-                yield cat, pred is not None and pred.present(cat)
-
-
-def recovery_rate(
-    samples: Iterable[tuple[str, bool]], categories: Sequence[str]
-) -> tuple[dict[str, Optional[float]], Optional[float]]:
-    """Fraction of ``(category, recovered)`` samples recovered, per category and overall.
-
-    With :func:`recovery_samples`, unpaired ground-truth skeletons keep
-    their keypoints in the denominator.  Categories without samples report
-    ``None``.
-    """
-    recovered = dict.fromkeys(categories, 0)
-    total = dict.fromkeys(categories, 0)
-    for cat, hit in samples:
-        total[cat] += 1
-        recovered[cat] += hit
-    eta = {cat: (recovered[cat] / total[cat] if total[cat] else None) for cat in categories}
-    grand_total = sum(total.values())
-    overall = sum(recovered.values()) / grand_total if grand_total else None
-    return eta, overall
-
-
-def relative_error(
-    gt_poses: Sequence[Pose],
-    pred_poses: Sequence[Pose],
-    pairing: PairingResult,
-    spec: SkeletonSpec,
-) -> dict[str, list[float]]:
-    """Keypoint errors normalised by the ground-truth skeleton scale."""
-    samples: dict[str, list[float]] = {cat: [] for cat in spec.categories}
-    for i, j in pairing.pairs:
-        gt = gt_poses[i]
-        pred = pred_poses[j]
-        scale = skeleton_scale(spec, gt)
-        if scale is None:
-            log.warning("skipping pair with undefined ground-truth scale")
-            continue
-        for cat in spec.categories:
-            gt_xy = gt.get(cat)
-            pred_xy = pred.get(cat)
-            if gt_xy is None or pred_xy is None:
-                continue
-            samples[cat].append(
-                math.hypot(pred_xy[0] - gt_xy[0], pred_xy[1] - gt_xy[1]) / scale
-            )
-    return samples
-
-
-def frame_difference(
-    previous: TrackOutput, current: TrackOutput
-) -> dict[str, dict[str, list[float]]]:
-    """Per-category keypoint displacements between consecutive frames.
-
-    Computed per tracklet id present in both frames, separately for the
-    observed and the posterior pose sets.
-    """
-    result: dict[str, dict[str, list[float]]] = {kind: {} for kind in FRAME_DIFF_KINDS}
-    prev_by_id = {record.tracklet_id: record for record in previous.records}
-    for record in current.records:
-        before = prev_by_id.get(record.tracklet_id)
-        if before is None:
-            continue
-        for kind in FRAME_DIFF_KINDS:
-            pose_before: Optional[Pose] = getattr(before, kind)
-            pose_after: Optional[Pose] = getattr(record, kind)
-            if pose_before is None or pose_after is None:
-                continue
-            for cat in pose_after.coords:
-                xy_before = pose_before.get(cat)
-                xy_after = pose_after.get(cat)
-                if xy_before is None or xy_after is None:
-                    continue
-                result[kind].setdefault(cat, []).append(
-                    math.hypot(xy_after[0] - xy_before[0], xy_after[1] - xy_before[1])
-                )
-    return result
 
 
 def quantiles(
@@ -300,7 +209,7 @@ class ErrorStats:
 
     @classmethod
     def from_samples(cls, samples: Sequence[float]) -> "ErrorStats":
-        if not samples:
+        if len(samples) == 0:
             return cls(mean=None, std=None, count=0)
         arr = np.asarray(samples, dtype=np.float64)
         return cls(mean=float(arr.mean()), std=float(arr.std()), count=int(arr.size))
@@ -342,11 +251,89 @@ class EvalReport:
 
 @dataclass
 class EvalSeries:
-    """Per-sample rows in evaluation order: the table the report is reduced from."""
+    """Per-sample columns in evaluation order: the tables the report is reduced from.
 
-    relative_error: list[dict] = field(default_factory=list)
-    frame_difference: list[dict] = field(default_factory=list)
-    recovery: list[dict] = field(default_factory=list)
+    Each table is a dict of equal-length 1-D arrays: ``frame``, ``category``
+    (an index into ``spec.categories``), ``kind`` (frame differences only,
+    an index into :data:`FRAME_DIFF_KINDS`), and ``recovered`` or ``value``.
+    """
+
+    relative_error: dict[str, np.ndarray]
+    frame_difference: dict[str, np.ndarray]
+    recovery: dict[str, np.ndarray]
+
+
+_DTYPES = dict(frame=np.int64, kind=np.int64, category=np.int64, recovered=bool, value=float)
+
+
+def _rows(category: np.ndarray, **columns) -> dict[str, np.ndarray]:
+    """One frame's rows of a table; a scalar column repeats along ``category``."""
+    repeated = {name: np.broadcast_to(v, category.shape) for name, v in columns.items()}
+    return {"category": category, **repeated}
+
+
+def _columns(chunks: list[dict[str, np.ndarray]], names: Sequence[str]) -> dict[str, np.ndarray]:
+    """A table's per-frame rows joined into typed columns, empty ones included."""
+    return {n: np.concatenate([np.zeros(0, _DTYPES[n]), *(c[n] for c in chunks)]) for n in names}
+
+
+def _score(
+    gt_frames: dict[int, list[Pose]],
+    pred_frames: dict[int, np.ndarray],
+    spec: SkeletonSpec,
+    max_distance: float,
+    coord_scale: float,
+) -> tuple[EvalReport, EvalSeries]:
+    """Pair and score prediction arrays over ``spec.categories`` per frame."""
+    missing = sorted(set(pred_frames) - set(gt_frames))
+    if missing:
+        raise ValueError(f"predictions reference frames without ground truth: {missing[:5]}")
+
+    report = EvalReport(frames=len(gt_frames))
+    recovery, errors = [], []  # per-frame rows of the two tables
+    for frame_index, gt_poses in sorted(gt_frames.items()):
+        gt = _pose_array(gt_poses, spec.categories)
+        pred = pred_frames.get(frame_index, gt[:0])  # no predictions: no rows
+        pairs = _pair_arrays(gt, pred, max_distance, coord_scale)
+        report.paired += len(pairs)
+        report.unpaired_gt += len(gt) - len(pairs)
+        report.unpaired_pred += len(pred) - len(pairs)
+        gt_rows, pred_rows = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+
+        # every present truth keypoint, in pose order, recovered when its pair has it
+        present = ~np.isnan(gt[..., 0])
+        found = np.zeros_like(present)
+        found[gt_rows] = ~np.isnan(pred[pred_rows, :, 0])
+        recovery.append(_rows(np.nonzero(present)[1], frame=frame_index, recovered=found[present]))
+
+        # category by category, in pair order; a pair without a positive truth scale has none
+        scales = np.array([skeleton_scale(spec, gt_poses[i]) or 0.0 for i in gt_rows])
+        scaled = scales > 0.0
+        for _ in range(len(scales) - np.count_nonzero(scaled)):
+            log.warning("skipping pair with undefined ground-truth scale")
+        diff = pred[pred_rows[scaled]] - gt[gt_rows[scaled]]
+        error = (np.hypot(diff[..., 0], diff[..., 1]) / scales[scaled, None]).T
+        sampled = ~np.isnan(error)
+        errors.append(_rows(np.nonzero(sampled)[0], frame=frame_index, value=error[sampled]))
+
+    series = EvalSeries(
+        relative_error=_columns(errors, ("frame", "category", "value")),
+        frame_difference=_columns([], ("frame", "kind", "category", "value")),
+        recovery=_columns(recovery, ("frame", "category", "recovered")),
+    )
+    codes, hits = series.recovery["category"], series.recovery["recovered"]
+    total = np.bincount(codes, minlength=len(spec.categories))
+    recovered = np.bincount(codes[hits], minlength=len(spec.categories))
+    report.eta = {
+        cat: int(recovered[c]) / int(total[c]) if total[c] else None
+        for c, cat in enumerate(spec.categories)
+    }
+    report.eta_overall = int(hits.sum()) / len(hits) if len(hits) else None
+    codes, values = series.relative_error["category"], series.relative_error["value"]
+    report.relative_error = {
+        cat: ErrorStats.from_samples(values[codes == c]) for c, cat in enumerate(spec.categories)
+    }
+    return report, series
 
 
 def evaluate_poses(
@@ -357,37 +344,8 @@ def evaluate_poses(
     coord_scale: float = 1.0,
 ) -> tuple[EvalReport, EvalSeries]:
     """Pair and score predicted skeletons against ground truth per frame."""
-    missing = sorted(set(pred_frames) - set(gt_frames))
-    if missing:
-        raise ValueError(f"predictions reference frames without ground truth: {missing[:5]}")
-
-    report = EvalReport()
-    series = EvalSeries()
-    for frame_index in sorted(gt_frames):
-        gt_poses = gt_frames[frame_index]
-        pred_poses = pred_frames.get(frame_index, [])
-        pairing = pair_skeletons(gt_poses, pred_poses, max_distance, coord_scale)
-        report.frames += 1
-        report.paired += len(pairing.pairs)
-        report.unpaired_gt += len(pairing.unpaired_gt)
-        report.unpaired_pred += len(pairing.unpaired_pred)
-        series.recovery.extend(
-            {"frame": frame_index, "category": cat, "recovered": int(hit)}
-            for cat, hit in recovery_samples(gt_poses, pred_poses, pairing, spec)
-        )
-        for cat, values in relative_error(gt_poses, pred_poses, pairing, spec).items():
-            series.relative_error.extend(
-                {"frame": frame_index, "category": cat, "value": value} for value in values
-            )
-
-    report.eta, report.eta_overall = recovery_rate(
-        ((row["category"], row["recovered"]) for row in series.recovery), spec.categories
-    )
-    errors: dict[str, list[float]] = {cat: [] for cat in spec.categories}
-    for row in series.relative_error:
-        errors[row["category"]].append(row["value"])
-    report.relative_error = {cat: ErrorStats.from_samples(errors[cat]) for cat in spec.categories}
-    return report, series
+    pred_arrays = {f: _pose_array(poses, spec.categories) for f, poses in pred_frames.items()}
+    return _score(gt_frames, pred_arrays, spec, max_distance, coord_scale)
 
 
 def evaluate_tracks(
@@ -397,29 +355,41 @@ def evaluate_tracks(
     max_distance: float = DEFAULT_PAIR_GATE,
     coord_scale: float = 1.0,
 ) -> tuple[EvalReport, EvalSeries]:
-    """Score tracker output (posterior poses) and add smoothness metrics."""
-    pred_frames = {
-        out.frame_index: [record.posterior for record in out.records] for out in outputs
-    }
-    report, series = evaluate_poses(
-        gt_frames, pred_frames, spec, max_distance, coord_scale
-    )
+    """Score tracker output (posterior poses) and add smoothness metrics.
 
+    Smoothness is how far each keypoint of a tracklet moves from frame
+    ``f`` to ``f + 1``, observed and posterior apart.  Outputs further
+    apart are not compared: the tracker takes a gap for elapsed empty
+    frames, so the move across it is not one frame's motion.
+    """
     ordered = sorted(outputs, key=lambda out: out.frame_index)
-    for previous, current in zip(ordered, ordered[1:]):
-        for kind, cats in frame_difference(previous, current).items():
-            for cat, values in cats.items():
-                series.frame_difference.extend(
-                    {"frame": current.frame_index, "kind": kind, "category": cat, "value": value}
-                    for value in values
-                )
-    # one pass in row order; a category outside the skeleton stays in the rows only
-    diffs = {(kind, cat): [] for kind in FRAME_DIFF_KINDS for cat in spec.categories}
-    for row in series.frame_difference:
-        if (key := (row["kind"], row["category"])) in diffs:
-            diffs[key].append(row["value"])
-    report.frame_diff_quantiles = {
-        kind: {cat: quantiles(diffs[kind, cat]) for cat in spec.categories}
+    ids = [np.array([r.tracklet_id for r in out.records], dtype=np.int64) for out in ordered]
+    cats = spec.categories
+    poses = {
+        kind: [_pose_array([getattr(r, kind) for r in out.records], cats) for out in ordered]
         for kind in FRAME_DIFF_KINDS
+    }
+    pred_frames = {out.frame_index: pose for out, pose in zip(ordered, poses["posterior"])}
+    report, series = _score(gt_frames, pred_frames, spec, max_distance, coord_scale)
+
+    diffs: list[dict[str, np.ndarray]] = []
+    for n in range(1, len(ordered)):
+        frame = ordered[n].frame_index
+        if frame != ordered[n - 1].frame_index + 1:
+            continue
+        _, before, after = np.intersect1d(ids[n - 1], ids[n], return_indices=True)
+        order = np.argsort(after)  # the later frame's record order
+        for code, kind in enumerate(FRAME_DIFF_KINDS):
+            step = poses[kind][n][after[order]] - poses[kind][n - 1][before[order]]
+            moved = np.hypot(step[..., 0], step[..., 1]).T
+            kept = ~np.isnan(moved)
+            diffs.append(_rows(np.nonzero(kept)[0], frame=frame, kind=code, value=moved[kept]))
+    series.frame_difference = table = _columns(diffs, ("frame", "kind", "category", "value"))
+    report.frame_diff_quantiles = {
+        kind: {
+            cat: quantiles(table["value"][(table["kind"] == code) & (table["category"] == c)])
+            for c, cat in enumerate(spec.categories)
+        }
+        for code, kind in enumerate(FRAME_DIFF_KINDS)
     }
     return report, series

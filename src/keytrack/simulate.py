@@ -214,24 +214,21 @@ def corrupt(
     if config is None:
         config = truth.config
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
+    rates = [(cat, config.dropout_for(cat), config.noise_for(cat)) for cat in spec.categories]
     detections: dict[int, list[Pose]] = {}
     for frame in truth.frames:
         frame_poses: list[Pose] = []
         for pose in frame.poses:
             coords: dict[str, Optional[XY]] = {}
-            for cat in spec.categories:
+            for cat, dropout, sigma in rates:
                 xy = pose.get(cat)
                 # draw per-keypoint randomness unconditionally to keep the
                 # stream layout stable across pose contents
                 drop = rng.random()
                 noise = rng.normal(0.0, 1.0, size=2)
-                if xy is None:
+                if xy is None or drop < dropout:
                     coords[cat] = None
                     continue
-                if drop < config.dropout_for(cat):
-                    coords[cat] = None
-                    continue
-                sigma = config.noise_for(cat)
                 coords[cat] = (xy[0] + sigma * noise[0], xy[1] + sigma * noise[1])
             candidate = Pose(coords=coords, frame_index=frame.frame_index)
             if is_valid_pose(spec, candidate):

@@ -559,7 +559,9 @@ def test_out_of_range_parameter_exits_two(
     name = command.split()[0]
     code, err = exit_code_and_error(monkeypatch, capsys, name, *inputs[command], *args)
     assert code == 2
-    assert f"error: {message}" in err
+    # the extent is checked against a frame's kernel sigmas, so encode names the file and frame
+    where = f"{truth_file}: frame 0: " if "times kernel sigma" in message else ""
+    assert f"error: {where}{message}" in err
 
 
 def _skeleton_config(change):
@@ -739,6 +741,30 @@ class TestConsoleScript:
             handle.write(json.dumps({"frame_index": 0, "poses": [good]}) + "\n")
             handle.write(json.dumps({"frame_index": 1, "poses": [good, bad]}) + "\n")
         return path
+
+    def write_flat_pose(self, path):
+        """One pose with every keypoint on one spot: its skeleton scale is 0."""
+        flat = {cat: [100.0, 100.0] for cat in default_skeleton().categories}
+        save_detections(str(path), StreamHeader("cattle-dorsal", 200, 200), {})
+        with open(path, "a") as handle:
+            handle.write(json.dumps({"frame_index": 0, "poses": [flat]}) + "\n")
+        return path
+
+    def test_evaluate_zero_scale_pair_skipped(self, tmp_path):
+        truth = self.write_flat_pose(tmp_path / "truth.jsonl")
+        proc = self.run("evaluate", "--truth", str(truth), "--poses", str(truth))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("skipping pair with undefined ground-truth scale") == 1
+        payload = json.loads(proc.stdout)
+        assert payload["paired_skeletons"] == 1
+        assert payload["recovery_rate"]["overall"] == 1.0
+        assert all(stats["count"] == 0 for stats in payload["relative_error"].values())
+
+    def test_encode_zero_scale_names_file_and_frame(self, tmp_path):
+        truth = self.write_flat_pose(tmp_path / "truth.jsonl")
+        proc = self.run("encode", "--detections", str(truth), "--out-dir", str(tmp_path / "maps"))
+        assert proc.returncode == 2
+        assert f"error: {truth}: frame 0: skeleton scales must be positive" in proc.stderr
 
     def test_encode_unknown_category_exits_two(self, tmp_path):
         detections = self.write_poses(tmp_path / "det.jsonl", "horn")

@@ -19,17 +19,14 @@ from keytrack.metrics import (
     PRReport,
     evaluate_poses,
     evaluate_tracks,
-    frame_difference,
     pair_skeletons,
     precision_recall,
     quantiles,
-    recovery_rate,
-    recovery_samples,
-    relative_error,
 )
 from keytrack.simulate import RegimeSegment, ScenarioConfig, corrupt, generate
 from keytrack.skeleton import Pose, skeleton_scale
 
+import metrics_oracle as oracle
 from conftest import make_pose
 
 
@@ -114,6 +111,41 @@ class TestPrecisionRecall:
         report = precision_recall(gt_poses, [], gt_maps, pred_maps)
         assert report.overall.tp == pytest.approx(0.5)
         assert report.overall.fn == 1
+
+
+_map_coordinate = st.one_of(
+    st.floats(min_value=-3.0, max_value=15.0, allow_nan=False),
+    st.integers(-1, 13).map(float),  # the grid edges, and one cell past them
+)
+_map_point = st.tuples(_map_coordinate, _map_coordinate)
+_map_categories = st.sampled_from(["a", "b", "horn"])
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    data=st.data(),
+    shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    seed=st.integers(0, 2**32 - 1),
+    cutoff=st.one_of(st.sampled_from([-0.5, 0.0, 0.5]), st.floats(-1.0, 1.5)),
+)
+def test_precision_recall_matches_per_point_oracle(data, shape, seed, cutoff):
+    """Points on and off the grid, a category without a truth map ("horn")
+    and one without a predicted map ("b"), and cutoffs at or below 0."""
+    rng = np.random.default_rng(seed)
+
+    def sparse_map():
+        return (rng.random(shape) * (rng.random(shape) < 0.6)).astype(np.float32)
+
+    gt_maps = {"a": sparse_map(), "b": sparse_map()}
+    pred_maps = {"a": sparse_map(), "horn": sparse_map()}
+    keypoints = st.dictionaries(_map_categories, st.one_of(st.none(), _map_point))
+    gt_poses = data.draw(st.lists(keypoints.map(lambda c: Pose(coords=c)), max_size=6))
+    drawn = data.draw(st.lists(st.tuples(_map_categories, _map_point), max_size=10))
+    candidates = [CandidateKeypoint(cat, x, y, 1.0) for cat, (x, y) in drawn]
+    got = precision_recall(gt_poses, candidates, gt_maps, pred_maps, cutoff)
+    expected = oracle.precision_recall(gt_poses, candidates, gt_maps, pred_maps, cutoff)
+    assert got == expected
+    assert list(got.per_category) == list(expected.per_category)
 
 
 def _tallied_by_cli(reports):
@@ -287,48 +319,55 @@ class TestPairing:
         assert empty_gt.unpaired_pred == [0] and empty_gt.pairs == []
 
 
+def _table(columns, spec):
+    """A series table as row tuples in row order, with category and kind
+    codes given back as names."""
+    names = {"category": spec.categories, "kind": FRAME_DIFF_KINDS}
+    return list(
+        zip(*([names[k][c] for c in col] if k in names else col.tolist() for k, col in columns.items()))
+    )
+
+
+def _shifted(pose, dx, dy=0.0):
+    return make_pose(**{c: (x + dx, y + dy) for c, (x, y) in pose.coords.items()})
+
+
 class TestRecoveryRate:
     def test_unpaired_gt_counts_in_denominator(self, spec, square_pose):
-        far = make_pose(**{c: (x + 400.0, y) for c, (x, y) in square_pose.coords.items()})
-        gt = [square_pose, far]
-        pred = [square_pose]
-        pairing = pair_skeletons(gt, pred)
-        assert pairing.pairs == [(0, 0)]
-        eta, overall = recovery_rate(recovery_samples(gt, pred, pairing, spec), spec.categories)
-        assert overall == pytest.approx(0.5)
-        assert all(v == pytest.approx(0.5) for v in eta.values())
+        far = _shifted(square_pose, 400.0)
+        report, _ = evaluate_poses({0: [square_pose, far]}, {0: [square_pose]}, spec)
+        assert (report.paired, report.unpaired_gt) == (1, 1)
+        assert report.eta_overall == pytest.approx(0.5)
+        assert all(v == pytest.approx(0.5) for v in report.eta.values())
 
     def test_missing_category_in_prediction(self, spec, square_pose):
         pred = make_pose(**{**dict(square_pose.coords), "nose": None})
-        pairing = pair_skeletons([square_pose], [pred])
-        samples = recovery_samples([square_pose], [pred], pairing, spec)
-        eta, overall = recovery_rate(samples, spec.categories)
-        assert eta["nose"] == 0.0
-        assert eta["withers"] == 1.0
-        assert overall == pytest.approx(5.0 / 6.0)
+        report, _ = evaluate_poses({0: [square_pose]}, {0: [pred]}, spec)
+        assert report.eta["nose"] == 0.0
+        assert report.eta["withers"] == 1.0
+        assert report.eta_overall == pytest.approx(5.0 / 6.0)
 
     def test_absent_category_is_none(self, spec):
         gt = make_pose(withers=(5.0, 5.0), tail_implant=(1.0, 5.0))
-        pairing = pair_skeletons([gt], [gt])
-        eta, overall = recovery_rate(recovery_samples([gt], [gt], pairing, spec), spec.categories)
-        assert eta["nose"] is None
-        assert eta["withers"] == 1.0
-        assert overall == 1.0
+        report, _ = evaluate_poses({0: [gt]}, {0: [gt]}, spec)
+        assert report.eta["nose"] is None
+        assert report.eta["withers"] == 1.0
+        assert report.eta_overall == 1.0
 
     def test_no_ground_truth_overall_none(self, spec):
-        pairing = pair_skeletons([], [])
-        eta, overall = recovery_rate(recovery_samples([], [], pairing, spec), spec.categories)
-        assert overall is None
-        assert all(v is None for v in eta.values())
-
+        for gt_frames in ({}, {0: []}):
+            report, series = evaluate_poses(gt_frames, {}, spec)
+            assert report.eta_overall is None
+            assert all(v is None for v in report.eta.values())
+            assert _table(series.recovery, spec) == []
 
     def test_samples_per_present_keypoint_in_pose_order(self, spec, square_pose):
         gt = [make_pose(withers=(5.0, 5.0), nose=None, horn=(1.0, 1.0)), square_pose]
         pred = [make_pose(**{**dict(square_pose.coords), "nose": None})]
-        pairing = pair_skeletons(gt, pred)
-        assert pairing.pairs == [(1, 0)]
-        samples = list(recovery_samples(gt, pred, pairing, spec))
-        assert samples == [("withers", False)] + [(cat, cat != "nose") for cat in spec.categories]
+        report, series = evaluate_poses({3: gt}, {3: pred}, spec)
+        assert (report.paired, report.unpaired_gt) == (1, 1)
+        expected = [("withers", False)] + [(cat, cat != "nose") for cat in spec.categories]
+        assert _table(series.recovery, spec) == [(3, cat, hit) for cat, hit in expected]
 
 
 class TestRelativeError:
@@ -336,11 +375,12 @@ class TestRelativeError:
         scale = skeleton_scale(spec, square_pose)
         coords = dict(square_pose.coords)
         coords["head"] = (coords["head"][0] + 3.0, coords["head"][1])
-        pred = make_pose(**coords)
-        pairing = pair_skeletons([square_pose], [pred])
-        samples = relative_error([square_pose], [pred], pairing, spec)
-        assert samples["head"] == [pytest.approx(3.0 / scale)]
-        assert samples["withers"] == [pytest.approx(0.0)]
+        _, series = evaluate_poses({0: [square_pose]}, {0: [make_pose(**coords)]}, spec)
+        values = {cat: value for _, cat, value in _table(series.relative_error, spec)}
+        assert values["head"] == pytest.approx(3.0 / scale)
+        assert values["withers"] == pytest.approx(0.0)
+        # one sample per category, in category order
+        assert list(values) == list(spec.categories)
 
     def test_scale_invariance(self, spec, square_pose):
         def rescale(pose, factor):
@@ -351,28 +391,35 @@ class TestRelativeError:
         perturbed = dict(square_pose.coords)
         perturbed["nose"] = (perturbed["nose"][0] + 2.0, perturbed["nose"][1] + 1.0)
         pred = make_pose(**perturbed)
-        small = relative_error(
-            [square_pose], [pred], pair_skeletons([square_pose], [pred]), spec
+        small, _ = evaluate_poses({0: [square_pose]}, {0: [pred]}, spec)
+        big, _ = evaluate_poses({0: [rescale(square_pose, 4.0)]}, {0: [rescale(pred, 4.0)]}, spec)
+        assert big.relative_error["nose"].mean == pytest.approx(
+            small.relative_error["nose"].mean, rel=1e-9
         )
-        big_gt, big_pred = rescale(square_pose, 4.0), rescale(pred, 4.0)
-        big = relative_error(
-            [big_gt], [big_pred], pair_skeletons([big_gt], [big_pred]), spec
-        )
-        assert big["nose"][0] == pytest.approx(small["nose"][0], rel=1e-9)
 
     def test_undefined_scale_skipped(self, spec, caplog):
         gt = make_pose(withers=(5.0, 5.0), head=(9.0, 5.0))
-        pairing = pair_skeletons([gt], [gt])
         with caplog.at_level(logging.WARNING, logger="keytrack.metrics"):
-            samples = relative_error([gt], [gt], pairing, spec)
-        assert all(not values for values in samples.values())
+            report, _ = evaluate_poses({0: [gt]}, {0: [gt]}, spec)
+        assert report.paired == 1
+        assert all(stats.count == 0 for stats in report.relative_error.values())
         assert "undefined" in caplog.text
+
+    def test_zero_scale_skipped_with_one_warning_per_pair(self, spec, caplog):
+        # every keypoint on one spot: the dominant connections have length 0
+        flat = make_pose(**{cat: (100.0, 100.0) for cat in spec.categories})
+        with caplog.at_level(logging.WARNING, logger="keytrack.metrics"):
+            report, series = evaluate_poses({0: [flat, flat]}, {0: [flat, flat]}, spec)
+        assert report.paired == 2 and report.eta_overall == 1.0
+        assert _table(series.relative_error, spec) == []
+        warnings = [r for r in caplog.records if "undefined" in r.getMessage()]
+        assert len(warnings) == 2
 
     def test_missing_keypoints_skipped(self, spec, square_pose):
         pred = make_pose(**{**dict(square_pose.coords), "nose": None})
-        pairing = pair_skeletons([square_pose], [pred])
-        samples = relative_error([square_pose], [pred], pairing, spec)
-        assert samples["nose"] == []
+        report, _ = evaluate_poses({0: [square_pose]}, {0: [pred]}, spec)
+        assert report.relative_error["nose"].count == 0
+        assert report.relative_error["withers"].count == 1
 
 
 def record_for(tracklet_id, observed, posterior, prior=None):
@@ -388,8 +435,15 @@ def record_for(tracklet_id, observed, posterior, prior=None):
     )
 
 
+def _smoothness(spec, *outputs):
+    """Frame-difference rows of ``outputs``, scored against their own posteriors."""
+    gt_frames = {out.frame_index: [r.posterior for r in out.records] for out in outputs}
+    _, series = evaluate_tracks(gt_frames, outputs, spec)
+    return _table(series.frame_difference, spec)
+
+
 class TestFrameDifference:
-    def test_observed_and_posterior_tracked_separately(self):
+    def test_observed_and_posterior_tracked_separately(self, spec, caplog):
         before = TrackOutput(
             frame_index=0,
             records=[
@@ -410,20 +464,18 @@ class TestFrameDifference:
                 )
             ],
         )
-        result = frame_difference(before, after)
-        assert result["observed"]["withers"] == [pytest.approx(5.0)]
-        assert result["posterior"]["withers"] == [pytest.approx(3.0)]
+        rows = _smoothness(spec, before, after)
+        assert rows == [(1, "observed", "withers", 5.0), (1, "posterior", "withers", 3.0)]
 
-    def test_new_tracklet_skipped(self):
+    def test_new_tracklet_skipped(self, spec, caplog):
         before = TrackOutput(frame_index=0, records=[])
         after = TrackOutput(
             frame_index=1,
             records=[record_for(7, make_pose(withers=(0.0, 0.0)), make_pose(withers=(0.0, 0.0)))],
         )
-        result = frame_difference(before, after)
-        assert result["observed"] == {} and result["posterior"] == {}
+        assert _smoothness(spec, before, after) == []
 
-    def test_missing_keypoint_skipped(self):
+    def test_missing_keypoint_skipped(self, spec, caplog):
         before = TrackOutput(
             frame_index=0,
             records=[record_for(1, make_pose(withers=(0.0, 0.0), nose=None), make_pose(withers=(0.0, 0.0)))],
@@ -432,9 +484,38 @@ class TestFrameDifference:
             frame_index=1,
             records=[record_for(1, make_pose(withers=(2.0, 0.0), nose=(5.0, 5.0)), make_pose(withers=(2.0, 0.0)))],
         )
-        result = frame_difference(before, after)
-        assert result["observed"]["withers"] == [pytest.approx(2.0)]
-        assert "nose" not in result["observed"]
+        rows = _smoothness(spec, before, after)
+        assert [row for row in rows if row[1] == "observed"] == [(1, "observed", "withers", 2.0)]
+
+    def test_rows_follow_the_later_frame_record_order(self, spec, square_pose):
+        # tracklet i moves i px a frame
+        def output(frame, ids):
+            records = [
+                record_for(i, _shifted(square_pose, 100.0 * i + frame * i), _shifted(square_pose, 100.0 * i))
+                for i in ids
+            ]
+            return TrackOutput(frame_index=frame, records=records)
+
+        rows = _smoothness(spec, output(0, [2, 5, 9]), output(1, [9, 3, 2]))
+        # category by category, then tracklets 9 and 2 in frame 1's order; 3 is new
+        expected = [(1, "observed", cat, moved) for cat in spec.categories for moved in (9.0, 2.0)]
+        assert [row for row in rows if row[1] == "observed"] == expected
+
+    def test_only_adjacent_frames_are_compared(self, spec, square_pose):
+        # outputs at 0, 1, 3 and 4; the tracklet moves 2 px a frame
+        outputs = [
+            TrackOutput(
+                frame_index=frame,
+                records=[record_for(1, _shifted(square_pose, 2.0 * frame), _shifted(square_pose, 2.0 * frame))],
+            )
+            for frame in (0, 1, 3, 4)
+        ]
+        rows = _smoothness(spec, *outputs)
+        assert sorted({frame for frame, *_ in rows}) == [1, 4]
+        assert all(value == pytest.approx(2.0) for *_, value in rows)
+        gt_frames = {out.frame_index: [out.records[0].posterior] for out in outputs}
+        report, _ = evaluate_tracks(gt_frames, outputs, spec)
+        assert report.frame_diff_quantiles["posterior"]["withers"][0.95] == pytest.approx(2.0)
 
 
 class TestQuantiles:
@@ -477,7 +558,7 @@ class TestEvaluatePoses:
         assert report.unpaired_gt == 1
         assert report.eta_overall == pytest.approx(12.0 / 18.0)
         assert report.relative_error["withers"].count == 2
-        assert len(series.recovery) == 18
+        assert len(series.recovery["frame"]) == 18
 
     def test_unknown_frame_rejected(self, spec, square_pose):
         with pytest.raises(ValueError, match="without ground truth"):
@@ -517,7 +598,7 @@ class TestEvaluateTracks:
         q_post = report.frame_diff_quantiles["posterior"]["withers"]
         assert q_obs[0.5] == pytest.approx(6.0)
         assert q_post[0.5] == pytest.approx(2.0)
-        assert any(row["kind"] == "posterior" for row in series.frame_difference)
+        assert "posterior" in {kind for _, kind, _, _ in _table(series.frame_difference, spec)}
 
     def test_category_outside_skeleton_left_out_of_report(self, spec, square_pose):
         horned = make_pose(**dict(square_pose.coords), horn=(1.0, 1.0))
@@ -528,7 +609,11 @@ class TestEvaluateTracks:
         report, series = evaluate_tracks({0: [square_pose], 1: [square_pose]}, outputs, spec)
         for kind in FRAME_DIFF_KINDS:
             assert list(report.frame_diff_quantiles[kind]) == list(spec.categories)
-        assert any(row["category"] == "horn" for row in series.frame_difference)
+        # the columns hold skeleton categories only
+        rows = _table(series.frame_difference, spec)
+        assert [(kind, cat) for _, kind, cat, _ in rows] == [
+            (kind, cat) for kind in FRAME_DIFF_KINDS for cat in spec.categories
+        ]
 
     def test_category_without_samples_is_none(self, spec, square_pose):
         outputs = [
@@ -539,7 +624,7 @@ class TestEvaluateTracks:
 
 
 def test_report_reduces_series_rows(spec):
-    """Each score equals a plain per-category filter over the series rows."""
+    """Each score equals a plain per-category filter over the series columns."""
     config = ScenarioConfig(
         n_animals=4, seed=7, dropout=0.2, regimes=(RegimeSegment("stationary", 12),)
     )
@@ -548,18 +633,83 @@ def test_report_reduces_series_rows(spec):
     detections = corrupt(truth, spec, config)
     outputs = [tracker.step(detections[f], f) for f in sorted(detections)]
     report, series = evaluate_tracks(truth.poses_by_frame(), outputs, spec)
-    assert report.frames == 12 and len(series.recovery) > 0
+    assert report.frames == 12 and len(series.recovery["frame"]) > 0
+    dtypes = {"frame": np.int64, "kind": np.int64, "category": np.int64, "recovered": bool, "value": np.float64}
+    for table, names in [
+        (series.recovery, ["frame", "category", "recovered"]),
+        (series.relative_error, ["frame", "category", "value"]),
+        (series.frame_difference, ["frame", "kind", "category", "value"]),
+    ]:
+        assert list(table) == names
+        assert all(table[name].dtype == dtypes[name] and table[name].ndim == 1 for name in names)
+        assert len({len(column) for column in table.values()}) == 1
+    recovery = _table(series.recovery, spec)
+    errors = _table(series.relative_error, spec)
+    diffs = _table(series.frame_difference, spec)
     for cat in spec.categories:
-        hits = [row["recovered"] for row in series.recovery if row["category"] == cat]
+        hits = [hit for _, c, hit in recovery if c == cat]
         assert report.eta[cat] == (sum(hits) / len(hits) if hits else None)
-        errors = [row["value"] for row in series.relative_error if row["category"] == cat]
-        assert report.relative_error[cat] == ErrorStats.from_samples(errors)
+        assert report.relative_error[cat] == ErrorStats.from_samples([v for _, c, v in errors if c == cat])
         for kind in FRAME_DIFF_KINDS:
-            diffs = [
-                row["value"]
-                for row in series.frame_difference
-                if row["kind"] == kind and row["category"] == cat
-            ]
-            assert report.frame_diff_quantiles[kind][cat] == quantiles(diffs)
-    hits = [row["recovered"] for row in series.recovery]
+            values = [v for _, k, c, v in diffs if k == kind and c == cat]
+            assert report.frame_diff_quantiles[kind][cat] == quantiles(values)
+    hits = [hit for *_, hit in recovery]
     assert report.eta_overall == sum(hits) / len(hits)
+
+
+_SCENES = {3: (960, 720), 12: (960, 720), 30: (4000, 4000)}
+
+
+def _within_ulps(got, expected, ulps=2):
+    got, expected = np.asarray(got), np.asarray(expected)
+    return got.shape == expected.shape and bool(
+        np.all(np.abs(got - expected) <= ulps * np.spacing(np.maximum(np.abs(got), np.abs(expected))))
+    )
+
+
+def _assert_rows_match(got, expected):
+    """Equal keys and order; values within 2 ulp."""
+    assert [row[:-1] for row in got] == [row[:-1] for row in expected]
+    assert _within_ulps([row[-1] for row in got], [row[-1] for row in expected])
+
+
+@pytest.mark.parametrize("seed", [5, 17, 29])
+@pytest.mark.parametrize("animals", sorted(_SCENES))
+def test_scoring_matches_per_sample_oracle(spec, animals, seed):
+    width, height = _SCENES[animals]
+    config = ScenarioConfig(
+        n_animals=animals,
+        seed=seed,
+        width=width,
+        height=height,
+        dropout=0.25,
+        regimes=(RegimeSegment("stationary", 16),),
+    )
+    truth = generate(spec, config)
+    gt_frames = truth.poses_by_frame()
+    detections = corrupt(truth, spec, config)
+    tracker = KeySortTracker(spec, np.ones(len(spec.categories)))
+    # frames 3, 10 and 11 have no output, so some outputs are not adjacent
+    outputs = [tracker.step(detections[f], f) for f in sorted(detections) if f not in (3, 10, 11)]
+    posteriors = {out.frame_index: [r.posterior for r in out.records] for out in outputs}
+    for (report, series), expected in [
+        (evaluate_poses(gt_frames, detections, spec), oracle.evaluation_rows(gt_frames, detections, spec)),
+        (evaluate_tracks(gt_frames, outputs, spec), oracle.evaluation_rows(gt_frames, posteriors, spec, outputs)),
+    ]:
+        counts = expected["counts"]
+        assert (report.frames, report.paired, report.unpaired_gt, report.unpaired_pred) == (
+            counts["frames"], counts["paired"], counts["unpaired_gt"], counts["unpaired_pred"]
+        )
+        assert _table(series.recovery, spec) == expected["recovery"]
+        assert len(expected["recovery"]) > 0 and not all(hit for *_, hit in expected["recovery"])
+        _assert_rows_match(_table(series.relative_error, spec), expected["relative_error"])
+        # the oracle lists a frame's categories in the order their first samples
+        # turn up; the columns list them in skeleton order, tracklets in record order
+        diffs = sorted(
+            expected["frame_difference"],
+            key=lambda row: (row[0], FRAME_DIFF_KINDS.index(row[1]), spec.categories.index(row[2])),
+        )
+        _assert_rows_match(_table(series.frame_difference, spec), diffs)
+        eta, overall = oracle.recovery_rate([row[1:] for row in expected["recovery"]], spec.categories)
+        assert (report.eta, report.eta_overall) == (eta, overall)
+    assert len(expected["frame_difference"]) > 0
